@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: synth, scalogram, features, train, run, sweep, ablate, report.
+Subcommands: synth, features, train, run, sweep, ablate, report.
 On failure a machine-readable error JSON is printed to stderr and the exit
 code is nonzero.
 """
@@ -21,8 +21,6 @@ from .harness import (AblationSpec, ExperimentConfig, SweepSpec, ablate,
                       write_ablation, write_sweep)
 from .net import ModelConfig, save_checkpoint
 from .records import SynthSpec, synth_dataset, write_dataset
-from .scalogram import Scalogram, cache_path, save_scalogram
-from .temporal import build_sequence
 
 
 class CliError(Exception):
@@ -60,21 +58,6 @@ def cmd_synth(args) -> None:
     records = synth_dataset(spec, args.seed)
     write_dataset(records, args.out)
     print(json.dumps({"written": len(records), "out": str(args.out)}))
-
-
-def cmd_scalogram(args) -> None:
-    records = prepare_records(getattr(args, "in"))
-    out = Path(args.out)
-    count = 0
-    for record in records:
-        seq = build_sequence(record, args.chunks)
-        for k in range(seq.n_chunks):
-            for ci, chan in enumerate(seq.channels):
-                path = cache_path(out, record.record_id, k, chan.value)
-                save_scalogram(Scalogram(values=seq.tensors[k, ci]), path)
-                count += 1
-    print(json.dumps({"records": len(records), "scalograms": count,
-                      "out": str(out)}))
 
 
 def cmd_features(args) -> None:
@@ -164,12 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("scalogram", help="write the per-chunk scalogram cache")
-    p.add_argument("--in", dest="in", required=True)
-    p.add_argument("--chunks", type=int, default=6)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_scalogram)
 
     p = sub.add_parser("features", help="export the 103-feature CSV")
     p.add_argument("--in", dest="in", required=True)

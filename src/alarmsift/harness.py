@@ -28,12 +28,6 @@ from .temporal import build_sequence
 
 EXPERIMENTS = ("temporal", "static", "features", "per_alarm")
 
-_CHANNEL_SUBSETS = {
-    1: (Channel.ECG_II,),
-    2: (Channel.ECG_II, Channel.ECG_V),
-    4: CHANNEL_ORDER,
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -59,13 +53,18 @@ class ExperimentConfig:
     def channel_subset(self) -> tuple[Channel, ...]:
         return tuple(Channel(c) for c in self.channels)
 
-    def resolved_model(self) -> ModelConfig:
-        """Model config with data-derived fields filled in."""
-        n_chunks = 1 if self.experiment == "static" else self.model.n_chunks
+    def resolved_model(self, experiment: str | None = None) -> ModelConfig:
+        """Model config of one run of ``experiment`` (default: this config's).
+
+        The one rule for every run: ``static`` is a single chunk without the
+        LSTM, any other experiment keeps ``model.n_chunks`` and the LSTM;
+        ``in_channels`` is the number of configured channels.
+        """
+        static = (experiment or self.experiment) == "static"
         return replace(self.model,
                        in_channels=len(self.channels),
-                       n_chunks=n_chunks,
-                       use_lstm=self.experiment != "static")
+                       n_chunks=1 if static else self.model.n_chunks,
+                       use_lstm=not static)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -211,10 +210,8 @@ def _cv_linear(x, labels, ids, assignment: FoldAssignment, seed: int,
 
 def _oof_scores(records, labels, ids, assignment, cfg: ExperimentConfig,
                 experiment: str):
-    model_cfg = replace(cfg.resolved_model(),
-                        use_lstm=experiment != "static",
-                        n_chunks=1 if experiment == "static" else cfg.model.n_chunks)
     if experiment in ("temporal", "static"):
+        model_cfg = cfg.resolved_model(experiment)
         x = build_sequences(records, model_cfg.n_chunks, cfg.channel_subset())
         return _cv_net(x, labels, ids, assignment, model_cfg, cfg.seed,
                        cfg.val_fraction)
@@ -294,23 +291,26 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     run_dir = Path(cfg.out_dir) / f"{cfg.experiment}-{report['run_id']}"
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    with open(run_dir / "predictions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["record_id", "alarm_type", "label", "fold", "p_true"])
-        for i, r in enumerate(records):
-            writer.writerow([r.record_id, r.alarm_type.value, int(r.label),
-                             int(assignment.fold_of[i]), repr(float(oof[i]))])
-    _write_training_curves(run_dir / "training_curves.csv", report["training"])
+    _write_csv(run_dir / "predictions.csv",
+               ["record_id", "alarm_type", "label", "fold", "p_true"],
+               ([r.record_id, r.alarm_type.value, int(r.label),
+                 int(assignment.fold_of[i]), oof[i]]
+                for i, r in enumerate(records)))
+    _write_csv(run_dir / "training_curves.csv",
+               ["fold", "epoch", "train_loss", "val_auc"],
+               ([blob["fold"], e, tl, va] for blob in report["training"]
+                for e, (tl, va) in enumerate(
+                    zip(blob["train_loss"], blob["val_auc"]), 1)))
     return run_dir
 
 
-def _write_training_curves(path: Path, training_blobs) -> None:
+def _write_csv(path: Path, header, rows) -> None:
+    """Write one CSV; float cells (np.float64 too) as ``repr(float(v))``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["fold", "epoch", "train_loss", "val_auc"])
-        for blob in training_blobs:
-            for e, (tl, va) in enumerate(zip(blob["train_loss"], blob["val_auc"]), 1):
-                writer.writerow([blob["fold"], e, repr(tl), repr(va)])
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v
+                          for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +391,10 @@ def write_sweep(result: SweepResult, out_dir) -> Path:
     (out_dir / "sweep.json").write_text(json.dumps(
         {"rows": result.rows, "runs": result.runs,
          "runs_executed": result.runs_executed}, indent=2) + "\n")
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "values_tested", "winner", "val_auc"])
-        for row in result.rows:
-            writer.writerow([row["parameter"],
-                             " ".join(str(v) for v in row["values"]),
-                             row["winner"], repr(row["val_auc"])])
+    _write_csv(out_dir / "sweep.csv",
+               ["parameter", "values_tested", "winner", "val_auc"],
+               ([row["parameter"], " ".join(str(v) for v in row["values"]),
+                 row["winner"], row["val_auc"]] for row in result.rows))
     return out_dir
 
 
@@ -408,8 +405,17 @@ def write_sweep(result: SweepResult, out_dir) -> Path:
 @dataclass(frozen=True)
 class AblationSpec:
     chunk_grid: tuple[int, ...] = (1, 2, 3, 6)
-    channel_grid: tuple[int, ...] = (1, 2, 4)
+    channel_grid: tuple[int, ...] = (1, 2, 4)  # prefixes of CHANNEL_ORDER
     folds: int = 3
+
+    def __post_init__(self):
+        if self.folds < 2:
+            raise ValueError("folds must be >= 2")
+        if any(n < 1 for n in self.chunk_grid):
+            raise ValueError(f"chunk counts must be >= 1, got {self.chunk_grid}")
+        if any(not 1 <= c <= len(CHANNEL_ORDER) for c in self.channel_grid):
+            raise ValueError(f"channel counts must lie in 1..{len(CHANNEL_ORDER)}, "
+                             f"got {self.channel_grid}")
 
 
 @dataclass
@@ -419,30 +425,45 @@ class AblationResult:
 
 
 def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
-    """3-fold CV per condition: chunk grid at 4 channels, channel grid at 6
-    chunks.  The chunks=1 condition is the static (no LSTM) model."""
+    """3-fold CV per condition: chunk grid at all channels, channel grid at
+    6 chunks.  The chunks=1 condition is the static (no LSTM) model, and
+    ``channels=c`` uses the first ``c`` entries of CHANNEL_ORDER.
+
+    Each chunk count's tensor is built once, over the widest channel prefix
+    its conditions use, and freed after its last condition.  A condition
+    takes a channel slice of it; every (chunk, channel) scalogram is
+    normalised on its own, so the slice equals a tensor built narrower.
+    """
     records = prepare_records(base.data_dir, base.window_s)
     labels = np.array([r.label for r in records], dtype=bool)
     ids = [r.record_id for r in records]
     assignment = stratified_kfold(labels, spec.folds, base.seed, tuple(ids))
-    model_base = base.resolved_model()
+    conditions = ([(f"chunks={n}", n, len(CHANNEL_ORDER)) for n in spec.chunk_grid]
+                  + [(f"channels={c}", 6, c) for c in spec.channel_grid])
+    width, last_use = {}, {}
+    for i, (_, n_chunks, n_channels) in enumerate(conditions):
+        width[n_chunks] = max(width.get(n_chunks, 0), n_channels)
+        last_use[n_chunks] = i
 
-    def condition(n_chunks, channel_count):
-        subset = _CHANNEL_SUBSETS[channel_count]
-        cfg = replace(model_base, n_chunks=n_chunks,
-                      in_channels=len(subset), use_lstm=n_chunks > 1)
-        x = build_sequences(records, n_chunks, subset)
-        _, fold_aucs, _ = _cv_net(x, labels, ids, assignment, cfg, base.seed,
-                                  base.val_fraction)
+    tensors, rows = {}, []
+    for i, (name, n_chunks, n_channels) in enumerate(conditions):
+        if n_chunks not in tensors:
+            tensors[n_chunks] = build_sequences(records, n_chunks,
+                                                CHANNEL_ORDER[:width[n_chunks]])
+        cfg = replace(base, experiment="static" if n_chunks == 1 else "temporal",
+                      model=replace(base.model, n_chunks=n_chunks),
+                      channels=tuple(c.value for c in CHANNEL_ORDER[:n_channels]))
+        _, fold_aucs, _ = _cv_net(tensors[n_chunks][:, :, :n_channels], labels,
+                                  ids, assignment, cfg.resolved_model(),
+                                  base.seed, base.val_fraction)
+        if last_use[n_chunks] == i:
+            del tensors[n_chunks]
         s = fold_summary(fold_aucs)
-        return {"mean_auc": s.mean, "std_auc": s.std,
-                "fold_aucs": list(map(float, fold_aucs))}
-
-    chunk_rows = [{"condition": f"chunks={n}", **condition(n, 4)}
-                  for n in spec.chunk_grid]
-    channel_rows = [{"condition": f"channels={c}", **condition(6, c)}
-                    for c in spec.channel_grid]
-    return AblationResult(chunk_rows=chunk_rows, channel_rows=channel_rows)
+        rows.append({"condition": name, "mean_auc": s.mean, "std_auc": s.std,
+                     "fold_aucs": list(map(float, fold_aucs))})
+    n_chunk_rows = len(spec.chunk_grid)
+    return AblationResult(chunk_rows=rows[:n_chunk_rows],
+                          channel_rows=rows[n_chunk_rows:])
 
 
 def write_ablation(result: AblationResult, out_dir) -> Path:
@@ -453,12 +474,9 @@ def write_ablation(result: AblationResult, out_dir) -> Path:
         indent=2) + "\n")
     for name, rows in (("ablation_chunks.csv", result.chunk_rows),
                        ("ablation_channels.csv", result.channel_rows)):
-        with open(out_dir / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["condition", "mean_auc", "std_auc"])
-            for row in rows:
-                writer.writerow([row["condition"], repr(row["mean_auc"]),
-                                 repr(row["std_auc"])])
+        _write_csv(out_dir / name, ["condition", "mean_auc", "std_auc"],
+                   ([row["condition"], row["mean_auc"], row["std_auc"]]
+                    for row in rows))
     return out_dir
 
 
@@ -505,15 +523,8 @@ def emit_report(run_dir, fmt: str = "csv") -> list[Path]:
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
     for name, rows in blocks.items():
         path = out / f"{name}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if rows:
-                header = list(rows[0].keys())
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_csv_cell(row[k]) for k in header])
-            else:
-                writer.writerow([])
+        header = list(rows[0].keys()) if rows else []
+        _write_csv(path, header, ([row[k] for k in header] for row in rows))
         written.append(path)
     return written
 
@@ -535,18 +546,6 @@ def emit_comparison(parent_dir, fmt: str = "csv") -> Path:
         path.write_text(json.dumps(rows, indent=2) + "\n")
         return path
     path = parent / "comparison.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experiment", "run_id", "mean_auc", "std_auc"])
-        for row in rows:
-            writer.writerow([row["experiment"], row["run_id"],
-                             repr(row["mean_auc"]), repr(row["std_auc"])])
+    _write_csv(path, ["experiment", "run_id", "mean_auc", "std_auc"],
+               (row.values() for row in rows))
     return path
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return value

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -144,9 +143,6 @@ class Scalogram:
     """Min-max normalized magnitude image, rows = scales, cols = time bins."""
 
     values: np.ndarray
-    channel: str | None = None
-    chunk_index: int | None = None
-    grid: ScaleGrid | None = None
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -175,9 +171,7 @@ def pool_columns(mag: np.ndarray, target_cols: int) -> np.ndarray:
     return sums / np.maximum(counts, 1)
 
 
-def to_scalogram(coeffs: np.ndarray, target_cols: int = 64,
-                 channel: str | None = None, chunk_index: int | None = None,
-                 grid: ScaleGrid | None = None) -> Scalogram:
+def to_scalogram(coeffs: np.ndarray, target_cols: int = 64) -> Scalogram:
     """Magnitude -> time pooling to ``target_cols`` bins -> min-max to [0, 1].
 
     A flat magnitude image (max - min below 1e-12) maps to all zeros.
@@ -191,25 +185,5 @@ def to_scalogram(coeffs: np.ndarray, target_cols: int = 64,
         values = np.zeros_like(pooled)
     else:
         values = (pooled - lo) / (hi - lo)
-    return Scalogram(values=values, channel=channel, chunk_index=chunk_index, grid=grid)
+    return Scalogram(values=values)
 
-
-# ---------------------------------------------------------------------------
-# Optional on-disk cache: <id>/chunk<k>_<channel>.f32, 4096 LE float32 values
-# ---------------------------------------------------------------------------
-
-def cache_path(root: Path | str, record_id: str, chunk_index: int, channel: str) -> Path:
-    return Path(root) / record_id / f"chunk{chunk_index}_{channel.lower()}.f32"
-
-
-def save_scalogram(scal: Scalogram, path: Path | str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(scal.values.astype("<f4").tobytes(order="C"))
-
-
-def load_scalogram(path: Path | str, shape: tuple[int, int] = (64, 64)) -> np.ndarray:
-    raw = np.frombuffer(Path(path).read_bytes(), dtype="<f4")
-    if raw.size != shape[0] * shape[1]:
-        raise ValueError(f"cache file {path} holds {raw.size} values, expected {shape[0]*shape[1]}")
-    return raw.reshape(shape).astype(np.float64)

@@ -282,7 +282,6 @@ class ErrorReport:
     fn_ids: tuple[str, ...]
     fp_ids: tuple[str, ...]
     high_confidence_ids: tuple[str, ...]
-    per_alarm: tuple[PerAlarmRow, ...] = ()
 
     @property
     def n_errors(self) -> int:

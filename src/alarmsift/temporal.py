@@ -79,15 +79,12 @@ def build_sequence(record: Record, n_chunks: int,
     subset = record.channels if channel_subset is None else tuple(channel_subset)
     if not subset:
         raise ValueError("channel subset must be non-empty")
-    rows = {c: record.channel(c) for c in subset}  # raises if a channel is absent
-    n = record.n_samples
-    if n % n_chunks != 0:
-        raise ValueError(f"{n} not divisible by {n_chunks}")
-    step = n // n_chunks
+    for chan in subset:
+        record.channel(chan)  # raises if a channel is absent
+    chunks = split_chunks(record, n_chunks)
     tensors = np.empty((n_chunks, len(subset), grid.n_scales, 64))
-    for ci, chan in enumerate(subset):
-        row = np.asarray(rows[chan], dtype=np.float64)
-        for k in range(n_chunks):
-            coeffs = cwt(row[k * step:(k + 1) * step], grid, params, record.fs)
+    for k, chunk in enumerate(chunks):
+        for ci, chan in enumerate(subset):
+            coeffs = cwt(chunk.channel(chan), grid, params, record.fs)
             tensors[k, ci] = to_scalogram(coeffs, 64).values
     return ChunkSequence(tensors=tensors, channels=subset, record_id=record.record_id)

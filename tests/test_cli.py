@@ -4,7 +4,6 @@ import pytest
 
 from alarmsift.cli import main
 from alarmsift.records import load_dataset
-from alarmsift.scalogram import load_scalogram
 
 
 @pytest.fixture(scope="module")
@@ -42,20 +41,6 @@ class TestSynth:
         a = (tmp_path / "a" / "synth-0000" / "signal.f32").read_bytes()
         b = (tmp_path / "b" / "synth-0000" / "signal.f32").read_bytes()
         assert a == b
-
-
-class TestScalogramCache:
-    def test_cache_layout(self, cli_data, tmp_path, capsys):
-        out = tmp_path / "cache"
-        rc = main(["scalogram", "--in", str(cli_data), "--chunks", "2",
-                   "--out", str(out)])
-        assert rc == 0
-        info = json.loads(capsys.readouterr().out)
-        assert info["scalograms"] == 14 * 2 * 4
-        sample = out / "synth-0000" / "chunk0_ecg_ii.f32"
-        assert sample.stat().st_size == 4096 * 4
-        values = load_scalogram(sample)
-        assert values.min() >= 0.0 and values.max() <= 1.0
 
 
 class TestFeatures:

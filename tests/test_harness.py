@@ -3,13 +3,17 @@ import json
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import alarmsift.temporal
 from alarmsift.harness import (AblationSpec, ExperimentConfig, SweepSpec,
                                ablate, emit_comparison, emit_report,
                                run_experiment, stratified_split, sweep,
                                write_ablation, write_sweep)
 from alarmsift.net import ModelConfig
-from alarmsift.records import SynthSpec, synth_dataset, write_dataset
+from alarmsift.records import (CHANNEL_ORDER, SynthSpec, synth_dataset,
+                               write_dataset)
 from alarmsift.stats import REPORT_SCHEMA
 
 TINY_MODEL = dict(embed_dim=8, lstm_hidden=4, head_hidden=6, dropout=0.0,
@@ -158,6 +162,42 @@ class TestAblate:
         assert spec.chunk_grid == (1, 2, 3, 6)
         assert spec.channel_grid == (1, 2, 4)
         assert spec.folds == 3
+
+    @given(chunk_grid=st.lists(st.integers(-2, 12), max_size=4),
+           channel_grid=st.lists(st.integers(-1, 6), max_size=4),
+           folds=st.integers(-1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_spec_rejects_bad_grids_by_name(self, chunk_grid, channel_grid, folds):
+        args = dict(chunk_grid=tuple(chunk_grid),
+                    channel_grid=tuple(channel_grid), folds=folds)
+        reasons = []
+        if folds < 2:
+            reasons.append("folds")
+        if any(n < 1 for n in chunk_grid):
+            reasons.append("chunk counts")
+        if any(not 1 <= c <= len(CHANNEL_ORDER) for c in channel_grid):
+            reasons.append("channel counts")
+        if not reasons:
+            assert AblationSpec(**args).chunk_grid == tuple(chunk_grid)
+            return
+        with pytest.raises(ValueError) as err:
+            AblationSpec(**args)
+        assert reasons[0] in str(err.value)
+
+    def test_one_cwt_per_chunk_channel(self, data_dir, tmp_path, monkeypatch):
+        """Each chunk count's tensor is built once, at its widest prefix:
+        chunks=6 serves the chunk row and every channel row."""
+        real_cwt, signals = alarmsift.temporal.cwt, []
+
+        def counting_cwt(signal, *args, **kwargs):
+            signals.append(np.asarray(signal, dtype=np.float64).tobytes())
+            return real_cwt(signal, *args, **kwargs)
+
+        monkeypatch.setattr(alarmsift.temporal, "cwt", counting_cwt)
+        spec = AblationSpec(chunk_grid=(1, 6), channel_grid=(1, 2), folds=2)
+        ablate(spec, tiny_config(data_dir, tmp_path, model={"max_epochs": 1}))
+        distinct_pairs = 1 * 4 + 6 * 4  # (chunk, channel) pairs per record
+        assert len(signals) == len(set(signals)) == 20 * distinct_pairs
 
     def test_chunks1_row_equals_static_run(self, data_dir, tmp_path):
         """The chunks=1 ablation cell is definitionally the static model."""

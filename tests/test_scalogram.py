@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from alarmsift.scalogram import (MorletParams, Scalogram, cwt, cache_path,
-                                 load_scalogram, log_scales, pool_columns,
-                                 save_scalogram, to_scalogram)
+from alarmsift.scalogram import (MorletParams, Scalogram, cwt, log_scales,
+                                 pool_columns, to_scalogram)
 
 OMEGA0 = 6.0
 
@@ -182,21 +181,3 @@ class TestToScalogram:
     def test_value_range_enforced(self):
         with pytest.raises(ValueError):
             Scalogram(values=np.full((2, 2), 1.5))
-
-
-class TestCacheFiles:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        s = to_scalogram(cwt(rng.standard_normal(2500), log_scales(64, 1.0, 128.0)))
-        path = cache_path(tmp_path, "rec-1", 3, "ECG_II")
-        assert path.name == "chunk3_ecg_ii.f32"
-        save_scalogram(s, path)
-        assert path.stat().st_size == 4096 * 4
-        loaded = load_scalogram(path)
-        np.testing.assert_allclose(loaded, s.values, atol=1e-7)  # float32 file
-
-    def test_size_mismatch(self, tmp_path):
-        path = tmp_path / "bad.f32"
-        path.write_bytes(b"\x00" * 100)
-        with pytest.raises(ValueError, match="holds"):
-            load_scalogram(path)

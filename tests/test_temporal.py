@@ -24,8 +24,11 @@ class TestSplitChunks:
 
     def test_non_divisible_errors(self):
         r = make_record(n=15000)
-        with pytest.raises(ValueError, match="15000 not divisible by 7"):
-            split_chunks(r, 7)
+        for fn in (split_chunks, build_sequence):
+            with pytest.raises(ValueError, match="15000 not divisible by 7"):
+                fn(r, 7)
+            with pytest.raises(ValueError, match="n_chunks must be >= 1"):
+                fn(r, 0)
 
     def test_metadata_preserved(self):
         r = make_record(n=600, label=True)
