@@ -405,7 +405,7 @@ def write_sweep(result: SweepResult, out_dir) -> Path:
 @dataclass(frozen=True)
 class AblationSpec:
     chunk_grid: tuple[int, ...] = (1, 2, 3, 6)
-    channel_grid: tuple[int, ...] = (1, 2, 4)  # prefixes of CHANNEL_ORDER
+    channel_grid: tuple[int, ...] = (1, 2, 4)  # prefixes of the configured channels
     folds: int = 3
 
     def __post_init__(self):
@@ -425,34 +425,46 @@ class AblationResult:
 
 
 def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
-    """3-fold CV per condition: chunk grid at all channels, channel grid at
-    6 chunks.  The chunks=1 condition is the static (no LSTM) model, and
-    ``channels=c`` uses the first ``c`` entries of CHANNEL_ORDER.
+    """3-fold CV per condition: chunk grid at all of ``base.channels``,
+    channel grid at 6 chunks.  The chunks=1 condition is the static (no
+    LSTM) model, and ``channels=c`` uses the first ``c`` of ``base.channels``.
 
+    Every chunk count is checked against every record's length, and every
+    channel count against ``base.channels``, before the first transform.
     Each chunk count's tensor is built once, over the widest channel prefix
     its conditions use, and freed after its last condition.  A condition
     takes a channel slice of it; every (chunk, channel) scalogram is
     normalised on its own, so the slice equals a tensor built narrower.
     """
+    subset = base.channel_subset()
+    too_wide = [c for c in spec.channel_grid if c > len(subset)]
+    if too_wide:
+        raise ValueError(f"channel counts {too_wide} exceed the {len(subset)} "
+                         f"configured channels {base.channels}")
     records = prepare_records(base.data_dir, base.window_s)
-    labels = np.array([r.label for r in records], dtype=bool)
-    ids = [r.record_id for r in records]
-    assignment = stratified_kfold(labels, spec.folds, base.seed, tuple(ids))
-    conditions = ([(f"chunks={n}", n, len(CHANNEL_ORDER)) for n in spec.chunk_grid]
+    conditions = ([(f"chunks={n}", n, len(subset)) for n in spec.chunk_grid]
                   + [(f"channels={c}", 6, c) for c in spec.channel_grid])
     width, last_use = {}, {}
     for i, (_, n_chunks, n_channels) in enumerate(conditions):
         width[n_chunks] = max(width.get(n_chunks, 0), n_channels)
         last_use[n_chunks] = i
+    for n_chunks in width:
+        for r in records:
+            if r.n_samples % n_chunks:
+                raise ValueError(f"record {r.record_id}: {r.n_samples} samples "
+                                 f"not divisible by chunk count {n_chunks}")
+    labels = np.array([r.label for r in records], dtype=bool)
+    ids = [r.record_id for r in records]
+    assignment = stratified_kfold(labels, spec.folds, base.seed, tuple(ids))
 
     tensors, rows = {}, []
     for i, (name, n_chunks, n_channels) in enumerate(conditions):
         if n_chunks not in tensors:
             tensors[n_chunks] = build_sequences(records, n_chunks,
-                                                CHANNEL_ORDER[:width[n_chunks]])
+                                                subset[:width[n_chunks]])
         cfg = replace(base, experiment="static" if n_chunks == 1 else "temporal",
                       model=replace(base.model, n_chunks=n_chunks),
-                      channels=tuple(c.value for c in CHANNEL_ORDER[:n_channels]))
+                      channels=tuple(base.channels[:n_channels]))
         _, fold_aucs, _ = _cv_net(tensors[n_chunks][:, :, :n_channels], labels,
                                   ids, assignment, cfg.resolved_model(),
                                   base.seed, base.val_fraction)

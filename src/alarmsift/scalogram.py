@@ -12,8 +12,15 @@ with the L2 normalization 1/sqrt(a) per scale, so
 Scales are expressed in samples; scale ``a`` responds most strongly to the
 pseudo-frequency f = fc * fs / a with fc = omega0 / (2*pi).  The kernel is
 evaluated on a support of +/- 4a samples (the Gaussian envelope is below
-3.4e-4 outside) and applied as a frequency-domain product, zero-padded to
-the next power of two >= 2N so no wrap-around reaches the output window.
+3.4e-4 outside) and applied as a frequency-domain product.  The signal is
+zero-padded to the shortest fast FFT length L >= max(N + M, 2M + 1), where
+M = ceil(4 * max scale) is the widest kernel half-width.  Output sample b
+reads x[b - u] for |u| <= M, so b - u lies in [-M, N + M); with L >= N + M
+every index that wraps around lands in the zero padding, never back inside
+the output window [0, N).  L >= 2M + 1 keeps the wrapped kernel from
+overlapping itself.  The result therefore equals linear convolution with
+the truncated kernels (Torrence & Compo 1998, on padding for the FFT
+wavelet transform).
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 KERNEL_SUPPORT_SCALES = 4.0  # kernel truncated at +/- 4a samples
 FLAT_EPS = 1e-12
@@ -84,8 +92,12 @@ def morlet_wavelet(u: np.ndarray, scale: float, params: MorletParams) -> np.ndar
     return (np.pi ** -0.25 / math.sqrt(scale)) * np.exp(1j * params.omega0 * v - 0.5 * v * v)
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
+def fft_length(n: int, max_scale: float) -> int:
+    """FFT length of ``cwt`` for an ``n``-sample signal and largest scale
+    ``max_scale``: the shortest fast length >= max(n + M, 2M + 1), with M
+    the kernel half-width ceil(4 * max_scale)."""
+    max_half = int(math.ceil(KERNEL_SUPPORT_SCALES * float(max_scale)))
+    return next_fast_len(max(n + max_half, 2 * max_half + 1))
 
 
 # Kernel spectra are reused heavily across chunks/channels/records; keep the
@@ -115,11 +127,15 @@ def cwt(signal: np.ndarray, scales: ScaleGrid | np.ndarray,
         params: MorletParams = MorletParams(), fs: float = 250.0) -> np.ndarray:
     """Complex CWT coefficients, one row per scale, one column per sample.
 
-    Frequency-domain evaluation: the signal is zero-padded to the next
-    power of two >= 2N (extended further only if a kernel's +/-4a support
-    would not fit), multiplied with the kernel spectra, and inverse
-    transformed.  This equals direct time-domain convolution with the
-    truncated kernels to machine precision.
+    Frequency-domain evaluation: the signal is zero-padded to
+    ``fft_length(N, max scale)``, the shortest fast length >= N + M and
+    >= 2M + 1 (M = ceil(4 * max scale), the widest kernel half-width),
+    multiplied with the kernel spectra, and inverse transformed.  Kernel
+    offsets reach at most M samples past either end of the signal, so
+    N + M points leave no wrap-around inside the output window, and
+    2M + 1 points hold the whole kernel without overlap.  This equals
+    direct time-domain convolution with the truncated kernels to machine
+    precision.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
@@ -130,8 +146,7 @@ def cwt(signal: np.ndarray, scales: ScaleGrid | np.ndarray,
         raise ValueError(f"fs must be positive, got {fs}")
     scale_values = scales.values if isinstance(scales, ScaleGrid) else np.asarray(scales, float)
     n = x.size
-    max_half = int(math.ceil(KERNEL_SUPPORT_SCALES * float(scale_values.max())))
-    nfft = _next_pow2(max(2 * n, n + 2 * max_half + 1))
+    nfft = fft_length(n, scale_values.max())
     spectra = _kernel_spectra(scale_values, params, nfft)
     xhat = np.fft.fft(x, nfft)
     coeffs = np.fft.ifft(xhat[None, :] * spectra, axis=1)[:, :n]

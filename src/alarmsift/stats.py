@@ -36,9 +36,14 @@ def _midranks(x: np.ndarray) -> np.ndarray:
 
 
 def auc(scores, labels) -> float:
-    """Probability a random positive outscores a random negative (ties = 0.5)."""
+    """Probability a random positive outscores a random negative (ties = 0.5).
+
+    Scores must be finite; a NaN or infinite score raises ValueError.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
+    if not np.isfinite(scores).all():
+        raise ValueError("auc requires finite scores; got NaN or inf")
     m = int(labels.sum())
     n = labels.size - m
     if m == 0 or n == 0:

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alarmsift.harness
 import alarmsift.temporal
 from alarmsift.harness import (AblationSpec, ExperimentConfig, SweepSpec,
                                ablate, emit_comparison, emit_report,
                                run_experiment, stratified_split, sweep,
                                write_ablation, write_sweep)
 from alarmsift.net import ModelConfig
-from alarmsift.records import (CHANNEL_ORDER, SynthSpec, synth_dataset,
-                               write_dataset)
+from alarmsift.records import (CHANNEL_ORDER, Channel, SynthSpec,
+                               synth_dataset, write_dataset)
 from alarmsift.stats import REPORT_SCHEMA
 
 TINY_MODEL = dict(embed_dim=8, lstm_hidden=4, head_hidden=6, dropout=0.0,
@@ -198,6 +199,53 @@ class TestAblate:
         ablate(spec, tiny_config(data_dir, tmp_path, model={"max_epochs": 1}))
         distinct_pairs = 1 * 4 + 6 * 4  # (chunk, channel) pairs per record
         assert len(signals) == len(set(signals)) == 20 * distinct_pairs
+
+    def test_honours_configured_channels(self, data_dir, tmp_path, monkeypatch):
+        """Chunk rows use every configured channel and channel rows their
+        prefixes, in the configured order, not prefixes of CHANNEL_ORDER."""
+        real_build, real_cv = alarmsift.harness.build_sequence, alarmsift.harness._cv_net
+        built, trained = set(), []
+
+        def spy_build(record, n_chunks, channel_subset, *args, **kwargs):
+            built.add((n_chunks, tuple(channel_subset)))
+            return real_build(record, n_chunks, channel_subset, *args, **kwargs)
+
+        def spy_cv(x, labels, ids, assignment, model_cfg, *args):
+            trained.append((x.shape[2], model_cfg.in_channels))
+            return real_cv(x, labels, ids, assignment, model_cfg, *args)
+
+        monkeypatch.setattr(alarmsift.harness, "build_sequence", spy_build)
+        monkeypatch.setattr(alarmsift.harness, "_cv_net", spy_cv)
+        pair = (Channel.PLETH, Channel.ECG_II)
+        cfg = tiny_config(data_dir, tmp_path, model={"max_epochs": 1},
+                          channels=tuple(c.value for c in pair))
+        spec = AblationSpec(chunk_grid=(1,), channel_grid=(1, 2), folds=2)
+        result = ablate(spec, cfg)
+        assert built == {(1, pair), (6, pair)}
+        assert trained == [(2, 2), (1, 1), (2, 2)]
+        assert [r["condition"] for r in result.channel_rows] == ["channels=1", "channels=2"]
+
+    def test_rejects_channel_count_above_configured(self, data_dir, tmp_path):
+        cfg = tiny_config(data_dir, tmp_path, channels=("ECG_II", "ECG_V"))
+        spec = AblationSpec(chunk_grid=(1,), channel_grid=(1, 4), folds=2)
+        with pytest.raises(ValueError, match=r"channel counts \[4\]"):
+            ablate(spec, cfg)
+
+    def test_checks_chunk_counts_before_any_cwt(self, data_dir, tmp_path, monkeypatch):
+        """A chunk count that does not divide the record length is refused,
+        naming the record and the count, before any scalogram is computed."""
+        real_cwt, calls = alarmsift.temporal.cwt, []
+
+        def counting_cwt(*args, **kwargs):
+            calls.append(1)
+            return real_cwt(*args, **kwargs)
+
+        monkeypatch.setattr(alarmsift.temporal, "cwt", counting_cwt)
+        spec = AblationSpec(chunk_grid=(1, 7), channel_grid=(1,), folds=2)
+        with pytest.raises(ValueError, match=r"record \S+: 15000 samples not "
+                                             r"divisible by chunk count 7"):
+            ablate(spec, tiny_config(data_dir, tmp_path))
+        assert calls == []
 
     def test_chunks1_row_equals_static_run(self, data_dir, tmp_path):
         """The chunks=1 ablation cell is definitionally the static model."""

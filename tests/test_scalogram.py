@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alarmsift.scalogram import (MorletParams, Scalogram, cwt, log_scales,
-                                 pool_columns, to_scalogram)
+from alarmsift.scalogram import (MorletParams, Scalogram, cwt, fft_length,
+                                 log_scales, pool_columns, to_scalogram)
 
 OMEGA0 = 6.0
 
@@ -118,6 +122,28 @@ class TestCwt:
             direct = direct_cwt(x, scale)
             err = np.max(np.abs(fft_path - direct)) / np.max(np.abs(direct))
             assert err < 1e-6, f"scale={scale}, n={n}, err={err}"
+
+    def test_oracle_at_tight_fft_length(self):
+        """n + M = 2560 + 512 = 3072 is itself a fast length, so the FFT has
+        no slack beyond the no-wrap minimum; one sample shorter would let
+        the largest kernel wrap into the output window."""
+        n, scale = 2560, 128.0
+        assert fft_length(n, scale) == n + 4 * int(scale)
+        x = np.random.default_rng(2560).standard_normal(n)
+        fft_path = cwt(x, log_scales(64, 1.0, scale))[-1]
+        direct = direct_cwt(x, scale)
+        err = np.max(np.abs(fft_path - direct)) / np.max(np.abs(direct))
+        assert err < 1e-6, f"err={err}"
+
+    @given(n=st.integers(2, 40000), s_min=st.floats(0.1, 50.0),
+           ratio=st.floats(1.01, 400.0), n_scales=st.integers(2, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_fft_length_leaves_no_wrap(self, n, s_min, ratio, n_scales):
+        grid = log_scales(n_scales, s_min, s_min * ratio)
+        half = math.ceil(4.0 * grid.values.max())
+        nfft = fft_length(n, grid.values.max())
+        assert nfft >= n + half
+        assert nfft >= 2 * half + 1
 
     def test_time_shift_covariance(self):
         rng = np.random.default_rng(5)

@@ -59,6 +59,21 @@ class TestAuc:
         assert auc(scores, labels) == pair_count_auc(scores, labels)
 
 
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=30),
+           st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), min_size=1,
+                    max_size=3),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_rejects_non_finite_scores(self, finite, bad, seed):
+        rng = np.random.default_rng(seed)
+        scores = np.array(finite + bad)
+        rng.shuffle(scores)
+        labels = np.arange(scores.size) % 2 == 0
+        with pytest.raises(ValueError, match="finite"):
+            auc(scores, labels)
+
+
 class TestConfusionMetrics:
     def test_production_confusion_table(self):
         m = confusion_metrics(Confusion(tp=93, tn=288, fp=52, fn=65))
