@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import butter, filtfilt, find_peaks
 
-from .records import CHANNEL_ORDER, Channel, Record, class_weights
+from .records import CHANNEL_ORDER, Channel, Record, class_weights, write_csv
 
 _EPS = 1e-12
 
@@ -190,15 +190,9 @@ def extract_features(record: Record) -> FeatureVector:
 
 def export_features_csv(records: list[Record], path) -> None:
     """Write one row per record: id, alarm type, label, then the 103 features."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["record_id", "alarm_type", "label", *FEATURE_NAMES])
-        for r in records:
-            fv = extract_features(r)
-            writer.writerow([r.record_id, r.alarm_type.value, int(r.label),
-                             *(repr(v) for v in fv.values.tolist())])
+    write_csv(path, ["record_id", "alarm_type", "label", *FEATURE_NAMES],
+              ([r.record_id, r.alarm_type.value, int(r.label),
+                *extract_features(r).values.tolist()] for r in records))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ byte-identical.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -20,7 +20,8 @@ import numpy as np
 
 from . import features as feats
 from .net import ModelConfig, predict, stack_sequences, train
-from .records import CHANNEL_ORDER, Channel, Record, load_dataset, tail_window
+from .records import (CHANNEL_ORDER, Channel, Record, load_dataset,
+                      tail_window, write_csv)
 from .stats import (Confusion, FoldAssignment, auc, confusion_metrics,
                     bootstrap_auc_diff, delong_test, error_report,
                     fold_summary, per_alarm_report, stratified_kfold)
@@ -123,14 +124,12 @@ def _assert_no_leakage(train_idx, eval_idx, ids):
 # ---------------------------------------------------------------------------
 
 def prepare_records(data_dir, window_s: float = 60.0) -> list[Record]:
+    """Every record under ``data_dir``, cut to its final ``window_s``; a
+    record shorter than the window is refused by name."""
     records = load_dataset(data_dir)
     if not records:
         raise ValueError(f"no records found under {data_dir}")
-    out = []
-    for r in records:
-        n_window = int(round(window_s * r.fs))
-        out.append(tail_window(r, window_s) if r.n_samples > n_window else r)
-    return out
+    return [tail_window(r, window_s) for r in records]
 
 
 def build_sequences(records, n_chunks, channel_subset) -> np.ndarray:
@@ -138,89 +137,63 @@ def build_sequences(records, n_chunks, channel_subset) -> np.ndarray:
         [build_sequence(r, n_chunks, channel_subset) for r in records])
 
 
-def _feature_matrix(records, with_beats: bool) -> np.ndarray:
-    rows = []
-    for r in records:
-        v = feats.extract_features(r).values
-        if with_beats:
-            ecg = r.channel(Channel.ECG_II).astype(np.float64)
-            beats = feats.detect_beats(ecg, r.fs)
-            v = np.concatenate([v, feats.beat_features(ecg, beats)])
-        rows.append(v)
-    return np.stack(rows)
+def _beat_matrix(records) -> np.ndarray:
+    ecgs = ((r.channel(Channel.ECG_II).astype(np.float64), r.fs) for r in records)
+    return np.stack([feats.beat_features(ecg, feats.detect_beats(ecg, fs))
+                     for ecg, fs in ecgs])
 
 
 # ---------------------------------------------------------------------------
-# Cross-validated scoring engines
+# Cross-validation: one fold loop, one fold scorer per experiment
 # ---------------------------------------------------------------------------
 
-def _cv_net(x, labels, ids, assignment: FoldAssignment, model_cfg: ModelConfig,
-            seed: int, val_fraction: float):
-    """k-fold CV for the sequence model: per-fold held-out scores + history."""
+def _cross_validate(score_fold, labels, ids, assignment: FoldAssignment):
+    """k-fold CV; ``score_fold(fold, train_idx, test_idx)`` returns the
+    held-out scores and a training history (None for the linear models).
+    Returns the out-of-fold scores, the per-fold AUCs and the histories."""
     oof = np.full(labels.size, np.nan)
     fold_aucs, histories = [], []
     for fold in range(assignment.k):
-        tr = assignment.train_indices(fold)
-        te = assignment.test_indices(fold)
+        tr, te = assignment.train_indices(fold), assignment.test_indices(fold)
         _assert_no_leakage(tr, te, ids)
-        fit_rel, stop_rel = stratified_split(
-            labels[tr], [1.0 - val_fraction, val_fraction], seed + 101 * fold)
-        fit_idx, stop_idx = tr[fit_rel], tr[stop_rel]
-        cfg_fold = replace(model_cfg, seed=model_cfg.seed + fold)
-        params, history = train(x, labels, fit_idx, stop_idx, cfg_fold)
-        scores = predict(x[te], params)
-        oof[te] = scores
-        fold_aucs.append(auc(scores, labels[te]))
-        histories.append(history)
+        oof[te], history = score_fold(fold, tr, te)
+        fold_aucs.append(auc(oof[te], labels[te]))
+        if history is not None:
+            histories.append(history)
     return oof, fold_aucs, histories
 
 
-def _fit_linear_scores(features_tr, labels_tr, features_te, seed):
-    model = feats.linear_classifier_fit(features_tr, labels_tr, seed=seed)
-    return feats.linear_classifier_predict(model, features_te)
-
-
-def _cv_linear(x, labels, ids, assignment: FoldAssignment, seed: int,
-               alarm_types=None):
-    """k-fold CV for the feature baselines.  With ``alarm_types`` given, one
-    classifier is fit per alarm type (single-class types score 0.5)."""
-    oof = np.full(labels.size, np.nan)
-    fold_aucs = []
-    for fold in range(assignment.k):
-        tr = assignment.train_indices(fold)
-        te = assignment.test_indices(fold)
-        _assert_no_leakage(tr, te, ids)
-        if alarm_types is None:
-            oof[te] = _fit_linear_scores(x[tr], labels[tr], x[te], seed + fold)
-        else:
-            types = np.asarray(alarm_types, dtype=object)
-            scores = np.full(te.size, 0.5)
-            for atype in set(types[te]):
-                tr_sel = tr[types[tr] == atype]
-                te_sel = types[te] == atype
-                y_tr = labels[tr_sel]
-                if y_tr.size == 0 or y_tr.all() or not y_tr.any():
-                    continue  # no usable per-type training data; scores stay 0.5
-                scores[te_sel] = _fit_linear_scores(
-                    x[tr_sel], y_tr, x[te][te_sel], seed + fold)
-            oof[te] = scores
-        fold_aucs.append(auc(oof[te], labels[te]))
-    return oof, fold_aucs, []
-
-
-def _oof_scores(records, labels, ids, assignment, cfg: ExperimentConfig,
-                experiment: str):
+def _fold_scorer(experiment: str, cfg: ExperimentConfig, x, labels, records):
+    """The per-fold rule of ``experiment`` on input ``x``.  temporal / static:
+    the sequence model with an inner stratified early-stopping split.
+    features: one logistic model.  per_alarm: one per alarm type; a type
+    whose training part lacks a class scores 0.5."""
     if experiment in ("temporal", "static"):
         model_cfg = cfg.resolved_model(experiment)
-        x = build_sequences(records, model_cfg.n_chunks, cfg.channel_subset())
-        return _cv_net(x, labels, ids, assignment, model_cfg, cfg.seed,
-                       cfg.val_fraction)
-    if experiment == "features":
-        x = _feature_matrix(records, with_beats=False)
-        return _cv_linear(x, labels, ids, assignment, cfg.seed)
-    x = _feature_matrix(records, with_beats=True)
-    types = [r.alarm_type for r in records]
-    return _cv_linear(x, labels, ids, assignment, cfg.seed, alarm_types=types)
+
+        def score_net(fold, tr, te):
+            fit_rel, stop_rel = stratified_split(
+                labels[tr], [1.0 - cfg.val_fraction, cfg.val_fraction],
+                cfg.seed + 101 * fold)
+            params, history = train(x, labels, tr[fit_rel], tr[stop_rel],
+                                    replace(model_cfg, seed=model_cfg.seed + fold))
+            return predict(x[te], params), history
+        return score_net
+
+    per_type = experiment == "per_alarm"  # else one group of every record
+    groups = np.array([r.alarm_type if per_type else None for r in records],
+                      dtype=object)
+
+    def score_linear(fold, tr, te):
+        scores = np.full(te.size, 0.5)
+        for group in set(groups[te]):
+            tr_g, te_g = tr[groups[tr] == group], groups[te] == group
+            if not per_type or labels[tr_g].any() and not labels[tr_g].all():
+                model = feats.linear_classifier_fit(x[tr_g], labels[tr_g],
+                                                    seed=cfg.seed + fold)
+                scores[te_g] = feats.linear_classifier_predict(model, x[te[te_g]])
+        return scores, None
+    return score_linear
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +212,25 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     ids = [r.record_id for r in records]
     assignment = stratified_kfold(labels, cfg.folds, cfg.seed, tuple(ids))
 
-    oof, fold_aucs, histories = _oof_scores(
-        records, labels, ids, assignment, cfg, cfg.experiment)
+    # built on first use and shared, so features and per_alarm extract once
+    record_features = functools.cache(
+        lambda: np.stack([feats.extract_features(r).values for r in records]))
 
-    delong_blob = None
-    bootstrap_blob = None
+    def cross_validate(experiment):
+        if experiment in ("temporal", "static"):
+            x = build_sequences(records, cfg.resolved_model(experiment).n_chunks,
+                                cfg.channel_subset())
+        elif experiment == "features":
+            x = record_features()
+        else:  # per_alarm: the feature matrix plus the beat columns
+            x = np.hstack([record_features(), _beat_matrix(records)])
+        return _cross_validate(_fold_scorer(experiment, cfg, x, labels, records),
+                               labels, ids, assignment)
+
+    oof, fold_aucs, histories = cross_validate(cfg.experiment)
+    delong_blob = bootstrap_blob = None
     if cfg.compare_with is not None:
-        base_oof, _, _ = _oof_scores(
-            records, labels, ids, assignment, cfg, cfg.compare_with)
+        base_oof, _, _ = cross_validate(cfg.compare_with)
         # baseline first so the z statistic is negative when the main model wins
         dl = delong_test(base_oof, oof, labels)
         ci = bootstrap_auc_diff(oof, base_oof, labels, seed=cfg.seed)
@@ -291,26 +275,22 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     run_dir = Path(cfg.out_dir) / f"{cfg.experiment}-{report['run_id']}"
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    _write_csv(run_dir / "predictions.csv",
-               ["record_id", "alarm_type", "label", "fold", "p_true"],
-               ([r.record_id, r.alarm_type.value, int(r.label),
-                 int(assignment.fold_of[i]), oof[i]]
-                for i, r in enumerate(records)))
-    _write_csv(run_dir / "training_curves.csv",
-               ["fold", "epoch", "train_loss", "val_auc"],
-               ([blob["fold"], e, tl, va] for blob in report["training"]
-                for e, (tl, va) in enumerate(
-                    zip(blob["train_loss"], blob["val_auc"]), 1)))
+    write_csv(run_dir / "predictions.csv",
+              ["record_id", "alarm_type", "label", "fold", "p_true"],
+              ([r.record_id, r.alarm_type.value, int(r.label),
+                int(assignment.fold_of[i]), oof[i]]
+               for i, r in enumerate(records)))
+    write_csv(run_dir / "training_curves.csv",
+              ["fold", "epoch", "train_loss", "val_auc"],
+              (row.values() for row in _training_curve(report["training"])))
     return run_dir
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Write one CSV; float cells (np.float64 too) as ``repr(float(v))``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([repr(float(v)) if isinstance(v, float) else v
-                          for v in row] for row in rows)
+def _training_curve(training) -> list[dict]:
+    """One row per (fold, epoch) of a report's ``training`` block."""
+    return [{"fold": blob["fold"], "epoch": e, "train_loss": tl, "val_auc": va}
+            for blob in training
+            for e, (tl, va) in enumerate(zip(blob["train_loss"], blob["val_auc"]), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +371,10 @@ def write_sweep(result: SweepResult, out_dir) -> Path:
     (out_dir / "sweep.json").write_text(json.dumps(
         {"rows": result.rows, "runs": result.runs,
          "runs_executed": result.runs_executed}, indent=2) + "\n")
-    _write_csv(out_dir / "sweep.csv",
-               ["parameter", "values_tested", "winner", "val_auc"],
-               ([row["parameter"], " ".join(str(v) for v in row["values"]),
-                 row["winner"], row["val_auc"]] for row in result.rows))
+    write_csv(out_dir / "sweep.csv",
+              ["parameter", "values_tested", "winner", "val_auc"],
+              ([row["parameter"], " ".join(str(v) for v in row["values"]),
+                row["winner"], row["val_auc"]] for row in result.rows))
     return out_dir
 
 
@@ -462,13 +442,13 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
         if n_chunks not in tensors:
             tensors[n_chunks] = build_sequences(records, n_chunks,
                                                 subset[:width[n_chunks]])
-        cfg = replace(base, experiment="static" if n_chunks == 1 else "temporal",
-                      model=replace(base.model, n_chunks=n_chunks),
+        cfg = replace(base, model=replace(base.model, n_chunks=n_chunks),
                       channels=tuple(base.channels[:n_channels]))
-        _, fold_aucs, _ = _cv_net(tensors[n_chunks][:, :, :n_channels], labels,
-                                  ids, assignment, cfg.resolved_model(),
-                                  base.seed, base.val_fraction)
-        if last_use[n_chunks] == i:
+        _, fold_aucs, _ = _cross_validate(
+            _fold_scorer("static" if n_chunks == 1 else "temporal", cfg,
+                         tensors[n_chunks][:, :, :n_channels], labels, records),
+            labels, ids, assignment)
+        if last_use[n_chunks] == i:  # the scorer was a temporary: this frees it
             del tensors[n_chunks]
         s = fold_summary(fold_aucs)
         rows.append({"condition": name, "mean_auc": s.mean, "std_auc": s.std,
@@ -486,9 +466,9 @@ def write_ablation(result: AblationResult, out_dir) -> Path:
         indent=2) + "\n")
     for name, rows in (("ablation_chunks.csv", result.chunk_rows),
                        ("ablation_channels.csv", result.channel_rows)):
-        _write_csv(out_dir / name, ["condition", "mean_auc", "std_auc"],
-                   ([row["condition"], row["mean_auc"], row["std_auc"]]
-                    for row in rows))
+        write_csv(out_dir / name, ["condition", "mean_auc", "std_auc"],
+                  ([row["condition"], row["mean_auc"], row["std_auc"]]
+                   for row in rows))
     return out_dir
 
 
@@ -520,11 +500,7 @@ def emit_report(run_dir, fmt: str = "csv") -> list[Path]:
             {"category": "false_positive", "count": len(report["errors"]["fp"])},
             {"category": "high_confidence", "count": len(report["errors"]["high_confidence"])},
         ],
-        "training_curve": [
-            {"fold": blob["fold"], "epoch": e, "train_loss": tl, "val_auc": va}
-            for blob in report.get("training", [])
-            for e, (tl, va) in enumerate(zip(blob["train_loss"], blob["val_auc"]), 1)
-        ],
+        "training_curve": _training_curve(report.get("training", [])),
     }
 
     if fmt == "json":
@@ -536,7 +512,7 @@ def emit_report(run_dir, fmt: str = "csv") -> list[Path]:
     for name, rows in blocks.items():
         path = out / f"{name}.csv"
         header = list(rows[0].keys()) if rows else []
-        _write_csv(path, header, ([row[k] for k in header] for row in rows))
+        write_csv(path, header, ([row[k] for k in header] for row in rows))
         written.append(path)
     return written
 
@@ -558,6 +534,6 @@ def emit_comparison(parent_dir, fmt: str = "csv") -> Path:
         path.write_text(json.dumps(rows, indent=2) + "\n")
         return path
     path = parent / "comparison.csv"
-    _write_csv(path, ["experiment", "run_id", "mean_auc", "std_auc"],
-               (row.values() for row in rows))
+    write_csv(path, ["experiment", "run_id", "mean_auc", "std_auc"],
+              (row.values() for row in rows))
     return path

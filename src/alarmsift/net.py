@@ -457,17 +457,28 @@ class _Adam:
 # Public API
 # ---------------------------------------------------------------------------
 
+def _as_array(seq) -> np.ndarray:
+    """A ChunkSequence's (T, C, H, W) tensors, or any array-like as float."""
+    return seq.tensors if isinstance(seq, ChunkSequence) else np.asarray(seq, float)
+
+
+def _as_batch(sequences, cfg: ModelConfig) -> np.ndarray:
+    """(N, T, C, H, W) model input, each sequence's shape checked against ``cfg``."""
+    x = sequences if isinstance(sequences, np.ndarray) else stack_sequences(sequences)
+    if x.ndim != 5:
+        raise ValueError(f"expected (N, n_chunks, C, H, W) input, got shape {x.shape}")
+    _check_shape(x.shape[1:], cfg)
+    return x
+
+
 def stack_sequences(sequences) -> np.ndarray:
     """List of ChunkSequence (or raw (T, C, H, W) arrays) -> (N, T, C, H, W)."""
-    arrays = [s.tensors if isinstance(s, ChunkSequence) else np.asarray(s, float)
-              for s in sequences]
-    return np.stack(arrays)
+    return np.stack([_as_array(s) for s in sequences])
 
 
 def encode_chunks(seq, params: ModelParams) -> np.ndarray:
     """Per-chunk embeddings (n_chunks, D) from the shared encoder."""
-    x = seq.tensors if isinstance(seq, ChunkSequence) else np.asarray(seq, float)
-    h, _ = _encoder_forward(x, params.tensors)
+    h, _ = _encoder_forward(_as_array(seq), params.tensors)
     return h
 
 
@@ -491,8 +502,8 @@ def forward(seq, params: ModelParams, mode: str = "eval",
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = seq.tensors if isinstance(seq, ChunkSequence) else np.asarray(seq, float)
-    _check_shape(x, params.config)
+    x = _as_array(seq)
+    _check_shape(x.shape, params.config)
     train = mode == "train"
     if train and rng is None:
         rng = np.random.default_rng(0)
@@ -500,13 +511,14 @@ def forward(seq, params: ModelParams, mode: str = "eval",
     return float(probs[0, 1]), float(probs[0, 0])
 
 
-def _check_shape(x: np.ndarray, cfg: ModelConfig):
-    if x.ndim != 4:
-        raise ValueError(f"expected (n_chunks, C, H, W) input, got shape {x.shape}")
-    t, c, h, w = x.shape
+def _check_shape(shape: tuple, cfg: ModelConfig):
+    """One sequence's (n_chunks, C, H, W) shape against the model config."""
+    if len(shape) != 4:
+        raise ValueError(f"expected (n_chunks, C, H, W) input, got shape {shape}")
+    t, c, h, w = shape
     if c != cfg.in_channels or h != cfg.input_hw or w != cfg.input_hw:
         raise ValueError(
-            f"input shape {x.shape} does not match config "
+            f"input shape {shape} does not match config "
             f"(C={cfg.in_channels}, HW={cfg.input_hw})")
     if t != cfg.n_chunks:
         raise ValueError(f"sequence has {t} chunks, config expects {cfg.n_chunks}")
@@ -514,7 +526,7 @@ def _check_shape(x: np.ndarray, cfg: ModelConfig):
 
 def predict(sequences, params: ModelParams, batch_size: int = 16) -> np.ndarray:
     """Eval-mode p_true per record; deterministic (dropout off)."""
-    x = sequences if isinstance(sequences, np.ndarray) else stack_sequences(sequences)
+    x = _as_batch(sequences, params.config)
     out = np.empty(x.shape[0])
     for start in range(0, x.shape[0], batch_size):
         probs, _ = _model_forward(x[start:start + batch_size], params, False, None)
@@ -530,7 +542,7 @@ def train(sequences, labels, train_idx, val_idx,
     (ties keep the earliest best epoch) and returns the best-epoch weights.
     Bitwise deterministic under ``cfg.seed``.
     """
-    x = sequences if isinstance(sequences, np.ndarray) else stack_sequences(sequences)
+    x = _as_batch(sequences, cfg)
     labels = np.asarray(labels, dtype=bool)
     train_idx = np.asarray(train_idx, dtype=np.int64)
     val_idx = np.asarray(val_idx, dtype=np.int64)
@@ -588,8 +600,7 @@ def finite_diff_check(params: ModelParams, sample, label: bool,
     max(||g_analytic||_2, ||g_numeric||_2, 1e-12).  Returns the max over
     parameter groups, or the full per-group dict when ``per_group``.
     """
-    x = sample.tensors if isinstance(sample, ChunkSequence) else np.asarray(sample, float)
-    x = x[None]
+    x = _as_array(sample)[None]
     labels = np.array([label])
 
     def loss_at() -> float:
@@ -639,4 +650,11 @@ def load_checkpoint(path: Path | str) -> ModelParams:
         tensors = {k: blob[k] for k in blob.files if k != "__version__"}
     sidecar = path.with_suffix(".config.json")
     cfg = ModelConfig.from_dict(json.loads(sidecar.read_text()))
+    built = init_params(cfg, np.random.default_rng(0)).tensors
+    for name in [*built, *sorted(tensors.keys() - built.keys())]:
+        got = tensors[name].shape if name in tensors else None
+        want = built[name].shape if name in built else None
+        if got != want:
+            raise ValueError(f"checkpoint {path}: tensor {name!r} has shape {got}, "
+                             f"but {sidecar.name} builds {want}")
     return ModelParams(config=cfg, tensors=tensors)

@@ -7,6 +7,7 @@ and a true/false annotation.  On disk a record is a directory holding
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -202,6 +203,15 @@ def load_dataset(root: Path | str) -> list[Record]:
 def write_dataset(records: list[Record], root: Path | str) -> None:
     for r in records:
         write_record(r, root)
+
+
+def write_csv(path: Path | str, header, rows) -> None:
+    """Write one CSV; float cells (np.float64 too) as ``repr(float(v))``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v
+                          for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------

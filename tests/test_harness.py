@@ -119,6 +119,36 @@ class TestRunExperiment:
         assert report["bootstrap"] is not None
         assert report["delong"]["order"] == ["features", "temporal"]
 
+    def test_features_extracted_once_per_record(self, data_dir, tmp_path,
+                                                monkeypatch):
+        """per_alarm compared with features shares one feature matrix: each
+        record's features and beats are computed once per run."""
+        feats = alarmsift.harness.feats
+        calls = {"extract_features": [], "detect_beats": []}
+        for name, seen in calls.items():
+            real = getattr(feats, name)
+
+            def spy(*args, _real=real, _seen=seen, **kwargs):
+                _seen.append(1)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(feats, name, spy)
+        cfg = tiny_config(data_dir, tmp_path, experiment="per_alarm",
+                          compare_with="features")
+        run_experiment(cfg)
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "extract_features": 20, "detect_beats": 20}
+
+    def test_short_record_refused_by_name(self, tmp_path):
+        """A record shorter than the window fails in prepare_records with its
+        id, not later as a chunk-divisibility error."""
+        records = synth_dataset(SynthSpec(n=4, duration_s=20.0), seed=1)
+        write_dataset(records, tmp_path / "short")
+        cfg = tiny_config(tmp_path / "short", tmp_path / "out")
+        with pytest.raises(ValueError, match=rf"record {records[0].record_id} "
+                                             r"has 5000 samples, shorter than "
+                                             r"the 15000-sample window"):
+            run_experiment(cfg)
+
     def test_invalid_experiment_rejected(self, data_dir):
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="er-visit", data_dir=str(data_dir))
@@ -203,26 +233,27 @@ class TestAblate:
     def test_honours_configured_channels(self, data_dir, tmp_path, monkeypatch):
         """Chunk rows use every configured channel and channel rows their
         prefixes, in the configured order, not prefixes of CHANNEL_ORDER."""
-        real_build, real_cv = alarmsift.harness.build_sequence, alarmsift.harness._cv_net
+        real_build, real_train = alarmsift.harness.build_sequence, alarmsift.harness.train
         built, trained = set(), []
 
         def spy_build(record, n_chunks, channel_subset, *args, **kwargs):
             built.add((n_chunks, tuple(channel_subset)))
             return real_build(record, n_chunks, channel_subset, *args, **kwargs)
 
-        def spy_cv(x, labels, ids, assignment, model_cfg, *args):
+        def spy_train(x, labels, fit_idx, stop_idx, model_cfg):
             trained.append((x.shape[2], model_cfg.in_channels))
-            return real_cv(x, labels, ids, assignment, model_cfg, *args)
+            return real_train(x, labels, fit_idx, stop_idx, model_cfg)
 
         monkeypatch.setattr(alarmsift.harness, "build_sequence", spy_build)
-        monkeypatch.setattr(alarmsift.harness, "_cv_net", spy_cv)
+        monkeypatch.setattr(alarmsift.harness, "train", spy_train)
         pair = (Channel.PLETH, Channel.ECG_II)
         cfg = tiny_config(data_dir, tmp_path, model={"max_epochs": 1},
                           channels=tuple(c.value for c in pair))
         spec = AblationSpec(chunk_grid=(1,), channel_grid=(1, 2), folds=2)
         result = ablate(spec, cfg)
         assert built == {(1, pair), (6, pair)}
-        assert trained == [(2, 2), (1, 1), (2, 2)]
+        per_condition = [(2, 2), (1, 1), (2, 2)]  # one train call per fold
+        assert trained == [shapes for shapes in per_condition for _ in range(2)]
         assert [r["condition"] for r in result.channel_rows] == ["channels=1", "channels=2"]
 
     def test_rejects_channel_count_above_configured(self, data_dir, tmp_path):

@@ -1,7 +1,11 @@
 import math
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alarmsift.net import (ModelConfig, clip_gradients, encode_chunks,
                            finite_diff_check, forward, init_params,
@@ -231,6 +235,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="both classes"):
             train(x, labels, np.array([0, 2, 4]), np.array([1, 3]), cfg)
 
+    def test_shape_mismatch_errors(self):
+        x, labels = _toy_dataset(8, seed=7)
+        idx = np.arange(8)
+        with pytest.raises(ValueError, match=r"input shape \(3, 2, 8, 8\)"):
+            train(x[:, :, :2], labels, idx[:6], idx[6:], REDUCED)
+
 
 class TestPredict:
     def test_deterministic(self):
@@ -244,6 +254,22 @@ class TestPredict:
         scores = predict(x, params)
         singles = [forward(x[i], params)[0] for i in range(3)]
         np.testing.assert_allclose(scores, singles, atol=1e-15)
+
+    @given(t=st.integers(1, 5), c=st.integers(1, 4), hw=st.sampled_from((8, 16)))
+    @settings(max_examples=40, deadline=None)
+    def test_checks_each_sequence_shape(self, t, c, hw):
+        """A batch is scored only when its (T, C, H, W) matches the config."""
+        params = reduced_params()
+        x = np.zeros((2, t, c, hw, hw))
+        if (t, c, hw) == (REDUCED.n_chunks, REDUCED.in_channels, REDUCED.input_hw):
+            assert predict(x, params).shape == (2,)
+            return
+        with pytest.raises(ValueError, match="chunks|does not match config"):
+            predict(x, params)
+
+    def test_rejects_unbatched_input(self):
+        with pytest.raises(ValueError, match=r"expected \(N, n_chunks"):
+            predict(np.zeros((3, 4, 8, 8)), reduced_params())
 
     def test_train_mode_differs_with_dropout(self):
         cfg = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6,
@@ -324,3 +350,24 @@ class TestCheckpoint:
         save_checkpoint(params, tmp_path / "m.npz")
         after = forward(seq, load_checkpoint(tmp_path / "m.npz"))
         assert before == after
+
+    def test_config_mismatch_names_the_tensor(self, tmp_path):
+        """A sidecar that disagrees with the tensors is refused on load,
+        naming the first tensor whose shape differs."""
+        save_checkpoint(reduced_params(15), tmp_path / "m.npz")
+        sidecar = tmp_path / "m.config.json"
+        blob = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**blob, "embed_dim": 16}))
+        with pytest.raises(ValueError, match=r"tensor 'conv1_w' has shape "
+                                             r"\(2, 4, 3, 3\), but "
+                                             r"m.config.json builds \(4, 4, 3, 3\)"):
+            load_checkpoint(tmp_path / "m.npz")
+
+    def test_missing_tensor_named(self, tmp_path):
+        save_checkpoint(reduced_params(16), tmp_path / "m.npz")
+        sidecar = tmp_path / "m.config.json"
+        blob = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**blob, "lstm_layers": 3}))
+        with pytest.raises(ValueError, match=r"tensor 'lstm2_wx' has shape None, "
+                                             r"but m.config.json builds \(16, 4\)"):
+            load_checkpoint(tmp_path / "m.npz")
