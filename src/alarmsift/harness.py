@@ -29,6 +29,15 @@ from .temporal import build_sequence
 
 EXPERIMENTS = ("temporal", "static", "features", "per_alarm")
 
+# Columns of each plot-data block, so a CSV carries its header even when the
+# block has no rows (features and per_alarm runs have no training curve).
+_FIGURE_COLUMNS = {
+    "per_fold": ("fold", "auc"),
+    "per_alarm": ("type", "n", "auc", "accuracy"),
+    "error_breakdown": ("category", "count"),
+    "training_curve": ("fold", "epoch", "train_loss", "val_auc"),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -48,6 +57,10 @@ class ExperimentConfig:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}")
         if self.compare_with is not None and self.compare_with not in EXPERIMENTS:
             raise ValueError(f"compare_with must be one of {EXPERIMENTS}")
+        if self.compare_with == self.experiment:
+            raise ValueError(f"compare_with must differ from experiment; both are "
+                             f"{self.experiment!r}, and a model compared with "
+                             f"itself gives no DeLong or bootstrap result")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
 
@@ -280,15 +293,14 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
               ([r.record_id, r.alarm_type.value, int(r.label),
                 int(assignment.fold_of[i]), oof[i]]
                for i, r in enumerate(records)))
-    write_csv(run_dir / "training_curves.csv",
-              ["fold", "epoch", "train_loss", "val_auc"],
+    write_csv(run_dir / "training_curves.csv", _FIGURE_COLUMNS["training_curve"],
               (row.values() for row in _training_curve(report["training"])))
     return run_dir
 
 
 def _training_curve(training) -> list[dict]:
     """One row per (fold, epoch) of a report's ``training`` block."""
-    return [{"fold": blob["fold"], "epoch": e, "train_loss": tl, "val_auc": va}
+    return [dict(zip(_FIGURE_COLUMNS["training_curve"], (blob["fold"], e, tl, va)))
             for blob in training
             for e, (tl, va) in enumerate(zip(blob["train_loss"], blob["val_auc"]), 1)]
 
@@ -511,8 +523,8 @@ def emit_report(run_dir, fmt: str = "csv") -> list[Path]:
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
     for name, rows in blocks.items():
         path = out / f"{name}.csv"
-        header = list(rows[0].keys()) if rows else []
-        write_csv(path, header, ([row[k] for k in header] for row in rows))
+        columns = _FIGURE_COLUMNS[name]
+        write_csv(path, columns, ([row[k] for k in columns] for row in rows))
         written.append(path)
     return written
 

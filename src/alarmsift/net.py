@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .records import ClassWeights, class_weights
 from .stats import auc
@@ -151,8 +152,9 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     """
     b, h, w, c = x.shape
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    views = [xp[:, di:di + h, dj:dj + w, :] for di in range(3) for dj in range(3)]
-    return np.concatenate(views, axis=3).reshape(b * h * w, 9 * c)
+    windows = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B, H, W, C, 3, 3)
+    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(
+        b * h * w, 9 * c)
 
 
 def _flat_weight(w: np.ndarray) -> np.ndarray:
@@ -165,8 +167,9 @@ def _conv_forward(x, w, b):
     bb, h, ww, c = x.shape
     f = w.shape[0]
     cols = _im2col(x)
-    out = (cols @ _flat_weight(w) + b).reshape(bb, h, ww, f)
-    return out, cols
+    out = cols @ _flat_weight(w)
+    out += b
+    return out.reshape(bb, h, ww, f), cols
 
 
 def _conv_backward(dout, cols, w, need_dx: bool):
@@ -178,20 +181,44 @@ def _conv_backward(dout, cols, w, need_dx: bool):
     if not need_dx:
         return None, dw, db
     dcols = (dflat @ _flat_weight(w).T).reshape(bb, h, ww, 3, 3, c)
-    dxp = np.zeros((bb, h + 2, ww + 2, c))
+    # col2im: output pixel (i, j) took tap (di, dj) from input (i+di-1, j+dj-1).
+    # Taps that fell on the zero padding are dropped by clipping the slices;
+    # the (di, dj) order fixes each element's sequence of additions.
+    dx = np.zeros((bb, h, ww, c))
     for di in range(3):
+        r0, r1 = max(0, di - 1), min(h, h + di - 1)
         for dj in range(3):
-            dxp[:, di:di + h, dj:dj + ww, :] += dcols[:, :, :, di, dj, :]
-    return dxp[:, 1:h + 1, 1:ww + 1, :], dw, db
+            c0, c1 = max(0, dj - 1), min(ww, ww + dj - 1)
+            dx[:, r0:r1, c0:c1] += dcols[:, r0 + 1 - di:r1 + 1 - di,
+                                         c0 + 1 - dj:c1 + 1 - dj, di, dj]
+    return dx, dw, db
 
 
 def _avgpool_forward(x):
+    """2x2 mean pool of NHWC input, bit for bit ``mean(axis=(2, 4))`` of the
+    (B, H/2, 2, W/2, 2, F) reshape.
+
+    With two or more feature maps that mean adds the taps in the order
+    (0,0), (0,1), (1,0), (1,1) and divides by 4; four strided adds in that
+    order skip its slow reduction loop.  With a single map numpy's tap order
+    depends on the shape, so that case keeps the mean.
+    """
     b, h, w, f = x.shape
-    return x.reshape(b, h // 2, 2, w // 2, 2, f).mean(axis=(2, 4))
+    v = x.reshape(b, h // 2, 2, w // 2, 2, f)
+    if f == 1:
+        return v.mean(axis=(2, 4))
+    out = v[:, :, 0, :, 0] + v[:, :, 0, :, 1]
+    out += v[:, :, 1, :, 0]
+    out += v[:, :, 1, :, 1]
+    out /= 4.0
+    return out
 
 
-def _avgpool_backward(dy):
-    return np.repeat(np.repeat(dy, 2, axis=1), 2, axis=2) / 4.0
+def _avgpool_backward(dy, mask):
+    """Gradient through the 2x2 mean pool and the ReLU ``mask`` before it."""
+    b, h, w, f = mask.shape
+    dz = mask.reshape(b, h // 2, 2, w // 2, 2, f) * (dy / 4.0)[:, :, None, :, None, :]
+    return dz.reshape(b, h, w, f)
 
 
 def _sigmoid(z):
@@ -214,7 +241,8 @@ def _encoder_forward(x, tensors):
     for i in (1, 2, 3):
         z, cols = _conv_forward(out, tensors[f"conv{i}_w"], tensors[f"conv{i}_b"])
         mask = z > 0
-        out = _avgpool_forward(z * mask)
+        z *= mask  # ReLU
+        out = _avgpool_forward(z)
         caches.append((cols, mask))
     h = out.mean(axis=(1, 2))
     return h, (caches, out.shape)
@@ -226,7 +254,7 @@ def _encoder_backward(dh, cache, tensors, grads):
     dout = np.broadcast_to(dh[:, None, None, :], out_shape) / (hh * ww)
     for i in (3, 2, 1):
         cols, mask = caches[i - 1]
-        dz = _avgpool_backward(dout) * mask
+        dz = _avgpool_backward(dout, mask)
         dout, dw, db = _conv_backward(dz, cols, tensors[f"conv{i}_w"], need_dx=i > 1)
         grads[f"conv{i}_w"] += dw
         grads[f"conv{i}_b"] += db
@@ -422,18 +450,27 @@ def _batch_loss_and_grad(probs, labels, weights: ClassWeights):
 # Optimization
 # ---------------------------------------------------------------------------
 
+def _global_norm(grads: dict[str, np.ndarray]):
+    return np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+
+
+def _clip_to(grads: dict[str, np.ndarray], total, clip_norm: float):
+    """Scale ``grads`` in place from global norm ``total`` to at most
+    ``clip_norm``; returns the post-clip norm."""
+    if total > clip_norm:
+        scale = clip_norm / total
+        for g in grads.values():
+            g *= scale
+        return clip_norm
+    return total
+
+
 def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float):
     """Scale all gradients so the global L2 norm is at most ``clip_norm``.
 
     Returns (grads, post_clip_norm); grads are modified in place.
     """
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > clip_norm:
-        scale = clip_norm / total
-        for g in grads.values():
-            g *= scale
-        return grads, clip_norm
-    return grads, total
+    return grads, _clip_to(grads, _global_norm(grads), clip_norm)
 
 
 class _Adam:
@@ -540,7 +577,9 @@ def train(sequences, labels, train_idx, val_idx,
 
     Stops once validation AUC has not improved for ``cfg.patience`` epochs
     (ties keep the earliest best epoch) and returns the best-epoch weights.
-    Bitwise deterministic under ``cfg.seed``.
+    Bitwise deterministic under ``cfg.seed``.  A batch whose loss or
+    pre-clip gradient norm is not finite raises ValueError naming the epoch
+    and the batch.
     """
     x = _as_batch(sequences, cfg)
     labels = np.asarray(labels, dtype=bool)
@@ -563,12 +602,16 @@ def train(sequences, labels, train_idx, val_idx,
         order = train_idx[rng.permutation(train_idx.size)]
         epoch_losses = []
         epoch_max_norm = 0.0
-        for start in range(0, order.size, cfg.batch_size):
+        for n_batch, start in enumerate(range(0, order.size, cfg.batch_size), 1):
             batch = order[start:start + cfg.batch_size]
             probs, cache = _model_forward(x[batch], params, True, rng)
             loss, dlogits = _batch_loss_and_grad(probs, labels[batch], weights)
             grads = _model_backward(dlogits, cache, params)
-            grads, post_norm = clip_gradients(grads, cfg.clip_norm)
+            norm = _global_norm(grads)
+            if not np.isfinite(loss + norm):
+                raise ValueError(f"training diverged at epoch {epoch}, batch "
+                                 f"{n_batch}: loss {loss}, gradient norm {norm}")
+            post_norm = _clip_to(grads, norm, cfg.clip_norm)
             opt.step(params.tensors, grads)
             epoch_losses.append(loss)
             epoch_max_norm = max(epoch_max_norm, post_norm)

@@ -35,15 +35,21 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _finite_scores(scores, caller: str) -> np.ndarray:
+    """``scores`` as float64; a NaN or infinite score raises ValueError."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError(f"{caller} requires finite scores; got NaN or inf")
+    return scores
+
+
 def auc(scores, labels) -> float:
     """Probability a random positive outscores a random negative (ties = 0.5).
 
     Scores must be finite; a NaN or infinite score raises ValueError.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite_scores(scores, "auc")
     labels = np.asarray(labels, dtype=bool)
-    if not np.isfinite(scores).all():
-        raise ValueError("auc requires finite scores; got NaN or inf")
     m = int(labels.sum())
     n = labels.size - m
     if m == 0 or n == 0:
@@ -65,7 +71,9 @@ class Confusion:
 
     @classmethod
     def from_predictions(cls, p_true, labels, threshold: float = 0.5) -> "Confusion":
-        p = np.asarray(p_true, dtype=np.float64)
+        """Counts at ``p_true >= threshold``; a NaN or inf score raises
+        ValueError rather than counting as a negative prediction."""
+        p = _finite_scores(p_true, "Confusion.from_predictions")
         y = np.asarray(labels, dtype=bool)
         pred = p >= threshold
         return cls(
@@ -329,9 +337,10 @@ def error_report(p_true, labels, record_ids=None,
 
     FN = true alarms scored below 0.5; FP = false alarms scored at or
     above.  A high-confidence error is any misclassified record whose
-    winning-class probability exceeds ``confidence_threshold``.
+    winning-class probability exceeds ``confidence_threshold``.  A NaN or
+    infinite probability raises ValueError.
     """
-    p = np.asarray(p_true, dtype=np.float64)
+    p = _finite_scores(p_true, "error_report")
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     y = np.asarray(labels, dtype=bool)

@@ -121,6 +121,16 @@ class TestErrorContract:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "usage"
 
+    def test_compare_with_itself_error_json(self, cli_data, tmp_path, capsys):
+        cfg = write_config(tmp_path, data_dir=str(cli_data), compare_with="temporal",
+                           out_dir=str(tmp_path / "runs"))
+        rc = main(["run", "--config", str(cfg)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "compare_with must differ from experiment" in err["message"]
+        assert not (tmp_path / "runs").exists()
+
     def test_bad_config_error_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

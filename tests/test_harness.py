@@ -153,6 +153,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="er-visit", data_dir=str(data_dir))
 
+    @pytest.mark.parametrize("experiment", ["temporal", "static", "features",
+                                            "per_alarm"])
+    def test_compare_with_itself_rejected(self, data_dir, experiment):
+        with pytest.raises(ValueError, match=rf"compare_with must differ from "
+                                             rf"experiment; both are '{experiment}'"):
+            ExperimentConfig(experiment=experiment, data_dir=str(data_dir),
+                             compare_with=experiment)
+
 
 class TestSweep:
     def test_counting_formula_48(self):
@@ -303,6 +311,15 @@ class TestEmitReport:
         report = json.loads((run_dir / "report.json").read_text())
         epochs_total = sum(t["epochs"] for t in report["training"])
         assert len(curve) == 1 + epochs_total  # header + one row per epoch
+
+    def test_empty_training_curve_keeps_header(self, data_dir, tmp_path):
+        """A features run trains no network, yet its training-curve CSV still
+        names the columns, as training_curves.csv does."""
+        run_dir = run_experiment(tiny_config(data_dir, tmp_path, experiment="features"))
+        emit_report(run_dir, "csv")
+        header = b"fold,epoch,train_loss,val_auc\r\n"
+        assert (run_dir / "figures" / "training_curve.csv").read_bytes() == header
+        assert (run_dir / "training_curves.csv").read_bytes() == header
 
     def test_json_format(self, data_dir, tmp_path):
         run_dir = run_experiment(tiny_config(data_dir, tmp_path))

@@ -52,6 +52,100 @@ def _min_preactivation(sample, params):
     return min(mins)
 
 
+# The seed's formulations of the encoder primitives, kept as references: the
+# rewritten primitives must reproduce them bit for bit.
+
+def _ref_im2col(x):
+    b, h, w, c = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    views = [xp[:, di:di + h, dj:dj + w, :] for di in range(3) for dj in range(3)]
+    return np.concatenate(views, axis=3).reshape(b * h * w, 9 * c)
+
+
+def _ref_avgpool_forward(x):
+    b, h, w, f = x.shape
+    return x.reshape(b, h // 2, 2, w // 2, 2, f).mean(axis=(2, 4))
+
+
+def _ref_avgpool_backward(dy, mask):
+    return np.repeat(np.repeat(dy, 2, axis=1), 2, axis=2) / 4.0 * mask
+
+
+def _ref_conv_backward(dout, cols, w):
+    """Padded col2im: accumulate into a zero-bordered dx, then cut the border."""
+    from alarmsift.net import _flat_weight
+
+    bb, h, ww, f = dout.shape
+    c = w.shape[1]
+    dflat = dout.reshape(-1, f)
+    dw = (cols.T @ dflat).reshape(3, 3, c, f).transpose(3, 2, 0, 1)
+    db = dflat.sum(axis=0)
+    dcols = (dflat @ _flat_weight(w).T).reshape(bb, h, ww, 3, 3, c)
+    dxp = np.zeros((bb, h + 2, ww + 2, c))
+    for di in range(3):
+        for dj in range(3):
+            dxp[:, di:di + h, dj:dj + ww, :] += dcols[:, :, :, di, dj, :]
+    return dxp[:, 1:h + 1, 1:ww + 1, :], dw, db
+
+
+def _direct_conv(x, w, b):
+    """3x3 same-padding NHWC convolution as a sum of nine shifted products."""
+    bb, h, ww, _ = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    out = np.broadcast_to(b, (bb, h, ww, w.shape[0])).copy()
+    for di in range(3):
+        for dj in range(3):
+            out += xp[:, di:di + h, dj:dj + ww, :] @ w[:, :, di, dj].T
+    return out
+
+
+def _wide_range(rng, shape):
+    """Normal draws spread over six decades, so rounding differences show."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+
+
+class TestPrimitivesMatchReference:
+    @given(b=st.integers(1, 3), h=st.integers(1, 6), w=st.integers(1, 6),
+           c=st.integers(1, 5), f=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal(self, b, h, w, c, f, seed):
+        from alarmsift.net import (_avgpool_backward, _avgpool_forward,
+                                   _conv_backward, _conv_forward, _im2col)
+
+        h, w = 2 * h, 2 * w
+        rng = np.random.default_rng(seed)
+        x = _wide_range(rng, (b, h, w, c))
+        cols = _im2col(x)
+        assert np.array_equal(cols, _ref_im2col(x))
+
+        wt = rng.standard_normal((f, c, 3, 3))
+        z, _ = _conv_forward(x, wt, rng.standard_normal(f))
+        mask = z > 0
+        relu = z * mask
+        assert np.array_equal(_avgpool_forward(relu), _ref_avgpool_forward(relu))
+
+        dy = _wide_range(rng, (b, h // 2, w // 2, f))
+        dz = _avgpool_backward(dy, mask)
+        assert np.array_equal(dz, _ref_avgpool_backward(dy, mask))
+        for got, want in zip(_conv_backward(dz, cols, wt, need_dx=True),
+                             _ref_conv_backward(dz, cols, wt)):
+            assert np.array_equal(got, want)
+
+    @given(b=st.integers(1, 3), h=st.integers(1, 9), w=st.integers(1, 9),
+           c=st.integers(1, 5), f=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_conv_forward_matches_direct_loop(self, b, h, w, c, f, seed):
+        from alarmsift.net import _conv_forward
+
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((b, h, w, c))
+        wt = rng.standard_normal((f, c, 3, 3))
+        bias = rng.standard_normal(f)
+        out, _ = _conv_forward(x, wt, bias)
+        np.testing.assert_allclose(out, _direct_conv(x, wt, bias),
+                                   rtol=1e-12, atol=1e-12)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = ModelConfig()
@@ -240,6 +334,35 @@ class TestTrain:
         idx = np.arange(8)
         with pytest.raises(ValueError, match=r"input shape \(3, 2, 8, 8\)"):
             train(x[:, :, :2], labels, idx[:6], idx[6:], REDUCED)
+
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        """A NaN input gives a NaN loss in the first batch that holds it."""
+        x, labels = _toy_dataset(16, seed=8)
+        x[:12] = np.nan
+        idx = np.arange(16)
+        with pytest.raises(ValueError, match=r"diverged at epoch 1, batch 1: "
+                                             r"loss nan"):
+            train(x, labels, idx[:12], idx[12:], REDUCED)
+
+    def test_non_finite_gradient_norm_names_epoch_and_batch(self, monkeypatch):
+        """A finite loss with an infinite gradient is refused before the clip
+        would silently zero the gradient."""
+        import alarmsift.net as net
+
+        real, calls = net._model_backward, []
+
+        def backward(*args):
+            grads = real(*args)
+            calls.append(1)
+            if len(calls) == 5:  # epoch 2, batch 2 with 3 batches per epoch
+                grads["head_b2"][0] = np.inf
+            return grads
+        monkeypatch.setattr(net, "_model_backward", backward)
+        x, labels = _toy_dataset(16, seed=9)
+        idx = np.arange(16)
+        with pytest.raises(ValueError, match=r"diverged at epoch 2, batch 2: "
+                                             r"loss \d\S*, gradient norm inf"):
+            train(x, labels, idx[:12], idx[12:], REDUCED)
 
 
 class TestPredict:

@@ -106,6 +106,19 @@ class TestConfusionMetrics:
         c = Confusion.from_predictions([0.9, 0.4, 0.6, 0.1], [1, 1, 0, 0])
         assert (c.tp, c.tn, c.fp, c.fn) == (1, 1, 1, 1)
 
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+           st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), min_size=1,
+                    max_size=3),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_from_predictions_rejects_non_finite(self, finite, bad, seed):
+        """A NaN score must not be counted as a negative prediction."""
+        scores = np.array(finite + bad)
+        np.random.default_rng(seed).shuffle(scores)
+        labels = np.arange(scores.size) % 2 == 0
+        with pytest.raises(ValueError, match="finite"):
+            Confusion.from_predictions(scores, labels)
+
 
 class TestStratifiedKfold:
     def test_production_shape_498(self):
@@ -316,3 +329,15 @@ class TestReports:
     def test_probability_bounds_enforced(self):
         with pytest.raises(ValueError):
             error_report([1.2], [True])
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+           st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), min_size=1,
+                    max_size=3),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_error_report_rejects_non_finite(self, finite, bad, seed):
+        scores = np.array(finite + bad)
+        np.random.default_rng(seed).shuffle(scores)
+        labels = np.arange(scores.size) % 2 == 0
+        with pytest.raises(ValueError, match="finite"):
+            error_report(scores, labels)
