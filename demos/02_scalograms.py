@@ -23,18 +23,18 @@ print(f"scales {grid.values[0]:.0f}..{grid.values[-1]:.0f}, "
       f"..{params.freq_for_scale(grid.values[0], record.fs):.1f} Hz")
 
 seq = build_sequence(record, 6)
-print(f"sequence tensor: {seq.tensors.shape} (chunks x channels x scales x time)")
+print(f"sequence tensor: {seq.shape} (chunks x channels x scales x time)")
 
 # mean intensity of the anomaly-frequency rows per chunk: the temporal code
 anomaly_scale = params.scale_for_freq(8.0, record.fs)
 row = int(np.argmin(np.abs(grid.values - anomaly_scale)))
-ecg = seq.channels.index(Channel.ECG_II)
-profile = seq.tensors[:, ecg, row - 1:row + 2, :].mean(axis=(1, 2))
+ecg = record.channels.index(Channel.ECG_II)
+profile = seq[:, ecg, row - 1:row + 2, :].mean(axis=(1, 2))
 print("anomaly-band intensity per chunk:",
       " ".join(f"{v:.3f}" for v in profile))
 
 # ASCII render of the final chunk's scalogram
-img = seq.tensors[-1, ecg]
+img = seq[-1, ecg]
 shades = " .:-=+*#%@"
 print("\nfinal chunk, ECG II (rows = scales, low freq at bottom):")
 for r in range(0, 64, 4):

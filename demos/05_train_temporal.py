@@ -11,14 +11,14 @@ import numpy as np
 from alarmsift import (ModelConfig, SynthSpec, auc, build_sequence,
                        synth_dataset, train)
 from alarmsift.harness import stratified_split
-from alarmsift.net import predict, stack_sequences
+from alarmsift.net import predict
 
 N_RECORDS = 80  # raise to 240 for the full desk-scale run
 
 records = synth_dataset(SynthSpec(n=N_RECORDS, true_ratio=0.5), seed=42)
 labels = np.array([r.label for r in records])
 print(f"building {N_RECORDS} sequences ...")
-x6 = stack_sequences([build_sequence(r, 6) for r in records])
+x6 = np.stack([build_sequence(r, 6) for r in records])
 
 cfg = ModelConfig(embed_dim=32, lstm_hidden=16, head_hidden=16,
                   learning_rate=2e-3, max_epochs=25, batch_size=16, seed=42)
@@ -31,7 +31,7 @@ print(f"temporal held-out AUC: {auc(predict(x6[te], params), labels[te]):.3f}")
 
 # static baseline: one 60 s scalogram per channel, head directly on the
 # embedding; global pooling erases where in the window the anomaly sits
-x1 = stack_sequences([build_sequence(r, 1) for r in records])
+x1 = np.stack([build_sequence(r, 1) for r in records])
 cfg_static = ModelConfig(embed_dim=32, lstm_hidden=16, head_hidden=16,
                          learning_rate=2e-3, max_epochs=25, batch_size=16,
                          seed=42, n_chunks=1, use_lstm=False)

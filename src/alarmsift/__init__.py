@@ -10,9 +10,9 @@ from .records import (AlarmType, CHANNEL_ORDER, Channel, ClassWeights,
                       class_weights, filter_four_channel, load_dataset,
                       load_record, synth_dataset, synthetic_ecg, tail_window,
                       write_dataset, write_record)
-from .scalogram import (MorletParams, ScaleGrid, Scalogram, cwt, log_scales,
+from .scalogram import (MorletParams, ScaleGrid, cwt, log_scales,
                         morlet_wavelet, to_scalogram)
-from .temporal import ChunkSequence, build_sequence, split_chunks
+from .temporal import build_sequence
 from .features import (BeatAnnotations, FEATURE_NAMES, FeatureVector,
                        PanTompkinsParams, beat_features, detect_beats,
                        extract_features, linear_classifier_fit,

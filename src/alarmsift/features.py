@@ -167,8 +167,8 @@ def extract_features(record: Record) -> FeatureVector:
     """Extract the 103-feature catalogue from a 4-channel record."""
     if set(record.channels) != set(CHANNEL_ORDER):
         raise ValueError(
-            f"extract_features needs the 4 canonical channels, got "
-            f"{[c.value for c in record.channels]}"
+            f"extract_features needs the 4 canonical channels, record "
+            f"{record.record_id} has {[c.value for c in record.channels]}"
         )
     rows = {c: record.channel(c).astype(np.float64) for c in CHANNEL_ORDER}
     values: list[float] = []

@@ -423,10 +423,11 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
 
     Every chunk count is checked against every record's length, and every
     channel count against ``base.channels``, before the first transform.
-    Each chunk count's tensor is built once, over the widest channel prefix
-    its conditions use, and freed after its last condition.  A condition
-    takes a channel slice of it; every (chunk, channel) scalogram is
-    normalised on its own, so the slice equals a tensor built narrower.
+    Conditions naming the same model, (n_chunks, n_channels), are trained
+    once.  Each chunk count's tensor is built once, over the widest channel
+    prefix its conditions use, and freed before the next one is built.  A
+    condition takes a channel slice of it; every (chunk, channel) scalogram
+    is normalised on its own, so the slice equals a tensor built narrower.
     """
     subset = base.channel_subset()
     too_wide = [c for c in spec.channel_grid if c > len(subset)]
@@ -436,11 +437,10 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
     records = prepare_records(base.data_dir, base.window_s)
     conditions = ([(f"chunks={n}", n, len(subset)) for n in spec.chunk_grid]
                   + [(f"channels={c}", 6, c) for c in spec.channel_grid])
-    width, last_use = {}, {}
-    for i, (_, n_chunks, n_channels) in enumerate(conditions):
-        width[n_chunks] = max(width.get(n_chunks, 0), n_channels)
-        last_use[n_chunks] = i
-    for n_chunks in width:
+    channel_counts = {}  # chunk count -> its distinct channel counts, in grid order
+    for _, n_chunks, n_channels in conditions:
+        channel_counts.setdefault(n_chunks, {})[n_channels] = None
+    for n_chunks in channel_counts:
         for r in records:
             if r.n_samples % n_chunks:
                 raise ValueError(f"record {r.record_id}: {r.n_samples} samples "
@@ -449,22 +449,24 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
     ids = [r.record_id for r in records]
     assignment = stratified_kfold(labels, spec.folds, base.seed, tuple(ids))
 
-    tensors, rows = {}, []
-    for i, (name, n_chunks, n_channels) in enumerate(conditions):
-        if n_chunks not in tensors:
-            tensors[n_chunks] = build_sequences(records, n_chunks,
-                                                subset[:width[n_chunks]])
-        cfg = replace(base, model=replace(base.model, n_chunks=n_chunks),
-                      channels=tuple(base.channels[:n_channels]))
-        _, fold_aucs, _ = _cross_validate(
-            _fold_scorer("static" if n_chunks == 1 else "temporal", cfg,
-                         tensors[n_chunks][:, :, :n_channels], labels, records),
-            labels, ids, assignment)
-        if last_use[n_chunks] == i:  # the scorer was a temporary: this frees it
-            del tensors[n_chunks]
-        s = fold_summary(fold_aucs)
+    fold_aucs = {}
+    for n_chunks, widths in channel_counts.items():
+        x = build_sequences(records, n_chunks, subset[:max(widths)])
+        for n_channels in widths:
+            cfg = replace(base, model=replace(base.model, n_chunks=n_chunks),
+                          channels=tuple(base.channels[:n_channels]))
+            _, fold_aucs[n_chunks, n_channels], _ = _cross_validate(
+                _fold_scorer("static" if n_chunks == 1 else "temporal", cfg,
+                             x[:, :, :n_channels], labels, records),
+                labels, ids, assignment)
+        del x  # the scorers were temporaries, so this frees the tensor
+
+    rows = []
+    for name, n_chunks, n_channels in conditions:
+        aucs = fold_aucs[n_chunks, n_channels]
+        s = fold_summary(aucs)
         rows.append({"condition": name, "mean_auc": s.mean, "std_auc": s.std,
-                     "fold_aucs": list(map(float, fold_aucs))})
+                     "fold_aucs": list(map(float, aucs))})
     n_chunk_rows = len(spec.chunk_grid)
     return AblationResult(chunk_rows=rows[:n_chunk_rows],
                           channel_rows=rows[n_chunk_rows:])

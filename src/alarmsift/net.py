@@ -20,7 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .records import ClassWeights, class_weights
 from .stats import auc
-from .temporal import ChunkSequence
 
 LOG_CLAMP = 1e-12
 CHECKPOINT_VERSION = 1
@@ -494,28 +493,27 @@ class _Adam:
 # Public API
 # ---------------------------------------------------------------------------
 
-def _as_array(seq) -> np.ndarray:
-    """A ChunkSequence's (T, C, H, W) tensors, or any array-like as float."""
-    return seq.tensors if isinstance(seq, ChunkSequence) else np.asarray(seq, float)
-
-
 def _as_batch(sequences, cfg: ModelConfig) -> np.ndarray:
-    """(N, T, C, H, W) model input, each sequence's shape checked against ``cfg``."""
+    """(N, T, C, H, W) model input, each sequence's shape checked against
+    ``cfg``; a sequence holding NaN or inf is refused by its index."""
     x = sequences if isinstance(sequences, np.ndarray) else stack_sequences(sequences)
     if x.ndim != 5:
         raise ValueError(f"expected (N, n_chunks, C, H, W) input, got shape {x.shape}")
     _check_shape(x.shape[1:], cfg)
+    finite = np.isfinite(x).all(axis=(1, 2, 3, 4))
+    if not finite.all():
+        raise ValueError(f"sequence {int(np.argmin(finite))} holds NaN or inf")
     return x
 
 
 def stack_sequences(sequences) -> np.ndarray:
-    """List of ChunkSequence (or raw (T, C, H, W) arrays) -> (N, T, C, H, W)."""
-    return np.stack([_as_array(s) for s in sequences])
+    """List of (T, C, H, W) arrays -> one float (N, T, C, H, W) array."""
+    return np.stack([np.asarray(s, float) for s in sequences])
 
 
 def encode_chunks(seq, params: ModelParams) -> np.ndarray:
     """Per-chunk embeddings (n_chunks, D) from the shared encoder."""
-    h, _ = _encoder_forward(_as_array(seq), params.tensors)
+    h, _ = _encoder_forward(np.asarray(seq, float), params.tensors)
     return h
 
 
@@ -539,7 +537,7 @@ def forward(seq, params: ModelParams, mode: str = "eval",
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = _as_array(seq)
+    x = np.asarray(seq, float)
     _check_shape(x.shape, params.config)
     train = mode == "train"
     if train and rng is None:
@@ -643,7 +641,7 @@ def finite_diff_check(params: ModelParams, sample, label: bool,
     max(||g_analytic||_2, ||g_numeric||_2, 1e-12).  Returns the max over
     parameter groups, or the full per-group dict when ``per_group``.
     """
-    x = _as_array(sample)[None]
+    x = np.asarray(sample, float)[None]
     labels = np.array([label])
 
     def loss_at() -> float:

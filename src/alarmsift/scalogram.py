@@ -153,26 +153,6 @@ def cwt(signal: np.ndarray, scales: ScaleGrid | np.ndarray,
     return coeffs
 
 
-@dataclass(frozen=True)
-class Scalogram:
-    """Min-max normalized magnitude image, rows = scales, cols = time bins."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(f"scalogram values must be 2-D, got {values.shape}")
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
-            raise ValueError("scalogram values must lie in [0, 1]")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
 def pool_columns(mag: np.ndarray, target_cols: int) -> np.ndarray:
     """Mean-pool columns into ``target_cols`` nearly-equal contiguous bins.
 
@@ -186,10 +166,12 @@ def pool_columns(mag: np.ndarray, target_cols: int) -> np.ndarray:
     return sums / np.maximum(counts, 1)
 
 
-def to_scalogram(coeffs: np.ndarray, target_cols: int = 64) -> Scalogram:
+def to_scalogram(coeffs: np.ndarray, target_cols: int = 64) -> np.ndarray:
     """Magnitude -> time pooling to ``target_cols`` bins -> min-max to [0, 1].
 
-    A flat magnitude image (max - min below 1e-12) maps to all zeros.
+    Returns the (n_scales, ``target_cols``) image: its values span [0, 1]
+    exactly, except that a flat magnitude image (max - min below 1e-12)
+    maps to all zeros.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.size == 0:
@@ -197,8 +179,6 @@ def to_scalogram(coeffs: np.ndarray, target_cols: int = 64) -> Scalogram:
     pooled = pool_columns(np.abs(coeffs), target_cols)
     lo, hi = pooled.min(), pooled.max()
     if hi - lo < FLAT_EPS:
-        values = np.zeros_like(pooled)
-    else:
-        values = (pooled - lo) / (hi - lo)
-    return Scalogram(values=values)
+        return np.zeros_like(pooled)
+    return (pooled - lo) / (hi - lo)
 

@@ -48,6 +48,13 @@ class TestExtractFeatures:
         with pytest.raises(ValueError, match="canonical"):
             extract_features(r)
 
+    def test_missing_channel_error_names_the_record(self):
+        r = make_record("rec-17", channels=(Channel.ECG_II, Channel.ECG_V, Channel.PLETH),
+                        samples=np.zeros((3, 600)))
+        with pytest.raises(ValueError, match=r"record rec-17 has \['ECG_II', "
+                                             r"'ECG_V', 'PLETH'\]"):
+            extract_features(r)
+
     def test_identical_channels_correlate_fully(self):
         rng = np.random.default_rng(10)
         row = rng.standard_normal(6000)

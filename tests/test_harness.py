@@ -264,6 +264,23 @@ class TestAblate:
         assert trained == [shapes for shapes in per_condition for _ in range(2)]
         assert [r["condition"] for r in result.channel_rows] == ["channels=1", "channels=2"]
 
+    def test_trains_each_distinct_condition_once(self, data_dir, tmp_path, monkeypatch):
+        """chunks=6 and channels=4 name the same model: it is trained once,
+        and both rows report its folds."""
+        real_train, trained = alarmsift.harness.train, []
+
+        def spy_train(x, labels, fit_idx, stop_idx, model_cfg):
+            trained.append(x.shape[1:3])
+            return real_train(x, labels, fit_idx, stop_idx, model_cfg)
+
+        monkeypatch.setattr(alarmsift.harness, "train", spy_train)
+        spec = AblationSpec(chunk_grid=(1, 6), channel_grid=(1, 4), folds=2)
+        result = ablate(spec, tiny_config(data_dir, tmp_path, model={"max_epochs": 1}))
+        assert trained == [(1, 4)] * 2 + [(6, 4)] * 2 + [(6, 1)] * 2
+        full, same = result.chunk_rows[1], result.channel_rows[1]
+        assert (full["condition"], same["condition"]) == ("chunks=6", "channels=4")
+        assert {**full, "condition": None} == {**same, "condition": None}
+
     def test_rejects_channel_count_above_configured(self, data_dir, tmp_path):
         cfg = tiny_config(data_dir, tmp_path, channels=("ECG_II", "ECG_V"))
         spec = AblationSpec(chunk_grid=(1,), channel_grid=(1, 4), folds=2)

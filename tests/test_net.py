@@ -336,12 +336,14 @@ class TestTrain:
             train(x[:, :, :2], labels, idx[:6], idx[6:], REDUCED)
 
     def test_non_finite_loss_names_epoch_and_batch(self):
-        """A NaN input gives a NaN loss in the first batch that holds it."""
+        """An input at the float64 limit is finite, so it is admitted, but it
+        overflows to a NaN loss in the first batch that holds it."""
         x, labels = _toy_dataset(16, seed=8)
-        x[:12] = np.nan
+        x[:12] = np.finfo(np.float64).max
         idx = np.arange(16)
         with pytest.raises(ValueError, match=r"diverged at epoch 1, batch 1: "
-                                             r"loss nan"):
+                                             r"loss nan"), \
+                np.errstate(over="ignore", invalid="ignore"):
             train(x, labels, idx[:12], idx[12:], REDUCED)
 
     def test_non_finite_gradient_norm_names_epoch_and_batch(self, monkeypatch):
@@ -363,6 +365,40 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"diverged at epoch 2, batch 2: "
                                              r"loss \d\S*, gradient norm inf"):
             train(x, labels, idx[:12], idx[12:], REDUCED)
+
+
+@st.composite
+def _batch_with_non_finite(draw):
+    """A toy batch with NaN or inf planted in one or more sequences; returns
+    (x, labels, index of the first sequence that holds one)."""
+    x, labels = _toy_dataset(16, seed=draw(st.integers(0, 20)))
+    bad = draw(st.lists(st.integers(0, 15), min_size=1, max_size=3, unique=True))
+    for i in bad:
+        where = tuple(draw(st.integers(0, d - 1)) for d in x.shape[1:])
+        x[(i, *where)] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    return x, labels, min(bad)
+
+
+class TestNonFiniteInput:
+    """Model input holding NaN or inf is refused up front, naming the first
+    sequence that holds it, not as a diverged batch or a NaN score."""
+
+    @given(case=_batch_with_non_finite())
+    @settings(max_examples=40, deadline=None)
+    def test_train_names_the_sequence(self, case):
+        x, labels, first = case
+        idx = np.arange(16)
+        with pytest.raises(ValueError, match=rf"^sequence {first} holds NaN or inf$"):
+            train(x, labels, idx[:12], idx[12:], REDUCED)
+
+    @given(case=_batch_with_non_finite())
+    @settings(max_examples=40, deadline=None)
+    def test_predict_names_the_sequence(self, case):
+        x, _, first = case
+        with pytest.raises(ValueError, match=rf"^sequence {first} holds NaN or inf$"):
+            predict(x, reduced_params())
+        with pytest.raises(ValueError, match=rf"^sequence {first} holds NaN or inf$"):
+            predict(list(x), reduced_params())
 
 
 class TestPredict:

@@ -1,57 +1,59 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alarmsift.records import Channel
+from alarmsift.records import CHANNEL_ORDER, Channel
 from alarmsift.scalogram import MorletParams, cwt, log_scales, to_scalogram
-from alarmsift.temporal import ChunkSequence, build_sequence, split_chunks
+from alarmsift.temporal import build_sequence
 from conftest import make_record
 
 
+def chunk_scalogram(samples):
+    """Reference: the scalogram of one chunk, computed on its own."""
+    return to_scalogram(cwt(np.asarray(samples, dtype=np.float64), log_scales(),
+                            MorletParams()))
+
+
 class TestSplitChunks:
+    """How ``build_sequence`` cuts a record into consecutive chunks."""
+
     def test_six_chunks_of_2500(self):
         r = make_record(n=15000)
-        parts = split_chunks(r, 6)
-        assert len(parts) == 6
-        assert all(p.n_samples == 2500 for p in parts)
-        recon = np.concatenate([p.samples for p in parts], axis=1)
-        np.testing.assert_array_equal(recon, r.samples)
+        seq = build_sequence(r, 6)
+        assert seq.shape == (6, 4, 64, 64) and seq.dtype == np.float64
+        for k in range(6):
+            for c in range(4):
+                np.testing.assert_array_equal(
+                    seq[k, c], chunk_scalogram(r.samples[c, 2500 * k:2500 * (k + 1)]))
 
     def test_single_chunk_identity(self):
         r = make_record(n=15000)
-        parts = split_chunks(r, 1)
-        assert len(parts) == 1
-        np.testing.assert_array_equal(parts[0].samples, r.samples)
+        seq = build_sequence(r, 1)
+        for c in range(4):
+            np.testing.assert_array_equal(seq[0, c], chunk_scalogram(r.samples[c]))
 
     def test_non_divisible_errors(self):
         r = make_record(n=15000)
-        for fn in (split_chunks, build_sequence):
-            with pytest.raises(ValueError, match="15000 not divisible by 7"):
-                fn(r, 7)
-            with pytest.raises(ValueError, match="n_chunks must be >= 1"):
-                fn(r, 0)
-
-    def test_metadata_preserved(self):
-        r = make_record(n=600, label=True)
-        for part in split_chunks(r, 3):
-            assert part.alarm_type == r.alarm_type
-            assert part.label and part.fs == r.fs
-            assert part.channels == r.channels
+        with pytest.raises(ValueError, match="15000 not divisible by 7"):
+            build_sequence(r, 7)
+        with pytest.raises(ValueError, match="n_chunks must be >= 1"):
+            build_sequence(r, 0)
 
 
 class TestBuildSequence:
     def test_full_shape(self, small_synth):
         seq = build_sequence(small_synth[0], 6)
-        assert seq.tensors.shape == (6, 4, 64, 64)
-        assert seq.tensors.min() >= 0.0 and seq.tensors.max() <= 1.0
-        assert seq.record_id == small_synth[0].record_id
+        assert seq.shape == (6, 4, 64, 64)
+        assert seq.min() >= 0.0 and seq.max() <= 1.0
 
     def test_single_channel_subset(self, small_synth):
         seq = build_sequence(small_synth[0], 6, (Channel.ECG_II,))
-        assert seq.tensors.shape == (6, 1, 64, 64)
+        assert seq.shape == (6, 1, 64, 64)
 
     def test_static_single_chunk(self, small_synth):
         seq = build_sequence(small_synth[0], 1)
-        assert seq.tensors.shape == (1, 4, 64, 64)
+        assert seq.shape == (1, 4, 64, 64)
 
     def test_absent_channel_errors(self):
         r = make_record(channels=(Channel.ECG_II, Channel.ECG_V),
@@ -59,17 +61,22 @@ class TestBuildSequence:
         with pytest.raises(Exception, match="absent"):
             build_sequence(r, 3, (Channel.PLETH,))
 
-    def test_compositionality_per_chunk(self, small_synth):
-        """Sequence tensors equal independently computed per-chunk scalograms."""
-        r = small_synth[1]
-        grid, params = log_scales(), MorletParams()
-        seq = build_sequence(r, 6, grid=grid, params=params)
-        parts = split_chunks(r, 6)
-        for k in (0, 3, 5):
-            for ci, chan in enumerate(r.channels):
-                expected = to_scalogram(
-                    cwt(parts[k].channel(chan).astype(float), grid, params, r.fs))
-                np.testing.assert_array_equal(seq.tensors[k, ci], expected.values)
+    @given(n_chunks=st.integers(1, 8), chunk_len=st.integers(2, 300),
+           subset=st.permutations(CHANNEL_ORDER).flatmap(
+               lambda order: st.integers(1, 4).map(lambda c: order[:c])),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_compositionality_per_chunk(self, n_chunks, chunk_len, subset, seed):
+        """tensor[k, c] is the scalogram of chunk k of the c-th subset
+        channel, computed on its own, for every chunk count dividing N."""
+        n = n_chunks * chunk_len
+        r = make_record(n=n, rng=np.random.default_rng(seed))
+        seq = build_sequence(r, n_chunks, subset)
+        assert seq.shape == (n_chunks, len(subset), 64, 64)
+        for k in range(n_chunks):
+            for c, chan in enumerate(subset):
+                part = r.channel(chan)[k * n // n_chunks:(k + 1) * n // n_chunks]
+                assert np.array_equal(seq[k, c], chunk_scalogram(part))
 
     def test_chunk_independence(self):
         rng = np.random.default_rng(17)
@@ -80,28 +87,16 @@ class TestBuildSequence:
         r2 = make_record(n=1200, samples=modified)
         s1 = build_sequence(r1, 6)
         s2 = build_sequence(r2, 6)
-        assert not np.array_equal(s1.tensors[2], s2.tensors[2])
+        assert not np.array_equal(s1[2], s2[2])
         for k in (0, 1, 3, 4, 5):
-            np.testing.assert_array_equal(s1.tensors[k], s2.tensors[k])
+            np.testing.assert_array_equal(s1[k], s2[k])
 
     def test_channel_subset_projection(self, small_synth):
         r = small_synth[2]
         full = build_sequence(r, 6)
         ecg_only = build_sequence(r, 6, (Channel.ECG_II,))
-        np.testing.assert_array_equal(ecg_only.tensors[:, 0], full.tensors[:, 0])
+        np.testing.assert_array_equal(ecg_only[:, 0], full[:, 0])
 
     def test_empty_subset_errors(self, small_synth):
         with pytest.raises(ValueError, match="non-empty"):
             build_sequence(small_synth[0], 6, ())
-
-
-class TestChunkSequenceType:
-    def test_tensor_channel_mismatch(self):
-        with pytest.raises(ValueError):
-            ChunkSequence(tensors=np.zeros((6, 2, 8, 8)),
-                          channels=(Channel.ECG_II,), record_id="x")
-
-    def test_immutable(self, small_synth):
-        seq = build_sequence(small_synth[0], 1)
-        with pytest.raises(ValueError):
-            seq.tensors[0, 0, 0, 0] = 0.5
