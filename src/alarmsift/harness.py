@@ -137,11 +137,22 @@ def _assert_no_leakage(train_idx, eval_idx, ids):
 # ---------------------------------------------------------------------------
 
 def prepare_records(data_dir, window_s: float = 60.0) -> list[Record]:
-    """Every record under ``data_dir``, cut to its final ``window_s``; a
-    record shorter than the window is refused by name."""
+    """Every record under ``data_dir``, cut to its final ``window_s``.
+
+    A record shorter than the window is refused by name.  A dataset has one
+    sampling rate: CWT scales are in samples, so records at other rates
+    would give scalograms of other time scales.  The first record whose
+    ``fs`` differs from the first record's is refused, with both rates.
+    """
     records = load_dataset(data_dir)
     if not records:
         raise ValueError(f"no records found under {data_dir}")
+    first = records[0]
+    for r in records:
+        if r.fs != first.fs:
+            raise ValueError(f"record {r.record_id} is sampled at {r.fs} Hz, but "
+                             f"{first.record_id} at {first.fs} Hz; a dataset "
+                             f"must have one sampling rate")
     return [tail_window(r, window_s) for r in records]
 
 

@@ -12,6 +12,7 @@ Class convention: logit/probability column 1 is the true-alarm class.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -144,16 +145,47 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
 # Layer primitives (forward returns a cache for the matching backward)
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """3x3 same-padding patches of NHWC input: (B, H, W, C) -> (B*H*W, 9*C).
+class _Workspace:
+    """Scratch buffers of one call, reused by all of its batches and layers.
 
+    Each name maps to one flat array, which grows when a request does not
+    fit; ``get`` returns a C-contiguous prefix view of the requested shape.
+    A view holds whatever its last user left there, so a caller zeroes what
+    it needs zeroed.  ``train``, ``predict``, ``forward``, ``encode_chunks``
+    and ``finite_diff_check`` each make their own: no buffer outlives the
+    call, and no two threads share one.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _im2col(x: np.ndarray, ws: _Workspace, name: str) -> np.ndarray:
+    """3x3 same-padding patches of NHWC input: (B, H, W, C) -> (B*H*W, 9*C),
+    written into the workspace buffer ``name``.
+
+    ``x`` may be any strided view (layer 1 passes its NCHW input transposed):
+    it is copied once, into the interior of a zero-bordered padded buffer.
     Patch layout is (di, dj, c), matching ``_flat_weight``.
     """
     b, h, w, c = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    xp = ws.get("padded", (b, h + 2, w + 2, c))
+    xp[:, 0] = 0.0
+    xp[:, -1] = 0.0
+    xp[:, 1:-1, 0] = 0.0
+    xp[:, 1:-1, -1] = 0.0
+    xp[:, 1:-1, 1:-1] = x
     windows = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B, H, W, C, 3, 3)
-    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        b * h * w, 9 * c)
+    cols = ws.get(name, (b * h * w, 9 * c))
+    cols.reshape(b, h, w, 3, 3, c)[...] = windows.transpose(0, 1, 2, 4, 5, 3)
+    return cols
 
 
 def _flat_weight(w: np.ndarray) -> np.ndarray:
@@ -161,17 +193,27 @@ def _flat_weight(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0]))
 
 
-def _conv_forward(x, w, b):
-    """NHWC convolution; caches the column matrix for the backward pass."""
+def _conv_forward(x, w, b, ws: _Workspace, layer: int):
+    """NHWC convolution; the column matrix of ``layer`` stays in the
+    workspace for the backward pass."""
     bb, h, ww, c = x.shape
     f = w.shape[0]
-    cols = _im2col(x)
-    out = cols @ _flat_weight(w)
+    cols = _im2col(x, ws, f"cols{layer}")
+    out = np.matmul(cols, _flat_weight(w), out=ws.get("z", (bb * h * ww, f)))
     out += b
     return out.reshape(bb, h, ww, f), cols
 
 
-def _conv_backward(dout, cols, w, need_dx: bool):
+def _conv_backward(dout, cols, w, need_dx: bool, ws: _Workspace):
+    """Weight, bias and (when ``need_dx``) input gradients of a 3x3 conv.
+
+    The input gradient takes one (B*H*W, C) GEMM per tap, ``dflat @ W_t``,
+    all nine through one buffer.  Each element is the same length-F dot
+    product as in one (B*H*W, 9C) GEMM, and with C >= 2 the BLAS returns
+    the same bits.  With C = 1 numpy hands the (B*H*W, F) @ (F, 1) product
+    to GEMV, whose bits differ, so a single-channel input keeps the one
+    (B*H*W, 9) GEMM.
+    """
     bb, h, ww, f = dout.shape
     c = w.shape[1]
     dflat = dout.reshape(-1, f)
@@ -179,21 +221,31 @@ def _conv_backward(dout, cols, w, need_dx: bool):
     db = dflat.sum(axis=0)
     if not need_dx:
         return None, dw, db
-    dcols = (dflat @ _flat_weight(w).T).reshape(bb, h, ww, 3, 3, c)
+    wflat = _flat_weight(w)  # tap t = 3*di + dj owns rows t*C .. t*C + C - 1
+    m = dflat.shape[0]
+    if c == 1:
+        dcols = np.matmul(dflat, wflat.T, out=ws.get("dcols", (m, 9)))
+        taps = dcols.reshape(bb, h, ww, 9, 1).transpose(3, 0, 1, 2, 4)
+    else:
+        tap_buf = ws.get("tap", (m, c))
+        taps = (np.matmul(dflat, wflat[t * c:(t + 1) * c].T, out=tap_buf)
+                .reshape(bb, h, ww, c) for t in range(9))
     # col2im: output pixel (i, j) took tap (di, dj) from input (i+di-1, j+dj-1).
     # Taps that fell on the zero padding are dropped by clipping the slices;
-    # the (di, dj) order fixes each element's sequence of additions.
-    dx = np.zeros((bb, h, ww, c))
-    for di in range(3):
+    # the (di, dj) order fixes each element's sequence of additions.  Each
+    # tap is added before the next one's GEMM overwrites the buffer.
+    dx = ws.get("dx", (bb, h, ww, c))
+    dx[...] = 0.0
+    for t, tap in enumerate(taps):
+        di, dj = divmod(t, 3)
         r0, r1 = max(0, di - 1), min(h, h + di - 1)
-        for dj in range(3):
-            c0, c1 = max(0, dj - 1), min(ww, ww + dj - 1)
-            dx[:, r0:r1, c0:c1] += dcols[:, r0 + 1 - di:r1 + 1 - di,
-                                         c0 + 1 - dj:c1 + 1 - dj, di, dj]
+        c0, c1 = max(0, dj - 1), min(ww, ww + dj - 1)
+        dx[:, r0:r1, c0:c1] += tap[:, r0 + 1 - di:r1 + 1 - di,
+                                   c0 + 1 - dj:c1 + 1 - dj]
     return dx, dw, db
 
 
-def _avgpool_forward(x):
+def _avgpool_forward(x, ws: _Workspace):
     """2x2 mean pool of NHWC input, bit for bit ``mean(axis=(2, 4))`` of the
     (B, H/2, 2, W/2, 2, F) reshape.
 
@@ -204,20 +256,29 @@ def _avgpool_forward(x):
     """
     b, h, w, f = x.shape
     v = x.reshape(b, h // 2, 2, w // 2, 2, f)
+    out = ws.get("pool", (b, h // 2, w // 2, f))
     if f == 1:
-        return v.mean(axis=(2, 4))
-    out = v[:, :, 0, :, 0] + v[:, :, 0, :, 1]
+        return np.mean(v, axis=(2, 4), out=out)
+    np.add(v[:, :, 0, :, 0], v[:, :, 0, :, 1], out=out)
     out += v[:, :, 1, :, 0]
     out += v[:, :, 1, :, 1]
     out /= 4.0
     return out
 
 
-def _avgpool_backward(dy, mask):
-    """Gradient through the 2x2 mean pool and the ReLU ``mask`` before it."""
+def _avgpool_backward(dy, mask, ws: _Workspace):
+    """Gradient through the 2x2 mean pool and the ReLU ``mask`` before it.
+
+    The gradient goes into the buffer of the conv output z, which is dead
+    once pooled: the mask keeps what the backward pass needs of it.
+    """
     b, h, w, f = mask.shape
-    dz = mask.reshape(b, h // 2, 2, w // 2, 2, f) * (dy / 4.0)[:, :, None, :, None, :]
-    return dz.reshape(b, h, w, f)
+    dy4 = np.divide(dy, 4.0, out=ws.get("pool_grad", dy.shape))
+    dz = ws.get("z", mask.shape)
+    np.multiply(mask.reshape(b, h // 2, 2, w // 2, 2, f),
+                dy4[:, :, None, :, None, :],
+                out=dz.reshape(b, h // 2, 2, w // 2, 2, f))
+    return dz
 
 
 def _sigmoid(z):
@@ -233,28 +294,34 @@ def _dropout_mask(shape, rate, rng):
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def _encoder_forward(x, tensors):
-    """Shared per-chunk encoder: (N, C, H, W) -> (N, D) embeddings."""
+def _encoder_forward(x, tensors, ws: _Workspace):
+    """Shared per-chunk encoder: (N, C, H, W) -> (N, D) embeddings.
+
+    The cache holds views into ``ws``; they stay valid until the next
+    forward pass through the same workspace.
+    """
     caches = []
-    out = np.ascontiguousarray(np.transpose(x, (0, 2, 3, 1)))  # NHWC internally
+    out = np.transpose(x, (0, 2, 3, 1))  # NHWC internally; im2col copies it
     for i in (1, 2, 3):
-        z, cols = _conv_forward(out, tensors[f"conv{i}_w"], tensors[f"conv{i}_b"])
-        mask = z > 0
+        z, cols = _conv_forward(out, tensors[f"conv{i}_w"], tensors[f"conv{i}_b"],
+                                ws, i)
+        mask = np.greater(z, 0, out=ws.get(f"mask{i}", z.shape, bool))
         z *= mask  # ReLU
-        out = _avgpool_forward(z)
+        out = _avgpool_forward(z, ws)
         caches.append((cols, mask))
     h = out.mean(axis=(1, 2))
     return h, (caches, out.shape)
 
 
-def _encoder_backward(dh, cache, tensors, grads):
+def _encoder_backward(dh, cache, tensors, grads, ws: _Workspace):
     caches, out_shape = cache
     b, hh, ww, f = out_shape
-    dout = np.broadcast_to(dh[:, None, None, :], out_shape) / (hh * ww)
+    dout = np.divide(np.broadcast_to(dh[:, None, None, :], out_shape), hh * ww,
+                     out=ws.get("embed_grad", out_shape))
     for i in (3, 2, 1):
         cols, mask = caches[i - 1]
-        dz = _avgpool_backward(dout, mask)
-        dout, dw, db = _conv_backward(dz, cols, tensors[f"conv{i}_w"], need_dx=i > 1)
+        dz = _avgpool_backward(dout, mask, ws)
+        dout, dw, db = _conv_backward(dz, cols, tensors[f"conv{i}_w"], i > 1, ws)
         grads[f"conv{i}_w"] += dw
         grads[f"conv{i}_b"] += db
 
@@ -322,13 +389,13 @@ def _lstm_layer_backward(dhs, cache, wx, wh):
 # Full model
 # ---------------------------------------------------------------------------
 
-def _model_forward(x, params: ModelParams, train: bool, rng):
+def _model_forward(x, params: ModelParams, train: bool, rng, ws: _Workspace):
     """x: (B, T, C, H, W) -> softmax probabilities (B, 2) and a cache."""
     cfg = params.config
     tensors = params.tensors
     bsz, t_len = x.shape[:2]
     flat = x.reshape(bsz * t_len, *x.shape[2:])
-    h, enc_cache = _encoder_forward(flat, tensors)
+    h, enc_cache = _encoder_forward(flat, tensors, ws)
     embed = h.reshape(bsz, t_len, cfg.embed_dim)
 
     lstm_caches = []
@@ -369,7 +436,7 @@ def _model_forward(x, params: ModelParams, train: bool, rng):
     return probs, cache
 
 
-def _model_backward(dlogits, cache, params: ModelParams):
+def _model_backward(dlogits, cache, params: ModelParams, ws: _Workspace):
     cfg = params.config
     tensors = params.tensors
     x_shape, enc_cache, lstm_caches, drop_masks, final, relu_mask, head_mask, r, _ = cache
@@ -408,7 +475,7 @@ def _model_backward(dlogits, cache, params: ModelParams):
         dembed[:, 0] = dfinal
 
     dh = dembed.reshape(bsz * t_len, cfg.embed_dim)
-    _encoder_backward(dh, enc_cache, tensors, grads)
+    _encoder_backward(dh, enc_cache, tensors, grads, ws)
     return grads
 
 
@@ -513,7 +580,7 @@ def stack_sequences(sequences) -> np.ndarray:
 
 def encode_chunks(seq, params: ModelParams) -> np.ndarray:
     """Per-chunk embeddings (n_chunks, D) from the shared encoder."""
-    h, _ = _encoder_forward(np.asarray(seq, float), params.tensors)
+    h, _ = _encoder_forward(np.asarray(seq, float), params.tensors, _Workspace())
     return h
 
 
@@ -542,7 +609,7 @@ def forward(seq, params: ModelParams, mode: str = "eval",
     train = mode == "train"
     if train and rng is None:
         rng = np.random.default_rng(0)
-    probs, _ = _model_forward(x[None], params, train, rng)
+    probs, _ = _model_forward(x[None], params, train, rng, _Workspace())
     return float(probs[0, 1]), float(probs[0, 0])
 
 
@@ -561,10 +628,14 @@ def _check_shape(shape: tuple, cfg: ModelConfig):
 
 def predict(sequences, params: ModelParams, batch_size: int = 16) -> np.ndarray:
     """Eval-mode p_true per record; deterministic (dropout off)."""
-    x = _as_batch(sequences, params.config)
+    return _predict(_as_batch(sequences, params.config), params, _Workspace(),
+                    batch_size)
+
+
+def _predict(x, params: ModelParams, ws: _Workspace, batch_size: int = 16):
     out = np.empty(x.shape[0])
     for start in range(0, x.shape[0], batch_size):
-        probs, _ = _model_forward(x[start:start + batch_size], params, False, None)
+        probs, _ = _model_forward(x[start:start + batch_size], params, False, None, ws)
         out[start:start + batch_size] = probs[:, 1]
     return out
 
@@ -596,15 +667,19 @@ def train(sequences, labels, train_idx, val_idx,
     history = TrainHistory([], [], [], best_epoch=0, stop_reason="max_epochs")
     best_auc = -np.inf
     best_tensors = None
+    ws = _Workspace()
     for epoch in range(1, cfg.max_epochs + 1):
         order = train_idx[rng.permutation(train_idx.size)]
         epoch_losses = []
         epoch_max_norm = 0.0
         for n_batch, start in enumerate(range(0, order.size, cfg.batch_size), 1):
             batch = order[start:start + cfg.batch_size]
-            probs, cache = _model_forward(x[batch], params, True, rng)
+            xb = ws.get("batch", (batch.size, *x.shape[1:]), x.dtype)
+            for row, i in zip(xb, batch):
+                row[...] = x[i]
+            probs, cache = _model_forward(xb, params, True, rng, ws)
             loss, dlogits = _batch_loss_and_grad(probs, labels[batch], weights)
-            grads = _model_backward(dlogits, cache, params)
+            grads = _model_backward(dlogits, cache, params, ws)
             norm = _global_norm(grads)
             if not np.isfinite(loss + norm):
                 raise ValueError(f"training diverged at epoch {epoch}, batch "
@@ -613,7 +688,8 @@ def train(sequences, labels, train_idx, val_idx,
             opt.step(params.tensors, grads)
             epoch_losses.append(loss)
             epoch_max_norm = max(epoch_max_norm, post_norm)
-        val_auc = auc(predict(x[val_idx], params), labels[val_idx])
+        # the validation pass reuses the training buffers
+        val_auc = auc(_predict(x[val_idx], params, ws), labels[val_idx])
         history.train_loss.append(float(np.mean(epoch_losses)))
         history.val_auc.append(float(val_auc))
         history.max_grad_norm.append(epoch_max_norm)
@@ -643,15 +719,16 @@ def finite_diff_check(params: ModelParams, sample, label: bool,
     """
     x = np.asarray(sample, float)[None]
     labels = np.array([label])
+    ws = _Workspace()
 
     def loss_at() -> float:
-        probs, _ = _model_forward(x, params, False, None)
+        probs, _ = _model_forward(x, params, False, None, ws)
         loss, _ = _batch_loss_and_grad(probs, labels, weights)
         return loss
 
-    probs, cache = _model_forward(x, params, False, None)
+    probs, cache = _model_forward(x, params, False, None, ws)
     _, dlogits = _batch_loss_and_grad(probs, labels, weights)
-    analytic = _model_backward(dlogits, cache, params)
+    analytic = _model_backward(dlogits, cache, params, ws)
 
     errors = {}
     for name, tensor in params.tensors.items():

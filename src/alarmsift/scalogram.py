@@ -124,7 +124,8 @@ def _kernel_spectra(scales: np.ndarray, params: MorletParams, nfft: int) -> np.n
 
 
 def cwt(signal: np.ndarray, scales: ScaleGrid | np.ndarray,
-        params: MorletParams = MorletParams(), fs: float = 250.0) -> np.ndarray:
+        params: MorletParams = MorletParams(), fs: float = 250.0,
+        out: np.ndarray | None = None) -> np.ndarray:
     """Complex CWT coefficients, one row per scale, one column per sample.
 
     Frequency-domain evaluation: the signal is zero-padded to
@@ -136,6 +137,12 @@ def cwt(signal: np.ndarray, scales: ScaleGrid | np.ndarray,
     2M + 1 points hold the whole kernel without overlap.  This equals
     direct time-domain convolution with the truncated kernels to machine
     precision.
+
+    The spectral product and the inverse FFT go through one complex
+    (n_scales, L) array: ``out`` when given (a caller transforming many
+    equal-length signals passes the same one each time), otherwise a fresh
+    one.  The result is the view of its first N columns, so it is
+    overwritten by the next call that reuses ``out``.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
@@ -148,9 +155,13 @@ def cwt(signal: np.ndarray, scales: ScaleGrid | np.ndarray,
     n = x.size
     nfft = fft_length(n, scale_values.max())
     spectra = _kernel_spectra(scale_values, params, nfft)
-    xhat = np.fft.fft(x, nfft)
-    coeffs = np.fft.ifft(xhat[None, :] * spectra, axis=1)[:, :n]
-    return coeffs
+    if out is None:
+        out = np.empty(spectra.shape, dtype=np.complex128)
+    elif out.shape != spectra.shape or out.dtype != np.complex128:
+        raise ValueError(f"out must be a complex128 array of shape {spectra.shape}, "
+                         f"got {out.dtype} {out.shape}")
+    np.multiply(np.fft.fft(x, nfft)[None, :], spectra, out=out)
+    return np.fft.ifft(out, axis=1, out=out)[:, :n]
 
 
 def pool_columns(mag: np.ndarray, target_cols: int) -> np.ndarray:

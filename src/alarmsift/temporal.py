@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .records import Channel, Record
-from .scalogram import MorletParams, cwt, log_scales, to_scalogram
+from .scalogram import MorletParams, cwt, fft_length, log_scales, to_scalogram
 
 SCALES = log_scales()
 MORLET = MorletParams()
@@ -34,11 +34,10 @@ def build_sequence(record: Record, n_chunks: int,
     # (n_chunks, N / n_chunks) views; Record.channel raises if a channel is absent
     chunks = [record.channel(chan).reshape(n_chunks, -1) for chan in subset]
     tensors = np.empty((n_chunks, len(subset), SCALES.n_scales, 64))
+    buf = np.empty((SCALES.n_scales, fft_length(chunks[0].shape[1], SCALES.s_max)),
+                   dtype=np.complex128)
     for k in range(n_chunks):
         for ci, rows in enumerate(chunks):
-            # Keep the coefficients bound until the next call: freeing them
-            # inside one expression lets glibc trim the heap after every
-            # call, so each cwt faults its multi-MB buffers in afresh.
-            coeffs = cwt(rows[k], SCALES, MORLET, record.fs)
-            tensors[k, ci] = to_scalogram(coeffs, 64)
+            tensors[k, ci] = to_scalogram(cwt(rows[k], SCALES, MORLET, record.fs,
+                                              out=buf), 64)
     return tensors

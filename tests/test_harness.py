@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -147,6 +148,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=rf"record {records[0].record_id} "
                                              r"has 5000 samples, shorter than "
                                              r"the 15000-sample window"):
+            run_experiment(cfg)
+
+    def test_mixed_sampling_rates_refused_by_name(self, tmp_path):
+        """The first record whose rate differs from the first record's is
+        named with both rates."""
+        records = synth_dataset(SynthSpec(n=3), seed=1)
+        records += synth_dataset(SynthSpec(n=2, fs=500.0), seed=2)[1:]
+        records = [replace(r, record_id=f"r{i}") for i, r in enumerate(records)]
+        write_dataset(records, tmp_path / "mixed")
+        cfg = tiny_config(tmp_path / "mixed", tmp_path / "out")
+        with pytest.raises(ValueError, match=r"record r3 is sampled at 500.0 Hz, "
+                                             r"but r0 at 250.0 Hz"):
             run_experiment(cfg)
 
     def test_invalid_experiment_rejected(self, data_dir):

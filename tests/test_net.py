@@ -1,6 +1,7 @@
 import math
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,16 +36,17 @@ def _kink_free_fixture(epsilon=1e-5, margin=10.0):
 
 
 def _min_preactivation(sample, params):
-    from alarmsift.net import (_avgpool_forward, _conv_forward)
+    from alarmsift.net import _Workspace, _avgpool_forward, _conv_forward
 
     x = np.ascontiguousarray(np.transpose(sample, (0, 2, 3, 1)))
+    ws = _Workspace()
     mins = []
     out = x
     for i in (1, 2, 3):
         z, _ = _conv_forward(out, params.tensors[f"conv{i}_w"],
-                             params.tensors[f"conv{i}_b"])
+                             params.tensors[f"conv{i}_b"], ws, i)
         mins.append(np.abs(z).min())
-        out = _avgpool_forward(z * (z > 0))
+        out = _avgpool_forward(z * (z > 0), ws)
     h = out.mean(axis=(1, 2))
     hs = lstm_hidden_sequence(h, params)
     u = hs[-1] @ params.tensors["head_w1"].T + params.tensors["head_b1"]
@@ -104,44 +106,69 @@ def _wide_range(rng, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
 
 
+def _check_primitives(ws, b, h, w, c, f, rng):
+    """Every encoder primitive, run through ``ws``, equals its reference bit
+    for bit on one random (b, h, w, c) input and f output maps."""
+    from alarmsift.net import (_avgpool_backward, _avgpool_forward,
+                               _conv_backward, _conv_forward, _im2col)
+
+    x = _wide_range(rng, (b, h, w, c))
+    cols = _im2col(x, ws, "cols1")
+    assert np.array_equal(cols, _ref_im2col(x))
+
+    wt = rng.standard_normal((f, c, 3, 3))
+    z, cols = _conv_forward(x, wt, rng.standard_normal(f), ws, 1)
+    mask = z > 0
+    relu = z * mask
+    assert np.array_equal(_avgpool_forward(relu, ws), _ref_avgpool_forward(relu))
+
+    dy = _wide_range(rng, (b, h // 2, w // 2, f))
+    dz = _avgpool_backward(dy, mask, ws)
+    assert np.array_equal(dz, _ref_avgpool_backward(dy, mask))
+    for got, want in zip(_conv_backward(dz, cols, wt, True, ws),
+                         _ref_conv_backward(dz, cols, wt)):
+        assert np.array_equal(got, want)
+
+
 class TestPrimitivesMatchReference:
     @given(b=st.integers(1, 3), h=st.integers(1, 6), w=st.integers(1, 6),
            c=st.integers(1, 5), f=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal(self, b, h, w, c, f, seed):
-        from alarmsift.net import (_avgpool_backward, _avgpool_forward,
-                                   _conv_backward, _conv_forward, _im2col)
+        from alarmsift.net import _Workspace
 
-        h, w = 2 * h, 2 * w
+        _check_primitives(_Workspace(), b, 2 * h, 2 * w, c, f,
+                          np.random.default_rng(seed))
+
+    @given(small=st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6),
+                           st.integers(1, 5), st.integers(1, 4)),
+           grow=st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3),
+                          st.integers(0, 3), st.integers(0, 3)),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_reused_workspace_larger_then_smaller(self, small, grow, seed):
+        """One workspace through a larger then a smaller shape: the second
+        call must not see the first call's pad border, columns or dx."""
+        from alarmsift.net import _Workspace
+
         rng = np.random.default_rng(seed)
-        x = _wide_range(rng, (b, h, w, c))
-        cols = _im2col(x)
-        assert np.array_equal(cols, _ref_im2col(x))
-
-        wt = rng.standard_normal((f, c, 3, 3))
-        z, _ = _conv_forward(x, wt, rng.standard_normal(f))
-        mask = z > 0
-        relu = z * mask
-        assert np.array_equal(_avgpool_forward(relu), _ref_avgpool_forward(relu))
-
-        dy = _wide_range(rng, (b, h // 2, w // 2, f))
-        dz = _avgpool_backward(dy, mask)
-        assert np.array_equal(dz, _ref_avgpool_backward(dy, mask))
-        for got, want in zip(_conv_backward(dz, cols, wt, need_dx=True),
-                             _ref_conv_backward(dz, cols, wt)):
-            assert np.array_equal(got, want)
+        ws = _Workspace()
+        b, h, w, c, f = (s + g for s, g in zip(small, grow))
+        _check_primitives(ws, b, 2 * h, 2 * w, c, f, rng)
+        b, h, w, c, f = small
+        _check_primitives(ws, b, 2 * h, 2 * w, c, f, rng)
 
     @given(b=st.integers(1, 3), h=st.integers(1, 9), w=st.integers(1, 9),
            c=st.integers(1, 5), f=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_conv_forward_matches_direct_loop(self, b, h, w, c, f, seed):
-        from alarmsift.net import _conv_forward
+        from alarmsift.net import _Workspace, _conv_forward
 
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((b, h, w, c))
         wt = rng.standard_normal((f, c, 3, 3))
         bias = rng.standard_normal(f)
-        out, _ = _conv_forward(x, wt, bias)
+        out, _ = _conv_forward(x, wt, bias, _Workspace(), 1)
         np.testing.assert_allclose(out, _direct_conv(x, wt, bias),
                                    rtol=1e-12, atol=1e-12)
 
@@ -414,6 +441,18 @@ class TestPredict:
         singles = [forward(x[i], params)[0] for i in range(3)]
         np.testing.assert_allclose(scores, singles, atol=1e-15)
 
+    def test_unchanged_by_a_train_on_other_shapes(self):
+        """No buffer outlives a call: scores are the same bytes before and
+        after a train on larger input of another shape."""
+        params = reduced_params()
+        x = np.random.default_rng(7).random((5, 3, 4, 8, 8))
+        before = predict(x, params, batch_size=2)
+        cfg = replace(REDUCED, n_chunks=2, input_hw=16, max_epochs=2)
+        big = np.random.default_rng(8).random((12, 2, 4, 16, 16))
+        labels = np.arange(12) % 2 == 0
+        train(big, labels, np.arange(8), np.arange(8, 12), cfg)
+        assert predict(x, params, batch_size=2).tobytes() == before.tobytes()
+
     @given(t=st.integers(1, 5), c=st.integers(1, 4), hw=st.sampled_from((8, 16)))
     @settings(max_examples=40, deadline=None)
     def test_checks_each_sequence_shape(self, t, c, hw):
@@ -451,15 +490,17 @@ class TestGradients:
             assert err < 1e-4, f"{name}: {err}"
 
     def test_gradient_vanishes_at_saturated_minimum(self):
-        from alarmsift.net import _batch_loss_and_grad, _model_backward, _model_forward
+        from alarmsift.net import (_Workspace, _batch_loss_and_grad,
+                                   _model_backward, _model_forward)
 
         params, sample = _kink_free_fixture()
         params.tensors["head_w2"][:] = 0.0
         params.tensors["head_b2"][:] = np.array([-20.0, 20.0])  # p_true ~ 1
-        probs, cache = _model_forward(sample[None], params, False, None)
+        ws = _Workspace()
+        probs, cache = _model_forward(sample[None], params, False, None, ws)
         loss, dlogits = _batch_loss_and_grad(
             probs, np.array([True]), ClassWeights(1.0, 1.0))
-        grads = _model_backward(dlogits, cache, params)
+        grads = _model_backward(dlogits, cache, params, ws)
         gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         assert loss < 1e-8
         assert gnorm < 1e-6

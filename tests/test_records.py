@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from alarmsift.records import (AlarmType, CHANNEL_ORDER, Channel,
                                RecordError, SynthSpec, class_weights,
                                filter_four_channel, load_record, synth_dataset,
-                               tail_window, write_record)
+                               synthetic_ecg, tail_window, write_record)
 from conftest import make_record
 
 
@@ -175,6 +175,40 @@ class TestClassWeights:
         n = n_true + n_false
         assert math.isclose(n_true * w.w_true + n_false * w.w_false, n,
                             rel_tol=1e-12)
+
+
+def _ref_synthetic_ecg(duration_s, fs, bpm, rng, noise_std=0.0):
+    """The seed's formulation: every beat evaluated over the whole window."""
+    n = int(round(duration_s * fs))
+    t = np.arange(n) / fs
+    x = np.zeros(n)
+    period = 60.0 / bpm
+    beat_t = rng.uniform(0.1, 0.9) * period
+    width = 0.02
+    while beat_t < duration_s:
+        u = (t - beat_t) / width
+        x += np.exp(-0.5 * u * u) - 0.3 * np.exp(-0.5 * ((u - 2.0) ** 2))
+        beat_t += period * (1.0 + 0.02 * rng.standard_normal())
+    if noise_std > 0:
+        x += noise_std * rng.standard_normal(n)
+    return x
+
+
+class TestSyntheticEcg:
+    @given(duration_s=st.floats(0.05, 6.0), fs=st.sampled_from([100.0, 250.0, 500.0]),
+           bpm=st.one_of(st.sampled_from([20.0, 40.0, 180.0, 300.0]),
+                         st.floats(20.0, 300.0)),
+           noise_std=st.sampled_from([0.0, 0.05]), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_local_window_matches_full_length_bit_for_bit(
+            self, duration_s, fs, bpm, noise_std, seed):
+        """Short windows put beats within 40 QRS widths of both ends, so the
+        clipped evaluation windows are exercised; bytes compare sign bits
+        too."""
+        got = synthetic_ecg(duration_s, fs, bpm, np.random.default_rng(seed), noise_std)
+        want = _ref_synthetic_ecg(duration_s, fs, bpm, np.random.default_rng(seed),
+                                  noise_std)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSynthDataset:

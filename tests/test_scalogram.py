@@ -146,6 +146,27 @@ class TestCwt:
         assert nfft >= n + half
         assert nfft >= 2 * half + 1
 
+    @given(n=st.integers(2, 3000), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_out_buffer_gives_the_same_coefficients(self, n, seed):
+        """With ``out`` the coefficients are a view into it and equal the
+        fresh-array result, whatever the buffer held before."""
+        rng = np.random.default_rng(seed)
+        scales = log_scales()
+        buf = np.full((64, fft_length(n, 128.0)), np.nan, dtype=np.complex128)
+        for x in (rng.standard_normal(n), rng.standard_normal(n)):
+            got = cwt(x, scales, out=buf)
+            assert np.array_equal(got, cwt(x, scales))
+            assert np.shares_memory(got, buf)
+
+    def test_out_buffer_of_wrong_shape_or_dtype_rejected(self):
+        x = np.ones(100)
+        nfft = fft_length(100, 128.0)
+        for bad in (np.empty((64, nfft + 1), complex), np.empty((63, nfft), complex),
+                    np.empty((64, nfft))):
+            with pytest.raises(ValueError, match="out must be a complex128 array"):
+                cwt(x, log_scales(), out=bad)
+
     def test_time_shift_covariance(self):
         rng = np.random.default_rng(5)
         n, delta = 2048, 37
