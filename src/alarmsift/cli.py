@@ -19,7 +19,7 @@ from .harness import (AblationSpec, ExperimentConfig, SweepSpec, ablate,
                       build_sequences, emit_comparison, emit_report,
                       holdout_run, prepare_records, run_experiment, sweep,
                       write_ablation, write_sweep)
-from .net import ModelConfig, save_checkpoint
+from .net import save_checkpoint
 from .records import SynthSpec, synth_dataset, write_dataset
 
 
@@ -39,17 +39,16 @@ def _load_json(path) -> dict:
         raise CliError(f"cannot read config {path}: {exc}") from exc
 
 
-def _experiment_config(args, overrides_ok: bool = True) -> ExperimentConfig:
+def _experiment_config(args) -> ExperimentConfig:
     blob = _load_json(args.config)
     blob.pop("sweep_spec", None)
     blob.pop("ablation_spec", None)
-    if overrides_ok:
-        if getattr(args, "data", None):
-            blob["data_dir"] = args.data
-        if getattr(args, "seed", None) is not None:
-            blob["seed"] = args.seed
-        if getattr(args, "out", None):
-            blob["out_dir"] = args.out
+    if getattr(args, "data", None):
+        blob["data_dir"] = args.data
+    if getattr(args, "seed", None) is not None:
+        blob["seed"] = args.seed
+    if getattr(args, "out", None):
+        blob["out_dir"] = args.out
     return ExperimentConfig.from_dict(blob)
 
 
@@ -67,20 +66,11 @@ def cmd_features(args) -> None:
 
 
 def cmd_train(args) -> None:
-    blob = _load_json(args.config)
-    if "experiment" in blob:
-        cfg = ExperimentConfig.from_dict(blob)
-        model_cfg = cfg.resolved_model()
-        channels = cfg.channel_subset()
-        window_s = cfg.window_s
-    else:
-        model_cfg = ModelConfig.from_dict(blob)
-        channels = None
-        window_s = 60.0
-    records = prepare_records(args.data, window_s)
+    cfg = _experiment_config(args)
+    model_cfg = cfg.resolved_model()
+    records = prepare_records(cfg.data_dir, cfg.window_s)
     labels = np.array([r.label for r in records], dtype=bool)
-    subset = channels or records[0].channels
-    x = build_sequences(records, model_cfg.n_chunks, subset)
+    x = build_sequences(records, model_cfg.n_chunks, cfg.channel_subset())
     params, history, best_val, test_auc = holdout_run(
         x, labels, model_cfg, model_cfg.seed)
     out = Path(args.out)

@@ -25,7 +25,7 @@ from .records import (CHANNEL_ORDER, Channel, Record, load_dataset,
 from .stats import (Confusion, FoldAssignment, auc, confusion_metrics,
                     bootstrap_auc_diff, delong_test, error_report,
                     fold_summary, per_alarm_report, stratified_kfold)
-from .temporal import build_sequence
+from .temporal import build_sequence, check_chunk_count
 
 EXPERIMENTS = ("temporal", "static", "features", "per_alarm")
 
@@ -432,8 +432,10 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
     channel grid at 6 chunks.  The chunks=1 condition is the static (no
     LSTM) model, and ``channels=c`` uses the first ``c`` of ``base.channels``.
 
-    Every chunk count is checked against every record's length, and every
+    Every chunk count is checked against the record length, and every
     channel count against ``base.channels``, before the first transform.
+    ``prepare_records`` gives every record the same length, so the first
+    record stands for all.
     Conditions naming the same model, (n_chunks, n_channels), are trained
     once.  Each chunk count's tensor is built once, over the widest channel
     prefix its conditions use, and freed before the next one is built.  A
@@ -452,10 +454,7 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
     for _, n_chunks, n_channels in conditions:
         channel_counts.setdefault(n_chunks, {})[n_channels] = None
     for n_chunks in channel_counts:
-        for r in records:
-            if r.n_samples % n_chunks:
-                raise ValueError(f"record {r.record_id}: {r.n_samples} samples "
-                                 f"not divisible by chunk count {n_chunks}")
+        check_chunk_count(records[0], n_chunks)
     labels = np.array([r.label for r in records], dtype=bool)
     ids = [r.record_id for r in records]
     assignment = stratified_kfold(labels, spec.folds, base.seed, tuple(ids))

@@ -561,12 +561,20 @@ class _Adam:
 # ---------------------------------------------------------------------------
 
 def _as_batch(sequences, cfg: ModelConfig) -> np.ndarray:
-    """(N, T, C, H, W) model input, each sequence's shape checked against
-    ``cfg``; a sequence holding NaN or inf is refused by its index."""
+    """The one check on model input, made by every public entry point: an
+    (N, T, C, H, W) batch whose (T, C, H, W) matches ``cfg``.  A sequence
+    holding NaN or inf is refused by its index.  Entry points that take one
+    sequence pass it as a batch of one."""
     x = sequences if isinstance(sequences, np.ndarray) else stack_sequences(sequences)
     if x.ndim != 5:
         raise ValueError(f"expected (N, n_chunks, C, H, W) input, got shape {x.shape}")
-    _check_shape(x.shape[1:], cfg)
+    t, c, h, w = x.shape[1:]
+    if c != cfg.in_channels or h != cfg.input_hw or w != cfg.input_hw:
+        raise ValueError(
+            f"input shape {x.shape[1:]} does not match config "
+            f"(C={cfg.in_channels}, HW={cfg.input_hw})")
+    if t != cfg.n_chunks:
+        raise ValueError(f"sequence has {t} chunks, config expects {cfg.n_chunks}")
     finite = np.isfinite(x).all(axis=(1, 2, 3, 4))
     if not finite.all():
         raise ValueError(f"sequence {int(np.argmin(finite))} holds NaN or inf")
@@ -580,7 +588,8 @@ def stack_sequences(sequences) -> np.ndarray:
 
 def encode_chunks(seq, params: ModelParams) -> np.ndarray:
     """Per-chunk embeddings (n_chunks, D) from the shared encoder."""
-    h, _ = _encoder_forward(np.asarray(seq, float), params.tensors, _Workspace())
+    x = _as_batch(np.asarray(seq, float)[None], params.config)
+    h, _ = _encoder_forward(x[0], params.tensors, _Workspace())
     return h
 
 
@@ -604,26 +613,12 @@ def forward(seq, params: ModelParams, mode: str = "eval",
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = np.asarray(seq, float)
-    _check_shape(x.shape, params.config)
+    x = _as_batch(np.asarray(seq, float)[None], params.config)
     train = mode == "train"
     if train and rng is None:
         rng = np.random.default_rng(0)
-    probs, _ = _model_forward(x[None], params, train, rng, _Workspace())
+    probs, _ = _model_forward(x, params, train, rng, _Workspace())
     return float(probs[0, 1]), float(probs[0, 0])
-
-
-def _check_shape(shape: tuple, cfg: ModelConfig):
-    """One sequence's (n_chunks, C, H, W) shape against the model config."""
-    if len(shape) != 4:
-        raise ValueError(f"expected (n_chunks, C, H, W) input, got shape {shape}")
-    t, c, h, w = shape
-    if c != cfg.in_channels or h != cfg.input_hw or w != cfg.input_hw:
-        raise ValueError(
-            f"input shape {shape} does not match config "
-            f"(C={cfg.in_channels}, HW={cfg.input_hw})")
-    if t != cfg.n_chunks:
-        raise ValueError(f"sequence has {t} chunks, config expects {cfg.n_chunks}")
 
 
 def predict(sequences, params: ModelParams, batch_size: int = 16) -> np.ndarray:
@@ -717,7 +712,7 @@ def finite_diff_check(params: ModelParams, sample, label: bool,
     max(||g_analytic||_2, ||g_numeric||_2, 1e-12).  Returns the max over
     parameter groups, or the full per-group dict when ``per_group``.
     """
-    x = np.asarray(sample, float)[None]
+    x = _as_batch(np.asarray(sample, float)[None], params.config)
     labels = np.array([label])
     ws = _Workspace()
 

@@ -25,6 +25,7 @@ wavelet transform).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,26 +101,24 @@ def fft_length(n: int, max_scale: float) -> int:
     return next_fast_len(max(n + max_half, 2 * max_half + 1))
 
 
-# Kernel spectra are reused heavily across chunks/channels/records; keep the
-# few most recent (scales, omega0, nfft) entries.
-_KERNEL_CACHE: dict[tuple, np.ndarray] = {}
-_KERNEL_CACHE_MAX = 4
+@functools.lru_cache(maxsize=4)
+def _kernel_spectra(scale_bytes: bytes, omega0: float, nfft: int) -> np.ndarray:
+    """FFTs of the truncated kernels at the float64 scales in ``scale_bytes``.
 
-
-def _kernel_spectra(scales: np.ndarray, params: MorletParams, nfft: int) -> np.ndarray:
-    key = (scales.tobytes(), params.omega0, nfft)
-    spectra = _KERNEL_CACHE.get(key)
-    if spectra is None:
-        offsets = np.arange(nfft)
-        offsets = np.where(offsets > nfft // 2, offsets - nfft, offsets).astype(np.float64)
-        kernels = np.zeros((scales.size, nfft), dtype=np.complex128)
-        for i, a in enumerate(scales):
-            support = np.abs(offsets) <= KERNEL_SUPPORT_SCALES * a
-            kernels[i, support] = morlet_wavelet(offsets[support], a, params)
-        spectra = np.fft.fft(kernels, axis=1)
-        if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
-            _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-        _KERNEL_CACHE[key] = spectra
+    Every chunk of a run shares one scale grid and a few FFT lengths, so a
+    few entries are reused across all chunks, channels and records.  The
+    result is read-only: every caller shares it.
+    """
+    params = MorletParams(omega0)
+    offsets = np.arange(nfft)
+    offsets = np.where(offsets > nfft // 2, offsets - nfft, offsets).astype(np.float64)
+    scales = np.frombuffer(scale_bytes)
+    kernels = np.zeros((scales.size, nfft), dtype=np.complex128)
+    for i, a in enumerate(scales):
+        support = np.abs(offsets) <= KERNEL_SUPPORT_SCALES * a
+        kernels[i, support] = morlet_wavelet(offsets[support], a, params)
+    spectra = np.fft.fft(kernels, axis=1)
+    spectra.setflags(write=False)
     return spectra
 
 
@@ -154,7 +153,7 @@ def cwt(signal: np.ndarray, scales: ScaleGrid | np.ndarray,
     scale_values = scales.values if isinstance(scales, ScaleGrid) else np.asarray(scales, float)
     n = x.size
     nfft = fft_length(n, scale_values.max())
-    spectra = _kernel_spectra(scale_values, params, nfft)
+    spectra = _kernel_spectra(scale_values.tobytes(), params.omega0, nfft)
     if out is None:
         out = np.empty(spectra.shape, dtype=np.complex128)
     elif out.shape != spectra.shape or out.dtype != np.complex128:

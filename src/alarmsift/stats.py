@@ -35,27 +35,40 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _finite_scores(scores, caller: str) -> np.ndarray:
-    """``scores`` as float64; a NaN or infinite score raises ValueError."""
+def _scores_and_labels(scores, labels, caller: str, both_classes: bool = False):
+    """The one check on score vectors: float64 ``scores`` and bool ``labels``.
+
+    Raises ValueError naming ``caller`` unless the scores are a 1-D vector
+    with one finite score per label, and, with ``both_classes``, unless the
+    labels hold both classes.
+    """
     scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    if scores.ndim != 1 or scores.shape != labels.shape:
+        raise ValueError(f"{caller} requires one score per label in a 1-D vector; "
+                         f"got shapes {scores.shape} and {labels.shape}")
     if not np.isfinite(scores).all():
         raise ValueError(f"{caller} requires finite scores; got NaN or inf")
-    return scores
+    if both_classes and (labels.all() or not labels.any()):
+        raise ValueError(f"{caller} requires both classes present")
+    return scores, labels
+
+
+def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """``auc`` of input that ``_scores_and_labels`` has already checked."""
+    m = int(labels.sum())
+    n = labels.size - m
+    ranks = _midranks(scores)
+    return (ranks[labels].sum() - m * (m + 1) / 2.0) / (m * n)
 
 
 def auc(scores, labels) -> float:
     """Probability a random positive outscores a random negative (ties = 0.5).
 
-    Scores must be finite; a NaN or infinite score raises ValueError.
+    Scores must be finite, one per label, and both classes must be present;
+    anything else raises ValueError.
     """
-    scores = _finite_scores(scores, "auc")
-    labels = np.asarray(labels, dtype=bool)
-    m = int(labels.sum())
-    n = labels.size - m
-    if m == 0 or n == 0:
-        raise ValueError("auc requires both classes present")
-    ranks = _midranks(scores)
-    return (ranks[labels].sum() - m * (m + 1) / 2.0) / (m * n)
+    return _auc(*_scores_and_labels(scores, labels, "auc", both_classes=True))
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +86,7 @@ class Confusion:
     def from_predictions(cls, p_true, labels, threshold: float = 0.5) -> "Confusion":
         """Counts at ``p_true >= threshold``; a NaN or inf score raises
         ValueError rather than counting as a negative prediction."""
-        p = _finite_scores(p_true, "Confusion.from_predictions")
-        y = np.asarray(labels, dtype=bool)
+        p, y = _scores_and_labels(p_true, labels, "Confusion.from_predictions")
         pred = p >= threshold
         return cls(
             tp=int(np.sum(pred & y)),
@@ -215,15 +227,11 @@ def delong_test(scores_a, scores_b, labels) -> DelongResult:
     normal.  Zero estimated variance (e.g. identical score vectors) yields
     z = 0, p = 1.
     """
-    scores_a = np.asarray(scores_a, dtype=np.float64)
-    scores_b = np.asarray(scores_b, dtype=np.float64)
-    labels = np.asarray(labels, dtype=bool)
-    if scores_a.shape != scores_b.shape or scores_a.shape != labels.shape:
-        raise ValueError("paired scores and labels must have identical shape")
+    scores_a, labels = _scores_and_labels(scores_a, labels, "delong_test",
+                                          both_classes=True)
+    scores_b, _ = _scores_and_labels(scores_b, labels, "delong_test")
     m = int(labels.sum())
     n = labels.size - m
-    if m == 0 or n == 0:
-        raise ValueError("delong_test requires both classes present")
     v10_a, v01_a = _structural_components(scores_a, labels)
     v10_b, v01_b = _structural_components(scores_b, labels)
     auc_a = float(v10_a.mean())
@@ -256,14 +264,12 @@ def bootstrap_auc_diff(scores_a, scores_b, labels, n_iter: int = 1000,
     """Percentile 95% CI of AUC_a - AUC_b over paired record resamples.
 
     Records are drawn with replacement; a resample missing one class is
-    redrawn.  Deterministic under ``seed``.
+    redrawn.  Deterministic under ``seed``.  The input is checked once.
     """
-    scores_a = np.asarray(scores_a, dtype=np.float64)
-    scores_b = np.asarray(scores_b, dtype=np.float64)
-    labels = np.asarray(labels, dtype=bool)
+    scores_a, labels = _scores_and_labels(scores_a, labels, "bootstrap_auc_diff",
+                                          both_classes=True)
+    scores_b, _ = _scores_and_labels(scores_b, labels, "bootstrap_auc_diff")
     n = labels.size
-    if labels.sum() in (0, n):
-        raise ValueError("bootstrap_auc_diff requires both classes present")
     rng = np.random.default_rng(seed)
     diffs = np.empty(n_iter)
     for i in range(n_iter):
@@ -272,7 +278,7 @@ def bootstrap_auc_diff(scores_a, scores_b, labels, n_iter: int = 1000,
             y = labels[idx]
             if 0 < y.sum() < n:
                 break
-        diffs[i] = auc(scores_a[idx], y) - auc(scores_b[idx], y)
+        diffs[i] = _auc(scores_a[idx], y) - _auc(scores_b[idx], y)
     lo, hi = np.percentile(diffs, [2.5, 97.5])
     return BootstrapCI(float(lo), float(hi), n_iter, seed)
 
@@ -306,12 +312,11 @@ def per_alarm_report(p_true, records: list[Record],
     """Per-alarm-type sample count, AUC, and accuracy at ``threshold``.
 
     Types where every record shares one label report accuracy only; their
-    AUC is None and the row is flagged single_class.
+    AUC is None and the row is flagged single_class.  Anything but one
+    finite score per record raises ValueError.
     """
-    p = np.asarray(p_true, dtype=np.float64)
-    if p.size != len(records):
-        raise ValueError("every record needs a prediction")
-    labels = np.array([r.label for r in records], dtype=bool)
+    p, labels = _scores_and_labels(p_true, [r.label for r in records],
+                                   "per_alarm_report")
     types = np.array([r.alarm_type for r in records], dtype=object)
     rows = []
     for atype in AlarmType:
@@ -324,7 +329,7 @@ def per_alarm_report(p_true, records: list[Record],
         rows.append(PerAlarmRow(
             alarm_type=atype,
             n=int(sel.sum()),
-            auc=None if single else auc(s, y),
+            auc=None if single else _auc(s, y),
             accuracy=acc,
             single_class=single,
         ))
@@ -338,13 +343,16 @@ def error_report(p_true, labels, record_ids=None,
     FN = true alarms scored below 0.5; FP = false alarms scored at or
     above.  A high-confidence error is any misclassified record whose
     winning-class probability exceeds ``confidence_threshold``.  A NaN or
-    infinite probability raises ValueError.
+    infinite probability, or a length that differs between ``p_true``,
+    ``labels`` and ``record_ids``, raises ValueError.
     """
-    p = _finite_scores(p_true, "error_report")
+    p, y = _scores_and_labels(p_true, labels, "error_report")
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    y = np.asarray(labels, dtype=bool)
     ids = tuple(record_ids) if record_ids is not None else tuple(str(i) for i in range(p.size))
+    if len(ids) != p.size:
+        raise ValueError(f"error_report requires one record id per score; got "
+                         f"{len(ids)} ids for {p.size} scores")
     pred = p >= 0.5
     fn = [ids[i] for i in range(p.size) if y[i] and not pred[i]]
     fp = [ids[i] for i in range(p.size) if not y[i] and pred[i]]

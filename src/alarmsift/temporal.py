@@ -13,6 +13,15 @@ SCALES = log_scales()
 MORLET = MorletParams()
 
 
+def check_chunk_count(record: Record, n_chunks: int) -> None:
+    """Refuse a chunk count below 1 or one that does not divide ``record``."""
+    if n_chunks < 1:
+        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
+    if record.n_samples % n_chunks:
+        raise ValueError(f"record {record.record_id}: {record.n_samples} samples "
+                         f"not divisible by chunk count {n_chunks}")
+
+
 def build_sequence(record: Record, n_chunks: int,
                    channel_subset: tuple[Channel, ...] | list[Channel] | None = None
                    ) -> np.ndarray:
@@ -27,10 +36,7 @@ def build_sequence(record: Record, n_chunks: int,
     subset = record.channels if channel_subset is None else tuple(channel_subset)
     if not subset:
         raise ValueError("channel subset must be non-empty")
-    if n_chunks < 1:
-        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
-    if record.n_samples % n_chunks != 0:
-        raise ValueError(f"{record.n_samples} not divisible by {n_chunks}")
+    check_chunk_count(record, n_chunks)
     # (n_chunks, N / n_chunks) views; Record.channel raises if a channel is absent
     chunks = [record.channel(chan).reshape(n_chunks, -1) for chan in subset]
     tensors = np.empty((n_chunks, len(subset), SCALES.n_scales, 64))

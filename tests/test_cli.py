@@ -66,6 +66,20 @@ class TestTrain:
         assert history["stop_reason"] in ("patience", "max_epochs")
 
 
+    def test_bare_model_config_refused(self, cli_data, tmp_path, capsys):
+        """``train`` takes an experiment config, as ``run`` does, not the
+        ``model`` block on its own."""
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(TINY["model"]))
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(cli_data), "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "error" in err and "message" in err
+        assert not out.exists()
+
+
 class TestRunAndReport:
     def test_run_then_report(self, cli_data, tmp_path, capsys):
         cfg = write_config(tmp_path, data_dir=str(cli_data),

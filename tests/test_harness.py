@@ -95,6 +95,21 @@ class TestRunExperiment:
         folds = {r["record_id"]: r["fold"] for r in rows}
         assert set(folds.values()) == {"0", "1"}
 
+    def test_chunk_count_refused_by_record_before_any_cwt(self, data_dir, tmp_path,
+                                                          monkeypatch):
+        real_cwt, calls = alarmsift.temporal.cwt, []
+
+        def counting_cwt(*args, **kwargs):
+            calls.append(1)
+            return real_cwt(*args, **kwargs)
+
+        monkeypatch.setattr(alarmsift.temporal, "cwt", counting_cwt)
+        cfg = tiny_config(data_dir, tmp_path, model={"n_chunks": 7})
+        with pytest.raises(ValueError, match=r"^record \S+: 15000 samples not "
+                                             r"divisible by chunk count 7$"):
+            run_experiment(cfg)
+        assert calls == []
+
     def test_features_mode(self, data_dir, tmp_path):
         cfg = tiny_config(data_dir, tmp_path, experiment="features")
         report = json.loads((run_experiment(cfg) / "report.json").read_text())

@@ -22,6 +22,14 @@ def reduced_params(seed=3):
     return init_params(REDUCED, np.random.default_rng(seed))
 
 
+# The public entry points that take one chunk sequence, as (seq, params) calls.
+SINGLE_SEQUENCE_CALLS = (
+    forward,
+    encode_chunks,
+    lambda seq, params: finite_diff_check(params, seq, True),
+)
+
+
 def _kink_free_fixture(epsilon=1e-5, margin=10.0):
     """Deterministically pick (params, sample) whose ReLU pre-activations all
     sit further than ``margin * epsilon`` from zero; central differences are
@@ -225,10 +233,11 @@ class TestForward:
 
     def test_shape_mismatch_errors(self):
         params = reduced_params()
-        with pytest.raises(ValueError, match="chunks"):
-            forward(np.zeros((5, 4, 8, 8)), params)
-        with pytest.raises(ValueError):
-            forward(np.zeros((3, 2, 8, 8)), params)
+        for call in SINGLE_SEQUENCE_CALLS:
+            with pytest.raises(ValueError, match="chunks"):
+                call(np.zeros((5, 4, 8, 8)), params)
+            with pytest.raises(ValueError, match=r"input shape \(3, 2, 8, 8\)"):
+                call(np.zeros((3, 2, 8, 8)), params)
 
     def test_weight_sharing_across_chunks(self):
         """Permuting chunk tensors permutes the embeddings identically."""
@@ -426,6 +435,15 @@ class TestNonFiniteInput:
             predict(x, reduced_params())
         with pytest.raises(ValueError, match=rf"^sequence {first} holds NaN or inf$"):
             predict(list(x), reduced_params())
+
+    @pytest.mark.parametrize("call", SINGLE_SEQUENCE_CALLS)
+    @given(case=_batch_with_non_finite())
+    @settings(max_examples=20, deadline=None)
+    def test_single_sequence_entry_points_refuse(self, call, case):
+        """One sequence goes in as a batch of one, so it is sequence 0."""
+        x, _, first = case
+        with pytest.raises(ValueError, match=r"^sequence 0 holds NaN or inf$"):
+            call(x[first], reduced_params())
 
 
 class TestPredict:

@@ -167,6 +167,16 @@ class TestCwt:
             with pytest.raises(ValueError, match="out must be a complex128 array"):
                 cwt(x, log_scales(), out=bad)
 
+    def test_cached_kernel_spectra_are_read_only(self):
+        """Every transform at one (scales, omega0, FFT length) reads the same
+        cached spectra, so a write to them would corrupt later transforms."""
+        from alarmsift.scalogram import _kernel_spectra
+
+        spectra = _kernel_spectra(log_scales().values.tobytes(), 6.0,
+                                  fft_length(100, 128.0))
+        with pytest.raises(ValueError, match="read-only"):
+            spectra[0, 0] = 0.0
+
     def test_time_shift_covariance(self):
         rng = np.random.default_rng(5)
         n, delta = 2048, 37

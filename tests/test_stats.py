@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,8 +35,10 @@ class TestAuc:
         assert auc([0.9, 0.4, 0.6, 0.2], [1, 0, 0, 1]) == 0.5
 
     def test_single_class_errors(self):
-        with pytest.raises(ValueError):
-            auc([0.1, 0.2], [1, 1])
+        for name in ("auc", "delong_test", "bootstrap_auc_diff"):
+            with pytest.raises(ValueError,
+                               match=rf"^{name} requires both classes present"):
+                _call(name, np.array([0.1, 0.2]), np.ones(2, bool))
 
     def test_matches_pair_counting_with_ties(self):
         rng = np.random.default_rng(31)
@@ -245,6 +249,29 @@ class TestBootstrap:
         ci = bootstrap_auc_diff(strong, weak, labels, n_iter=500, seed=3)
         assert ci.lower > 0.0
 
+    def test_matches_reference_loop_bit_for_bit(self):
+        """The resamples skip the input check but keep ``auc``'s arithmetic:
+        bounds equal a loop over the public ``auc`` bit for bit, redraws of
+        one-class resamples included."""
+        def reference(a, b, labels, n_iter, seed):
+            rng, n = np.random.default_rng(seed), labels.size
+            diffs = np.empty(n_iter)
+            for i in range(n_iter):
+                while True:
+                    idx = rng.integers(0, n, size=n)
+                    y = labels[idx]
+                    if 0 < y.sum() < n:
+                        break
+                diffs[i] = auc(a[idx], y) - auc(b[idx], y)
+            return tuple(np.percentile(diffs, [2.5, 97.5]))
+
+        rng = np.random.default_rng(44)
+        for n, n_pos in ((8, 1), (30, 9), (56, 20)):
+            labels = np.arange(n) < n_pos
+            a, b = np.round(rng.random(n), 1), rng.random(n)  # a has ties
+            ci = bootstrap_auc_diff(a, b, labels, n_iter=300, seed=n)
+            assert (ci.lower, ci.upper) == reference(a, b, labels, 300, n)
+
     def test_agrees_with_delong_on_separated_pair(self):
         rng = np.random.default_rng(43)
         n = 400
@@ -341,3 +368,76 @@ class TestReports:
         labels = np.arange(scores.size) % 2 == 0
         with pytest.raises(ValueError, match="finite"):
             error_report(scores, labels)
+
+
+# ---------------------------------------------------------------------------
+# The one score check shared by every entry point that takes scores
+# ---------------------------------------------------------------------------
+
+def _records_with(labels):
+    return [make_record(f"r{i}", n=8, label=bool(y)) for i, y in enumerate(labels)]
+
+
+def _call(name, scores, labels, bad_side=0):
+    """Call entry point ``name`` with ``scores``; the paired tests get a good
+    second vector, on the side that ``bad_side`` does not name."""
+    good = np.linspace(0.0, 1.0, len(labels))
+    pair = (scores, good) if bad_side == 0 else (good, scores)
+    return {
+        "auc": lambda: auc(scores, labels),
+        "Confusion.from_predictions": lambda: Confusion.from_predictions(scores, labels),
+        "delong_test": lambda: delong_test(*pair, labels),
+        "bootstrap_auc_diff": lambda: bootstrap_auc_diff(*pair, labels, n_iter=10),
+        "error_report": lambda: error_report(scores, labels),
+        "per_alarm_report": lambda: per_alarm_report(scores, _records_with(labels)),
+    }[name]()
+
+
+ENTRY_POINTS = ("auc", "Confusion.from_predictions", "delong_test",
+                "bootstrap_auc_diff", "error_report", "per_alarm_report")
+
+
+@st.composite
+def _bad_scores(draw):
+    """Probabilities for two-class labels, with NaN, +inf or -inf at a drawn
+    position, or one score too many or too few."""
+    n = draw(st.integers(2, 30))
+    labels = np.arange(n) % 2 == 0
+    scores = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1))).random(n)
+    if draw(st.booleans()):
+        scores[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from((np.nan, np.inf, -np.inf)))
+    else:
+        scores = np.resize(scores, n + draw(st.sampled_from((-1, 1))))
+    return scores, labels
+
+
+class TestScoreCheck:
+    @given(name=st.sampled_from(ENTRY_POINTS), case=_bad_scores(),
+           bad_side=st.integers(0, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_every_entry_point_refuses_by_name(self, name, case, bad_side):
+        scores, labels = case
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} requires "):
+            _call(name, scores, labels, bad_side)
+
+    @pytest.mark.parametrize("name, scores, labels, message", [
+        ("delong_test", [0.1, np.nan, 0.7, 0.4], [1, 0, 1, 0], "finite scores"),
+        ("per_alarm_report", [0.9, np.nan, 0.2], [1, 1, 0], "finite scores"),
+        ("error_report", [0.9, 0.1, 0.8, 0.2, 0.6], [1, 0] * 10, "one score per label"),
+        ("auc", [0.9, 0.1, 0.4], [1, 0], "one score per label"),
+        ("bootstrap_auc_diff", [0.9, 0.1], [1, 0, 1], "one score per label"),
+        ("Confusion.from_predictions", [0.9, 0.1, 0.4], [1, 0], "one score per label"),
+        ("auc", [[0.9, 0.1], [0.4, 0.6]], [[1, 0], [1, 0]],
+         "one score per label in a 1-D vector"),
+    ])
+    def test_refuses_known_probe(self, name, scores, labels, message):
+        """Inputs that an entry point once processed silently, or failed on
+        deep inside numpy."""
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} requires {message}"):
+            _call(name, np.array(scores), np.array(labels, bool))
+
+    def test_error_report_refuses_record_ids_of_another_length(self):
+        with pytest.raises(ValueError, match=r"^error_report requires one record id "
+                                             r"per score; got 2 ids for 3 scores"):
+            error_report([0.9, 0.1, 0.4], [True, False, True], ["a", "b"])

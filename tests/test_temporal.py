@@ -35,7 +35,8 @@ class TestSplitChunks:
 
     def test_non_divisible_errors(self):
         r = make_record(n=15000)
-        with pytest.raises(ValueError, match="15000 not divisible by 7"):
+        with pytest.raises(ValueError, match=r"^record rec-0: 15000 samples not "
+                                             r"divisible by chunk count 7$"):
             build_sequence(r, 7)
         with pytest.raises(ValueError, match="n_chunks must be >= 1"):
             build_sequence(r, 0)
