@@ -369,21 +369,15 @@ class LinearModel:
             object.__setattr__(self, name, arr)
 
 
-def _as_matrix(features) -> np.ndarray:
-    if isinstance(features, np.ndarray):
-        return np.asarray(features, dtype=np.float64)
-    return np.stack([f.values if isinstance(f, FeatureVector) else np.asarray(f, float)
-                     for f in features])
-
-
 def linear_classifier_fit(features, labels, seed: int = 0, lr: float = 0.05,
                           n_iter: int = 800) -> LinearModel:
-    """Class-weighted logistic regression by full-batch gradient descent.
+    """Class-weighted logistic regression by full-batch gradient descent on
+    an (N, F) feature matrix.
 
     Features are standardized internally (training mean / std); class
     weights follow w_c = N / (2 * N_c).  Deterministic under ``seed``.
     """
-    x = _as_matrix(features)
+    x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=bool)
     cw = class_weights(y)  # raises on single-class input
     mu = x.mean(axis=0)
@@ -405,6 +399,6 @@ def linear_classifier_fit(features, labels, seed: int = 0, lr: float = 0.05,
 
 def linear_classifier_predict(model: LinearModel, features) -> np.ndarray:
     """Probability of the true-alarm class, in [0, 1]."""
-    x = _as_matrix(features)
+    x = np.asarray(features, dtype=np.float64)
     z = (x - model.mu) / model.sigma
     return 1.0 / (1.0 + np.exp(-(z @ model.weights + model.bias)))

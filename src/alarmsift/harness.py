@@ -234,7 +234,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     records = prepare_records(cfg.data_dir, cfg.window_s)
     labels = np.array([r.label for r in records], dtype=bool)
     ids = [r.record_id for r in records]
-    assignment = stratified_kfold(labels, cfg.folds, cfg.seed, tuple(ids))
+    assignment = stratified_kfold(labels, cfg.folds, cfg.seed)
 
     # built on first use and shared, so features and per_alarm extract once
     record_features = functools.cache(
@@ -317,16 +317,18 @@ def _training_curve(training) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Holdout training (used by the sweep and by `alarmsift train`)
+# Holdout training (`alarmsift train`; the sweep trains on the same split)
 # ---------------------------------------------------------------------------
 
-def holdout_run(x, labels, model_cfg: ModelConfig, split_seed: int,
-                fractions=(0.70, 0.15, 0.15)):
+_HOLDOUT_FRACTIONS = (0.70, 0.15, 0.15)
+
+
+def holdout_run(x, labels, model_cfg: ModelConfig, split_seed: int):
     """Single stratified 70/15/15 train/val/test run.
 
     Returns (params, history, val_auc_at_best, test_auc).
     """
-    tr, va, te = stratified_split(labels, fractions, split_seed)
+    tr, va, te = stratified_split(labels, _HOLDOUT_FRACTIONS, split_seed)
     params, history = train(x, labels, tr, va, model_cfg)
     best_val = max(history.val_auc)
     test_auc = auc(predict(x[te], params), labels[te])
@@ -355,20 +357,24 @@ class SweepSpec:
 class SweepResult:
     rows: list[dict]       # one per axis: parameter, values, winner, val_auc
     runs: list[dict]       # every executed run
-    runs_executed: int
+
+    @property
+    def runs_executed(self) -> int:
+        return len(self.runs)
 
 
 def sweep(spec: SweepSpec, base: ExperimentConfig) -> SweepResult:
     """For each axis, vary only that parameter (others at their defaults),
-    train ``repeats`` times per value on a fixed 70/15/15 split, and pick
-    the winner by mean validation AUC."""
+    train ``repeats`` times per value on the fixed 70/15/15 split of
+    ``holdout_run``, and pick the winner by mean validation AUC.  The test
+    part of the split is never scored."""
     records = prepare_records(base.data_dir, base.window_s)
     labels = np.array([r.label for r in records], dtype=bool)
     model_base = base.resolved_model()
     x = build_sequences(records, model_base.n_chunks, base.channel_subset())
+    tr, va, _ = stratified_split(labels, _HOLDOUT_FRACTIONS, base.seed)
 
     runs, rows = [], []
-    executed = 0
     for axis, values in spec.axes.items():
         means = []
         for value in values:
@@ -376,8 +382,8 @@ def sweep(spec: SweepSpec, base: ExperimentConfig) -> SweepResult:
             for r in range(spec.repeats):
                 cfg_run = replace(model_base, **{axis: value},
                                   seed=model_base.seed + r)
-                _, _, best_val, _ = holdout_run(x, labels, cfg_run, base.seed)
-                executed += 1
+                _, history = train(x, labels, tr, va, cfg_run)
+                best_val = max(history.val_auc)
                 aucs.append(best_val)
                 runs.append({"parameter": axis, "value": value, "repeat": r,
                              "val_auc": best_val})
@@ -385,7 +391,7 @@ def sweep(spec: SweepSpec, base: ExperimentConfig) -> SweepResult:
         win = int(np.argmax(means))
         rows.append({"parameter": axis, "values": list(values),
                      "winner": values[win], "val_auc": means[win]})
-    return SweepResult(rows=rows, runs=runs, runs_executed=executed)
+    return SweepResult(rows=rows, runs=runs)
 
 
 def write_sweep(result: SweepResult, out_dir) -> Path:
@@ -457,7 +463,7 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
         check_chunk_count(records[0], n_chunks)
     labels = np.array([r.label for r in records], dtype=bool)
     ids = [r.record_id for r in records]
-    assignment = stratified_kfold(labels, spec.folds, base.seed, tuple(ids))
+    assignment = stratified_kfold(labels, spec.folds, base.seed)
 
     fold_aucs = {}
     for n_chunks, widths in channel_counts.items():

@@ -79,9 +79,6 @@ class ModelParams:
     config: ModelConfig
     tensors: dict[str, np.ndarray]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
-
 
 @dataclass
 class TrainHistory:
@@ -151,9 +148,9 @@ class _Workspace:
     Each name maps to one flat array, which grows when a request does not
     fit; ``get`` returns a C-contiguous prefix view of the requested shape.
     A view holds whatever its last user left there, so a caller zeroes what
-    it needs zeroed.  ``train``, ``predict``, ``forward``, ``encode_chunks``
-    and ``finite_diff_check`` each make their own: no buffer outlives the
-    call, and no two threads share one.
+    it needs zeroed.  ``train``, ``predict``, ``encode_chunks`` and
+    ``finite_diff_check`` each make their own: no buffer outlives the call,
+    and no two threads share one.
     """
 
     def __init__(self):
@@ -483,21 +480,6 @@ def _model_backward(dlogits, cache, params: ModelParams, ws: _Workspace):
 # Loss
 # ---------------------------------------------------------------------------
 
-def weighted_loss(logits, label: bool, weights: ClassWeights) -> float:
-    """Class-weighted cross-entropy of one sample: -w_label * log p_label.
-
-    The log argument is clamped at 1e-12 so the loss is always finite.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.isfinite(logits).all():
-        raise ValueError("non-finite logits")
-    shifted = logits - logits.max()
-    p = np.exp(shifted) / np.exp(shifted).sum()
-    p_label = p[1] if label else p[0]
-    w = weights.w_true if label else weights.w_false
-    return float(-w * np.log(max(p_label, LOG_CLAMP)))
-
-
 def _batch_loss_and_grad(probs, labels, weights: ClassWeights):
     """Mean weighted CE over the batch and its gradient w.r.t. the logits."""
     bsz = probs.shape[0]
@@ -529,14 +511,6 @@ def _clip_to(grads: dict[str, np.ndarray], total, clip_norm: float):
             g *= scale
         return clip_norm
     return total
-
-
-def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float):
-    """Scale all gradients so the global L2 norm is at most ``clip_norm``.
-
-    Returns (grads, post_clip_norm); grads are modified in place.
-    """
-    return grads, _clip_to(grads, _global_norm(grads), clip_norm)
 
 
 class _Adam:
@@ -593,34 +567,6 @@ def encode_chunks(seq, params: ModelParams) -> np.ndarray:
     return h
 
 
-def lstm_hidden_sequence(embeddings: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Top-layer LSTM hidden states (n_chunks, hidden) for one sequence."""
-    cfg = params.config
-    seq = embeddings[None, :, :]
-    for layer in range(cfg.lstm_layers):
-        seq, _ = _lstm_layer_forward(
-            seq, params.tensors[f"lstm{layer}_wx"],
-            params.tensors[f"lstm{layer}_wh"], params.tensors[f"lstm{layer}_b"])
-    return seq[0]
-
-
-def forward(seq, params: ModelParams, mode: str = "eval",
-            rng: np.random.Generator | None = None) -> tuple[float, float]:
-    """Probabilities (p_true, p_false) for one chunk sequence.
-
-    ``mode='train'`` applies dropout using ``rng`` (a default seeded
-    generator is created when none is given).
-    """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = _as_batch(np.asarray(seq, float)[None], params.config)
-    train = mode == "train"
-    if train and rng is None:
-        rng = np.random.default_rng(0)
-    probs, _ = _model_forward(x, params, train, rng, _Workspace())
-    return float(probs[0, 1]), float(probs[0, 0])
-
-
 def predict(sequences, params: ModelParams, batch_size: int = 16) -> np.ndarray:
     """Eval-mode p_true per record; deterministic (dropout off)."""
     return _predict(_as_batch(sequences, params.config), params, _Workspace(),
@@ -641,12 +587,15 @@ def train(sequences, labels, train_idx, val_idx,
 
     Stops once validation AUC has not improved for ``cfg.patience`` epochs
     (ties keep the earliest best epoch) and returns the best-epoch weights.
-    Bitwise deterministic under ``cfg.seed``.  A batch whose loss or
-    pre-clip gradient norm is not finite raises ValueError naming the epoch
-    and the batch.
+    Bitwise deterministic under ``cfg.seed``.  Labels must be one per
+    sequence.  A batch whose loss or pre-clip gradient norm is not finite
+    raises ValueError naming the epoch and the batch.
     """
     x = _as_batch(sequences, cfg)
     labels = np.asarray(labels, dtype=bool)
+    if labels.shape != x.shape[:1]:
+        raise ValueError(f"train requires one label per sequence; got {labels.size} "
+                         f"labels for {x.shape[0]} sequences")
     train_idx = np.asarray(train_idx, dtype=np.int64)
     val_idx = np.asarray(val_idx, dtype=np.int64)
     for name, idx in (("train", train_idx), ("val", val_idx)):

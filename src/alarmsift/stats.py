@@ -154,7 +154,6 @@ class FoldAssignment:
     fold_of: np.ndarray
     k: int
     seed: int
-    record_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         fold_of = np.ascontiguousarray(self.fold_of, dtype=np.int64)
@@ -167,14 +166,8 @@ class FoldAssignment:
     def train_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of != fold)
 
-    def by_id(self) -> dict[str, int]:
-        if self.record_ids is None:
-            raise ValueError("fold assignment carries no record ids")
-        return {rid: int(f) for rid, f in zip(self.record_ids, self.fold_of)}
 
-
-def stratified_kfold(labels, k: int, seed: int,
-                     record_ids: tuple[str, ...] | None = None) -> FoldAssignment:
+def stratified_kfold(labels, k: int, seed: int) -> FoldAssignment:
     """Seeded shuffle within each class, then round-robin dealing to folds.
 
     Per-fold class counts differ by at most one.  Deterministic: the same
@@ -192,7 +185,7 @@ def stratified_kfold(labels, k: int, seed: int,
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
         fold_of[idx] = np.arange(idx.size) % k
-    return FoldAssignment(fold_of=fold_of, k=k, seed=seed, record_ids=record_ids)
+    return FoldAssignment(fold_of=fold_of, k=k, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +371,15 @@ def fold_summary(fold_aucs) -> FoldSummary:
     """Mean, std, and 95% interval (mean +/- 1.96 * std) over fold AUCs.
 
     The spread is the population std of the fold values, matching the
-    published interval arithmetic this toolkit reproduces.
+    published interval arithmetic this toolkit reproduces.  An empty list,
+    anything but a 1-D list, or a NaN or inf value raises ValueError.
     """
     a = np.asarray(fold_aucs, dtype=np.float64)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError(f"fold_summary requires a non-empty 1-D list of fold "
+                         f"AUCs; got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("fold_summary requires finite fold AUCs; got NaN or inf")
     mean = float(a.mean())
     std = float(a.std(ddof=0))
     return FoldSummary(mean, std, mean - Z_95 * std, mean + Z_95 * std)

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alarmsift.net import (ModelConfig, clip_gradients, encode_chunks,
-                           finite_diff_check, forward, init_params,
-                           load_checkpoint, lstm_hidden_sequence, predict,
-                           save_checkpoint, train, weighted_loss)
+from alarmsift.net import (ModelConfig, encode_chunks, finite_diff_check,
+                           init_params, load_checkpoint, predict,
+                           save_checkpoint, train)
 from alarmsift.records import ClassWeights
 
 REDUCED = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6, input_hw=8,
@@ -24,7 +23,6 @@ def reduced_params(seed=3):
 
 # The public entry points that take one chunk sequence, as (seq, params) calls.
 SINGLE_SEQUENCE_CALLS = (
-    forward,
     encode_chunks,
     lambda seq, params: finite_diff_check(params, seq, True),
 )
@@ -43,6 +41,27 @@ def _kink_free_fixture(epsilon=1e-5, margin=10.0):
     raise AssertionError("no kink-free fixture found")
 
 
+def _top_lstm_states(emb, params):
+    """Top-layer LSTM hidden states (T, hidden) of one (T, D) embedding
+    sequence, through the layer loop that ``_model_forward`` runs."""
+    from alarmsift.net import _lstm_layer_forward
+
+    seq = emb[None]
+    for layer in range(params.config.lstm_layers):
+        seq, _ = _lstm_layer_forward(seq, params.tensors[f"lstm{layer}_wx"],
+                                     params.tensors[f"lstm{layer}_wh"],
+                                     params.tensors[f"lstm{layer}_b"])
+    return seq[0]
+
+
+def _eval_probs(seq, params):
+    """Eval-mode softmax rows (1, 2) of one sequence from ``_model_forward``."""
+    from alarmsift.net import _Workspace, _model_forward
+
+    probs, _ = _model_forward(seq[None], params, False, None, _Workspace())
+    return probs
+
+
 def _min_preactivation(sample, params):
     from alarmsift.net import _Workspace, _avgpool_forward, _conv_forward
 
@@ -56,7 +75,7 @@ def _min_preactivation(sample, params):
         mins.append(np.abs(z).min())
         out = _avgpool_forward(z * (z > 0), ws)
     h = out.mean(axis=(1, 2))
-    hs = lstm_hidden_sequence(h, params)
+    hs = _top_lstm_states(h, params)
     u = hs[-1] @ params.tensors["head_w1"].T + params.tensors["head_b1"]
     mins.append(np.abs(u).min())
     return min(mins)
@@ -203,9 +222,9 @@ class TestForward:
         params = reduced_params()
         rng = np.random.default_rng(1)
         for _ in range(5):
-            pt, pf = forward(rng.random((3, 4, 8, 8)), params)
-            assert abs(pt + pf - 1.0) < 1e-12
-            assert 0.0 <= pt <= 1.0
+            probs = _eval_probs(rng.random((3, 4, 8, 8)), params)
+            assert abs(probs.sum() - 1.0) < 1e-12
+            assert 0.0 <= probs[0, 1] <= 1.0
 
     def test_internal_shape_contract(self):
         cfg = ModelConfig(embed_dim=128, lstm_hidden=64, n_chunks=6)
@@ -213,10 +232,9 @@ class TestForward:
         seq = np.random.default_rng(2).random((6, 4, 64, 64))
         emb = encode_chunks(seq, params)
         assert emb.shape == (6, 128)
-        hidden = lstm_hidden_sequence(emb, params)
+        hidden = _top_lstm_states(emb, params)
         assert hidden.shape == (6, 64)
-        pt, pf = forward(seq, params)
-        assert isinstance(pt, float) and isinstance(pf, float)
+        assert predict(seq[None], params).shape == (1,)
 
     def test_order_sensitivity_exists(self):
         params = reduced_params(11)
@@ -224,8 +242,8 @@ class TestForward:
         found = False
         for _ in range(100):
             seq = rng.random((3, 4, 8, 8))
-            pt_fwd, _ = forward(seq, params)
-            pt_rev, _ = forward(seq[::-1], params)
+            pt_fwd = predict(seq[None], params)[0]
+            pt_rev = predict(seq[::-1][None], params)[0]
             if abs(pt_fwd - pt_rev) > 1e-6:
                 found = True
                 break
@@ -252,44 +270,60 @@ class TestForward:
         params = reduced_params()
         params.tensors["head_w2"][:] = 0.0
         params.tensors["head_b2"][:] = 0.0
-        pt, pf = forward(np.random.default_rng(0).random((3, 4, 8, 8)), params)
-        assert pt == 0.5 and pf == 0.5
+        probs = _eval_probs(np.random.default_rng(0).random((3, 4, 8, 8)), params)
+        assert probs.tolist() == [[0.5, 0.5]]
 
 
 class TestWeightedLoss:
+    """The loss ``train`` runs, on the softmax of the given logit rows."""
+
     W = ClassWeights(w_true=1.576, w_false=0.732)
 
+    def loss(self, logits, labels):
+        from alarmsift.net import _batch_loss_and_grad
+
+        logits = np.array(logits, dtype=np.float64)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+        loss, _ = _batch_loss_and_grad(probs, np.array(labels), self.W)
+        return loss
+
     def test_confident_correct_is_small(self):
-        assert weighted_loss(np.array([-20.0, 20.0]), True, self.W) < 1e-6
+        assert self.loss([[-20.0, 20.0]], [True]) < 1e-6
 
     def test_even_split_true_label(self):
-        loss = weighted_loss(np.array([0.0, 0.0]), True, self.W)
+        loss = self.loss([[0.0, 0.0]], [True])
         np.testing.assert_allclose(loss, 1.576 * math.log(2), rtol=1e-12)
         assert round(loss, 4) == 1.0924
 
     def test_batch_mean_mixed_labels(self):
-        logits = np.array([0.0, 0.0])
-        mean = 0.5 * (weighted_loss(logits, True, self.W)
-                      + weighted_loss(logits, False, self.W))
+        mean = self.loss([[0.0, 0.0], [0.0, 0.0]], [True, False])
         assert round(mean, 4) == 0.7999
 
     def test_nonnegative_and_clamped(self):
-        assert weighted_loss(np.array([500.0, -500.0]), True, self.W) > 0
-        with pytest.raises(ValueError):
-            weighted_loss(np.array([np.nan, 0.0]), True, self.W)
+        loss = self.loss([[500.0, -500.0]], [True])
+        assert loss > 0 and math.isfinite(loss)
 
 
 class TestClip:
+    """The global-norm clip ``train`` runs on every batch."""
+
+    @staticmethod
+    def clip(grads, clip_norm):
+        from alarmsift.net import _clip_to, _global_norm
+
+        return _clip_to(grads, _global_norm(grads), clip_norm)
+
     def test_spike_gradient_clipped_to_bound(self):
         grads = {"a": np.full((10, 10), 1e6), "b": np.full(5, -1e7)}
-        _, norm = clip_gradients(grads, 1.0)
+        norm = self.clip(grads, 1.0)
         total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         assert norm <= 1.0 + 1e-9
         assert total <= 1.0 + 1e-9
 
     def test_small_gradient_untouched(self):
         grads = {"a": np.array([0.3, 0.4])}
-        _, norm = clip_gradients(grads, 1.0)
+        norm = self.clip(grads, 1.0)
         assert norm == 0.5
         np.testing.assert_array_equal(grads["a"], [0.3, 0.4])
 
@@ -370,6 +404,17 @@ class TestTrain:
         idx = np.arange(8)
         with pytest.raises(ValueError, match=r"input shape \(3, 2, 8, 8\)"):
             train(x[:, :, :2], labels, idx[:6], idx[6:], REDUCED)
+
+    @pytest.mark.parametrize("n_labels", [10, 14])
+    def test_labels_of_another_length_refused(self, n_labels):
+        """Labels that do not pair one to one with the sequences are refused,
+        even when every index of both splits lies within both."""
+        x, labels = _toy_dataset(14, seed=7)
+        idx = np.arange(10)
+        with pytest.raises(ValueError, match=rf"^train requires one label per "
+                                             rf"sequence; got {n_labels} labels "
+                                             rf"for 12 sequences$"):
+            train(x[:12], labels[:n_labels], idx[:6], idx[6:], REDUCED)
 
     def test_non_finite_loss_names_epoch_and_batch(self):
         """An input at the float64 limit is finite, so it is admitted, but it
@@ -452,11 +497,11 @@ class TestPredict:
         x = np.random.default_rng(5).random((4, 3, 4, 8, 8))
         np.testing.assert_array_equal(predict(x, params), predict(x, params))
 
-    def test_matches_forward(self):
+    def test_batch_matches_single_sequence(self):
         params = reduced_params()
         x = np.random.default_rng(6).random((3, 3, 4, 8, 8))
         scores = predict(x, params)
-        singles = [forward(x[i], params)[0] for i in range(3)]
+        singles = [predict(x[i][None], params)[0] for i in range(3)]
         np.testing.assert_allclose(scores, singles, atol=1e-15)
 
     def test_unchanged_by_a_train_on_other_shapes(self):
@@ -488,13 +533,15 @@ class TestPredict:
             predict(np.zeros((3, 4, 8, 8)), reduced_params())
 
     def test_train_mode_differs_with_dropout(self):
+        from alarmsift.net import _Workspace, _model_forward
+
         cfg = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6,
                           input_hw=8, n_chunks=3, dropout=0.5)
         params = init_params(cfg, np.random.default_rng(1))
-        seq = np.random.default_rng(2).random((3, 4, 8, 8))
-        eval_pt, _ = forward(seq, params, "eval")
-        diffs = [abs(forward(seq, params, "train",
-                             np.random.default_rng(k))[0] - eval_pt)
+        x = np.random.default_rng(2).random((3, 4, 8, 8))[None]
+        eval_pt = predict(x, params)[0]
+        diffs = [abs(_model_forward(x, params, True, np.random.default_rng(k),
+                                    _Workspace())[0][0, 1] - eval_pt)
                  for k in range(10)]
         assert max(diffs) > 0
 
@@ -538,8 +585,8 @@ class TestStaticVariant:
                           input_hw=8, n_chunks=1, use_lstm=False, dropout=0.0)
         params = init_params(cfg, np.random.default_rng(4))
         assert not any(k.startswith("lstm") for k in params.tensors)
-        pt, pf = forward(np.random.default_rng(5).random((1, 4, 8, 8)), params)
-        assert abs(pt + pf - 1.0) < 1e-12
+        probs = _eval_probs(np.random.default_rng(5).random((1, 4, 8, 8)), params)
+        assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_static_gradients_check_out(self):
         cfg = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6,
@@ -564,10 +611,10 @@ class TestCheckpoint:
     def test_predictions_survive_round_trip(self, tmp_path):
         params = reduced_params(14)
         seq = np.random.default_rng(1).random((3, 4, 8, 8))
-        before = forward(seq, params)
+        before = predict(seq[None], params)
         save_checkpoint(params, tmp_path / "m.npz")
-        after = forward(seq, load_checkpoint(tmp_path / "m.npz"))
-        assert before == after
+        after = predict(seq[None], load_checkpoint(tmp_path / "m.npz"))
+        assert before.tobytes() == after.tobytes()
 
     def test_config_mismatch_names_the_tensor(self, tmp_path):
         """A sidecar that disagrees with the tensors is refused on load,

@@ -163,11 +163,6 @@ class TestStratifiedKfold:
         with pytest.raises(ValueError):
             stratified_kfold([True, False, False], k=2, seed=0)
 
-    def test_by_id(self):
-        fa = stratified_kfold([True, False, True, False], 2, 0, ("a", "b", "c", "d"))
-        mapping = fa.by_id()
-        assert set(mapping) == {"a", "b", "c", "d"}
-
 
 class TestDelong:
     def test_identical_scores(self):
@@ -290,6 +285,19 @@ class TestFoldSummary:
         assert round(s.std, 4) == 0.0161
         assert round(s.ci_lo, 3) == 0.790
         assert round(s.ci_hi, 3) == 0.853
+
+    @given(finite=st.lists(st.floats(0.0, 1.0), max_size=6),
+           bad=st.lists(st.sampled_from((np.nan, np.inf, -np.inf)), max_size=2),
+           order=st.randoms(use_true_random=False))
+    def test_refuses_empty_or_non_finite_by_name(self, finite, bad, order):
+        aucs = finite + bad
+        order.shuffle(aucs)
+        if aucs and not bad:
+            s = fold_summary(aucs)
+            assert np.isfinite([s.mean, s.std, s.ci_lo, s.ci_hi]).all()
+            return
+        with pytest.raises(ValueError, match="^fold_summary requires"):
+            fold_summary(aucs)
 
 
 class TestReports:
