@@ -14,12 +14,11 @@ from .scalogram import (MorletParams, ScaleGrid, cwt, log_scales,
                         morlet_wavelet, to_scalogram)
 from .temporal import build_sequence
 from .features import (BeatAnnotations, FEATURE_NAMES, FeatureVector,
-                       PanTompkinsParams, beat_features, detect_beats,
-                       extract_features, linear_classifier_fit,
-                       linear_classifier_predict)
-from .net import (ModelConfig, ModelParams, TrainHistory, encode_chunks,
-                  finite_diff_check, init_params, load_checkpoint, predict,
-                  save_checkpoint, train)
+                       beat_features, detect_beats, extract_features,
+                       linear_classifier_fit, linear_classifier_predict)
+from .net import (ModelConfig, ModelParams, TrainHistory, finite_diff_check,
+                  init_params, load_checkpoint, predict, save_checkpoint,
+                  train)
 from .stats import (BootstrapCI, Confusion, DelongResult, ErrorReport,
                     FoldAssignment, MetricsReport, auc, bootstrap_auc_diff,
                     confusion_metrics, delong_test, error_report,

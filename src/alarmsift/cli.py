@@ -71,8 +71,7 @@ def cmd_train(args) -> None:
     records = prepare_records(cfg.data_dir, cfg.window_s)
     labels = np.array([r.label for r in records], dtype=bool)
     x = build_sequences(records, model_cfg.n_chunks, cfg.channel_subset())
-    params, history, best_val, test_auc = holdout_run(
-        x, labels, model_cfg, model_cfg.seed)
+    params, history, best_val, test_auc = holdout_run(x, labels, model_cfg, cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, out / "checkpoint.npz")

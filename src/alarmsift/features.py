@@ -199,26 +199,16 @@ def export_features_csv(records: list[Record], path) -> None:
 # Pan-Tompkins beat detection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PanTompkinsParams:
-    """Stage constants of the detection cascade, tuned for fs = 250 Hz."""
-
-    band_low_hz: float = 5.0
-    band_high_hz: float = 15.0
-    derivative_kernel: tuple[float, ...] = (-1.0, -2.0, 0.0, 2.0, 1.0)
-    integration_window_s: float = 0.150
-    refractory_s: float = 0.200
-    signal_update: float = 0.125
-    noise_update: float = 0.125
-    threshold_fraction: float = 0.25
-    searchback_fraction: float = 0.5
-    searchback_rr_factor: float = 1.66
-
-    def validate(self, fs: float) -> None:
-        if not 0 < self.band_low_hz < self.band_high_hz < fs / 2:
-            raise ValueError("bandpass edges must satisfy 0 < low < high < fs/2")
-        if self.integration_window_s <= 0 or self.refractory_s <= 0:
-            raise ValueError("integration window and refractory must be positive")
+# Stage constants of the detection cascade, fixed for fs = 250 Hz as in
+# Pan & Tompkins (1985).
+_BAND_HZ = (5.0, 15.0)
+_DERIVATIVE_KERNEL = np.array([-1.0, -2.0, 0.0, 2.0, 1.0]) / 8.0
+_INTEGRATION_WINDOW_S = 0.150
+_REFRACTORY_S = 0.200
+_PEAK_UPDATE = 0.125  # weight of a new peak in the signal and noise levels
+_THRESHOLD_FRACTION = 0.25
+_SEARCHBACK_FRACTION = 0.5
+_SEARCHBACK_RR_FACTOR = 1.66
 
 
 @dataclass(frozen=True)
@@ -244,26 +234,30 @@ class BeatAnnotations:
         return self.indices.size
 
 
-def detect_beats(signal, fs: float = 250.0,
-                 params: PanTompkinsParams = PanTompkinsParams()) -> BeatAnnotations:
+def detect_beats(signal, fs: float = 250.0) -> BeatAnnotations:
     """Pan-Tompkins cascade: bandpass, derivative, squaring, moving-window
     integration, then adaptive dual-threshold peak picking with a 200 ms
     refractory and a search-back pass at half threshold.
+
+    An ``fs`` whose Nyquist frequency is not above the upper band edge
+    raises ValueError naming ``fs``.
     """
-    params.validate(fs)
+    if not fs / 2 > _BAND_HZ[1]:
+        raise ValueError(f"detect_beats needs fs above {2 * _BAND_HZ[1]} Hz, so "
+                         f"that its {_BAND_HZ[1]} Hz band edge lies below "
+                         f"Nyquist; got fs={fs}")
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size < int(2 * fs):
         raise ValueError("detect_beats needs at least 2 seconds of signal")
 
-    b, a = butter(2, [params.band_low_hz, params.band_high_hz], btype="bandpass", fs=fs)
+    b, a = butter(2, _BAND_HZ, btype="bandpass", fs=fs)
     bp = filtfilt(b, a, x)
-    kernel = np.asarray(params.derivative_kernel) / 8.0
-    deriv = np.convolve(bp, kernel, mode="same")
+    deriv = np.convolve(bp, _DERIVATIVE_KERNEL, mode="same")
     squared = deriv * deriv
-    window = max(1, int(params.integration_window_s * fs))
+    window = max(1, int(_INTEGRATION_WINDOW_S * fs))
     mwi = np.convolve(squared, np.ones(window) / window, mode="same")
 
-    refractory = int(params.refractory_s * fs)
+    refractory = int(_REFRACTORY_S * fs)
     candidates, _ = find_peaks(mwi, distance=refractory + 1)
 
     warmup = mwi[: int(2 * fs)]
@@ -279,21 +273,21 @@ def detect_beats(signal, fs: float = 250.0,
 
     for idx in candidates:
         peak = mwi[idx]
-        thr1 = npki + params.threshold_fraction * (spki - npki)
+        thr1 = npki + _THRESHOLD_FRACTION * (spki - npki)
         if peak > thr1:
             note_rr(idx)
             accepted.append(int(idx))
-            spki = params.signal_update * peak + (1 - params.signal_update) * spki
+            spki = _PEAK_UPDATE * peak + (1 - _PEAK_UPDATE) * spki
         else:
             missed = (accepted and rr_hist
                       and (idx - accepted[-1]) / fs >
-                      params.searchback_rr_factor * float(np.mean(rr_hist)))
-            if missed and peak > params.searchback_fraction * thr1:
+                      _SEARCHBACK_RR_FACTOR * float(np.mean(rr_hist)))
+            if missed and peak > _SEARCHBACK_FRACTION * thr1:
                 note_rr(idx)
                 accepted.append(int(idx))
                 spki = 0.25 * peak + 0.75 * spki
             else:
-                npki = params.noise_update * peak + (1 - params.noise_update) * npki
+                npki = _PEAK_UPDATE * peak + (1 - _PEAK_UPDATE) * npki
 
     # refine each detection to the strongest bandpassed deflection just
     # before the integration peak, then re-enforce the refractory gap
@@ -369,10 +363,13 @@ class LinearModel:
             object.__setattr__(self, name, arr)
 
 
-def linear_classifier_fit(features, labels, seed: int = 0, lr: float = 0.05,
-                          n_iter: int = 800) -> LinearModel:
-    """Class-weighted logistic regression by full-batch gradient descent on
-    an (N, F) feature matrix.
+_LR = 0.05
+_N_ITER = 800
+
+
+def linear_classifier_fit(features, labels, seed: int = 0) -> LinearModel:
+    """Class-weighted logistic regression by ``_N_ITER`` full-batch gradient
+    descent steps of rate ``_LR`` on an (N, F) feature matrix.
 
     Features are standardized internally (training mean / std); class
     weights follow w_c = N / (2 * N_c).  Deterministic under ``seed``.
@@ -389,11 +386,11 @@ def linear_classifier_fit(features, labels, seed: int = 0, lr: float = 0.05,
     w = rng.normal(0.0, 1e-3, size=z.shape[1])
     b = 0.0
     t = y.astype(np.float64)
-    for _ in range(n_iter):
+    for _ in range(_N_ITER):
         p = 1.0 / (1.0 + np.exp(-(z @ w + b)))
         g = sample_w * (p - t) / y.size
-        w -= lr * (z.T @ g)
-        b -= lr * float(g.sum())
+        w -= _LR * (z.T @ g)
+        b -= _LR * float(g.sum())
     return LinearModel(weights=w, bias=b, mu=mu, sigma=sigma)
 
 

@@ -506,13 +506,20 @@ def write_ablation(result: AblationResult, out_dir) -> Path:
 # Plot-data emission
 # ---------------------------------------------------------------------------
 
+def _check_format(fmt: str) -> None:
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
+
+
 def emit_report(run_dir, fmt: str = "csv") -> list[Path]:
     """Emit per-figure plot data from a completed run directory.
 
     csv: one file per figure (fold bars, per-alarm bars, error breakdown,
     training curve).  json: a single figures.json with the same blocks.
-    Emission is deterministic and byte-identical across calls.
+    Emission is deterministic and byte-identical across calls.  Any other
+    format raises ValueError before anything is written.
     """
+    _check_format(fmt)
     run_dir = Path(run_dir)
     report_path = run_dir / "report.json"
     if not report_path.is_file():
@@ -537,8 +544,6 @@ def emit_report(run_dir, fmt: str = "csv") -> list[Path]:
         path = out / "figures.json"
         path.write_text(json.dumps(blocks, indent=2) + "\n")
         return [path]
-    if fmt != "csv":
-        raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
     for name, rows in blocks.items():
         path = out / f"{name}.csv"
         columns = _FIGURE_COLUMNS[name]
@@ -548,7 +553,10 @@ def emit_report(run_dir, fmt: str = "csv") -> list[Path]:
 
 
 def emit_comparison(parent_dir, fmt: str = "csv") -> Path:
-    """Experiment-comparison table over every run directory under ``parent_dir``."""
+    """Experiment-comparison table over every run directory under
+    ``parent_dir``, as comparison.csv or comparison.json.  Any other format
+    raises ValueError before anything is written."""
+    _check_format(fmt)
     parent = Path(parent_dir)
     rows = []
     for report_path in sorted(parent.glob("*/report.json")):

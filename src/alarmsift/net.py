@@ -24,6 +24,7 @@ from .stats import auc
 
 LOG_CLAMP = 1e-12
 CHECKPOINT_VERSION = 1
+_EVAL_BATCH = 16  # sequences per eval-mode forward pass
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,9 @@ class _Workspace:
     Each name maps to one flat array, which grows when a request does not
     fit; ``get`` returns a C-contiguous prefix view of the requested shape.
     A view holds whatever its last user left there, so a caller zeroes what
-    it needs zeroed.  ``train``, ``predict``, ``encode_chunks`` and
-    ``finite_diff_check`` each make their own: no buffer outlives the call,
-    and no two threads share one.
+    it needs zeroed.  ``train``, ``predict`` and ``finite_diff_check`` each
+    make their own: no buffer outlives the call, and no two threads share
+    one.
     """
 
     def __init__(self):
@@ -560,24 +561,16 @@ def stack_sequences(sequences) -> np.ndarray:
     return np.stack([np.asarray(s, float) for s in sequences])
 
 
-def encode_chunks(seq, params: ModelParams) -> np.ndarray:
-    """Per-chunk embeddings (n_chunks, D) from the shared encoder."""
-    x = _as_batch(np.asarray(seq, float)[None], params.config)
-    h, _ = _encoder_forward(x[0], params.tensors, _Workspace())
-    return h
-
-
-def predict(sequences, params: ModelParams, batch_size: int = 16) -> np.ndarray:
+def predict(sequences, params: ModelParams) -> np.ndarray:
     """Eval-mode p_true per record; deterministic (dropout off)."""
-    return _predict(_as_batch(sequences, params.config), params, _Workspace(),
-                    batch_size)
+    return _predict(_as_batch(sequences, params.config), params, _Workspace())
 
 
-def _predict(x, params: ModelParams, ws: _Workspace, batch_size: int = 16):
+def _predict(x, params: ModelParams, ws: _Workspace):
     out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], batch_size):
-        probs, _ = _model_forward(x[start:start + batch_size], params, False, None, ws)
-        out[start:start + batch_size] = probs[:, 1]
+    for start in range(0, x.shape[0], _EVAL_BATCH):
+        probs, _ = _model_forward(x[start:start + _EVAL_BATCH], params, False, None, ws)
+        out[start:start + _EVAL_BATCH] = probs[:, 1]
     return out
 
 

@@ -123,7 +123,7 @@ def _kernel_spectra(scale_bytes: bytes, omega0: float, nfft: int) -> np.ndarray:
 
 
 def cwt(signal: np.ndarray, scales: ScaleGrid | np.ndarray,
-        params: MorletParams = MorletParams(), fs: float = 250.0,
+        params: MorletParams = MorletParams(),
         out: np.ndarray | None = None) -> np.ndarray:
     """Complex CWT coefficients, one row per scale, one column per sample.
 
@@ -148,8 +148,6 @@ def cwt(signal: np.ndarray, scales: ScaleGrid | np.ndarray,
         raise ValueError("signal must be a 1-D vector of length >= 2")
     if not np.isfinite(x).all():
         raise ValueError("signal contains non-finite values")
-    if fs <= 0:
-        raise ValueError(f"fs must be positive, got {fs}")
     scale_values = scales.values if isinstance(scales, ScaleGrid) else np.asarray(scales, float)
     n = x.size
     nfft = fft_length(n, scale_values.max())

@@ -16,6 +16,11 @@ import numpy as np
 from .records import AlarmType, Record
 
 Z_95 = 1.96
+#: A record is predicted a true alarm when its p_true is at least this.
+DECISION_THRESHOLD = 0.5
+#: A misclassified record is a high-confidence error when the probability of
+#: the class it was wrongly given exceeds this.
+HIGH_CONFIDENCE = 0.8
 
 
 # ---------------------------------------------------------------------------
@@ -83,11 +88,11 @@ class Confusion:
     fn: int
 
     @classmethod
-    def from_predictions(cls, p_true, labels, threshold: float = 0.5) -> "Confusion":
-        """Counts at ``p_true >= threshold``; a NaN or inf score raises
-        ValueError rather than counting as a negative prediction."""
+    def from_predictions(cls, p_true, labels) -> "Confusion":
+        """Counts at ``p_true >= DECISION_THRESHOLD``; a NaN or inf score
+        raises ValueError rather than counting as a negative prediction."""
         p, y = _scores_and_labels(p_true, labels, "Confusion.from_predictions")
-        pred = p >= threshold
+        pred = p >= DECISION_THRESHOLD
         return cls(
             tp=int(np.sum(pred & y)),
             tn=int(np.sum(~pred & ~y)),
@@ -300,9 +305,8 @@ class ErrorReport:
         return len(self.fn_ids) + len(self.fp_ids)
 
 
-def per_alarm_report(p_true, records: list[Record],
-                     threshold: float = 0.5) -> list[PerAlarmRow]:
-    """Per-alarm-type sample count, AUC, and accuracy at ``threshold``.
+def per_alarm_report(p_true, records: list[Record]) -> list[PerAlarmRow]:
+    """Per-alarm-type sample count, AUC, and accuracy at ``DECISION_THRESHOLD``.
 
     Types where every record shares one label report accuracy only; their
     AUC is None and the row is flagged single_class.  Anything but one
@@ -317,7 +321,7 @@ def per_alarm_report(p_true, records: list[Record],
         if not sel.any():
             continue
         y, s = labels[sel], p[sel]
-        acc = float(np.mean((s >= threshold) == y))
+        acc = float(np.mean((s >= DECISION_THRESHOLD) == y))
         single = bool(y.all() or not y.any())
         rows.append(PerAlarmRow(
             alarm_type=atype,
@@ -329,13 +333,12 @@ def per_alarm_report(p_true, records: list[Record],
     return rows
 
 
-def error_report(p_true, labels, record_ids=None,
-                 confidence_threshold: float = 0.8) -> ErrorReport:
-    """Misclassification breakdown at decision threshold 0.5.
+def error_report(p_true, labels, record_ids=None) -> ErrorReport:
+    """Misclassification breakdown at ``DECISION_THRESHOLD``.
 
-    FN = true alarms scored below 0.5; FP = false alarms scored at or
+    FN = true alarms scored below it; FP = false alarms scored at or
     above.  A high-confidence error is any misclassified record whose
-    winning-class probability exceeds ``confidence_threshold``.  A NaN or
+    winning-class probability exceeds ``HIGH_CONFIDENCE``.  A NaN or
     infinite probability, or a length that differs between ``p_true``,
     ``labels`` and ``record_ids``, raises ValueError.
     """
@@ -346,12 +349,12 @@ def error_report(p_true, labels, record_ids=None,
     if len(ids) != p.size:
         raise ValueError(f"error_report requires one record id per score; got "
                          f"{len(ids)} ids for {p.size} scores")
-    pred = p >= 0.5
+    pred = p >= DECISION_THRESHOLD
     fn = [ids[i] for i in range(p.size) if y[i] and not pred[i]]
     fp = [ids[i] for i in range(p.size) if not y[i] and pred[i]]
     confidence = np.maximum(p, 1.0 - p)
     high = [ids[i] for i in range(p.size)
-            if pred[i] != y[i] and confidence[i] > confidence_threshold]
+            if pred[i] != y[i] and confidence[i] > HIGH_CONFIDENCE]
     return ErrorReport(tuple(fn), tuple(fp), tuple(high))
 
 

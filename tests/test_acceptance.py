@@ -88,7 +88,7 @@ def test_criterion_04_cwt_oracle():
         x = np.sin(2 * np.pi * f * np.arange(2500) / fs)
         grid = log_scales(64, 1.0, 128.0)
         params = MorletParams()
-        energy = np.sum(np.abs(cwt(x, grid, params, fs)) ** 2, axis=1)
+        energy = np.sum(np.abs(cwt(x, grid, params)) ** 2, axis=1)
         peak = int(np.argmax(energy))
         target = int(np.argmin(np.abs(grid.values - params.fc * fs / f)))
         assert abs(peak - target) <= 1

@@ -65,6 +65,26 @@ class TestTrain:
         history = json.loads((out / "history.json").read_text())
         assert history["stop_reason"] in ("patience", "max_epochs")
 
+    def test_split_drawn_from_experiment_seed(self, cli_data, tmp_path,
+                                              monkeypatch):
+        """The 70/15/15 split follows the experiment ``seed``, as in ``sweep``;
+        ``model.seed`` only seeds the network."""
+        from alarmsift import harness
+
+        seeds = []
+        real_split = harness.stratified_split
+
+        def spy(labels, fractions, seed):
+            seeds.append(seed)
+            return real_split(labels, fractions, seed)
+
+        monkeypatch.setattr(harness, "stratified_split", spy)
+        cfg = write_config(tmp_path, data_dir=str(cli_data), seed=5)
+        rc = main(["train", "--data", str(cli_data), "--config", str(cfg),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert seeds == [5]
+
 
     def test_bare_model_config_refused(self, cli_data, tmp_path, capsys):
         """``train`` takes an experiment config, as ``run`` does, not the

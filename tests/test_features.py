@@ -5,7 +5,7 @@ import pytest
 
 from alarmsift.features import (BEAT_FEATURE_NAMES, FEATURE_NAMES,
                                 BeatAnnotations, FeatureVector,
-                                PanTompkinsParams, beat_features, detect_beats,
+                                beat_features, detect_beats,
                                 export_features_csv, extract_features,
                                 linear_classifier_fit,
                                 linear_classifier_predict)
@@ -161,8 +161,9 @@ class TestDetectBeats:
             detect_beats(np.zeros(100), FS)
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            PanTompkinsParams(band_low_hz=20.0, band_high_hz=10.0).validate(FS)
+        """At 25 Hz the 15 Hz band edge lies above Nyquist."""
+        with pytest.raises(ValueError, match=r"fs=25\.0"):
+            detect_beats(np.zeros(5000), 25.0)
 
 
 class TestBeatFeatures:

@@ -390,3 +390,14 @@ class TestEmitReport:
         lines = path.read_text().splitlines()
         assert lines[0] == "experiment,run_id,mean_auc,std_auc"
         assert len(lines) == 3
+
+    def test_comparison_refuses_unknown_format(self, tmp_path):
+        run_dir = tmp_path / "features-0"
+        run_dir.mkdir()
+        (run_dir / "report.json").write_text(json.dumps(
+            {"config": {"experiment": "features"}, "run_id": "0",
+             "mean_auc": 0.5, "std_auc": 0.0}))
+        with pytest.raises(ValueError, match="format must be 'json' or 'csv', "
+                                             "got 'xml'"):
+            emit_comparison(tmp_path, "xml")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features-0"]

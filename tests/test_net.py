@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alarmsift.net import (ModelConfig, encode_chunks, finite_diff_check,
-                           init_params, load_checkpoint, predict,
-                           save_checkpoint, train)
+from alarmsift.net import (ModelConfig, finite_diff_check, init_params,
+                           load_checkpoint, predict, save_checkpoint, train)
 from alarmsift.records import ClassWeights
 
 REDUCED = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6, input_hw=8,
@@ -21,9 +20,13 @@ def reduced_params(seed=3):
     return init_params(REDUCED, np.random.default_rng(seed))
 
 
+def predict_one(seq, params):
+    return predict(seq[None], params)
+
+
 # The public entry points that take one chunk sequence, as (seq, params) calls.
 SINGLE_SEQUENCE_CALLS = (
-    encode_chunks,
+    predict_one,
     lambda seq, params: finite_diff_check(params, seq, True),
 )
 
@@ -227,10 +230,12 @@ class TestForward:
             assert 0.0 <= probs[0, 1] <= 1.0
 
     def test_internal_shape_contract(self):
+        from alarmsift.net import _Workspace, _encoder_forward
+
         cfg = ModelConfig(embed_dim=128, lstm_hidden=64, n_chunks=6)
         params = init_params(cfg, np.random.default_rng(0))
         seq = np.random.default_rng(2).random((6, 4, 64, 64))
-        emb = encode_chunks(seq, params)
+        emb, _ = _encoder_forward(seq, params.tensors, _Workspace())
         assert emb.shape == (6, 128)
         hidden = _top_lstm_states(emb, params)
         assert hidden.shape == (6, 64)
@@ -259,11 +264,13 @@ class TestForward:
 
     def test_weight_sharing_across_chunks(self):
         """Permuting chunk tensors permutes the embeddings identically."""
+        from alarmsift.net import _Workspace, _encoder_forward
+
         params = reduced_params(7)
         seq = np.random.default_rng(8).random((3, 4, 8, 8))
         perm = np.array([2, 0, 1])
-        emb = encode_chunks(seq, params)
-        emb_perm = encode_chunks(seq[perm], params)
+        emb, _ = _encoder_forward(seq, params.tensors, _Workspace())
+        emb_perm, _ = _encoder_forward(seq[perm], params.tensors, _Workspace())
         np.testing.assert_array_equal(emb_perm, emb[perm])
 
     def test_symmetric_head_gives_half(self):
@@ -506,15 +513,16 @@ class TestPredict:
 
     def test_unchanged_by_a_train_on_other_shapes(self):
         """No buffer outlives a call: scores are the same bytes before and
-        after a train on larger input of another shape."""
+        after a train on larger input of another shape.  17 sequences end
+        in a partial batch."""
         params = reduced_params()
-        x = np.random.default_rng(7).random((5, 3, 4, 8, 8))
-        before = predict(x, params, batch_size=2)
+        x = np.random.default_rng(7).random((17, 3, 4, 8, 8))
+        before = predict(x, params)
         cfg = replace(REDUCED, n_chunks=2, input_hw=16, max_epochs=2)
         big = np.random.default_rng(8).random((12, 2, 4, 16, 16))
         labels = np.arange(12) % 2 == 0
         train(big, labels, np.arange(8), np.arange(8, 12), cfg)
-        assert predict(x, params, batch_size=2).tobytes() == before.tobytes()
+        assert predict(x, params).tobytes() == before.tobytes()
 
     @given(t=st.integers(1, 5), c=st.integers(1, 4), hw=st.sampled_from((8, 16)))
     @settings(max_examples=40, deadline=None)

@@ -93,7 +93,7 @@ class TestCwt:
         x = np.sin(2 * np.pi * f * t)
         grid = log_scales(64, 1.0, 128.0)
         params = MorletParams()
-        energy = np.sum(np.abs(cwt(x, grid, params, fs)) ** 2, axis=1)
+        energy = np.sum(np.abs(cwt(x, grid, params)) ** 2, axis=1)
         peak_idx = int(np.argmax(energy))
         expected = params.fc * fs / f  # ~23.87
         nearest_idx = int(np.argmin(np.abs(grid.values - expected)))
