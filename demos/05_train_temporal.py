@@ -3,7 +3,7 @@
 Builds 6-chunk scalogram sequences for a synthetic dataset, trains the
 shared-encoder + two-layer LSTM model with class-weighted loss, gradient
 clipping, and early stopping, then evaluates the held-out split and shows
-why the static (single-chunk, no LSTM) variant cannot match it.
+why the static (single-chunk, zero LSTM layers) variant cannot match it.
 """
 
 import numpy as np
@@ -34,6 +34,6 @@ print(f"temporal held-out AUC: {auc(predict(x6[te], params), labels[te]):.3f}")
 x1 = np.stack([build_sequence(r, 1) for r in records])
 cfg_static = ModelConfig(embed_dim=32, lstm_hidden=16, head_hidden=16,
                          learning_rate=2e-3, max_epochs=25, batch_size=16,
-                         seed=42, n_chunks=1, use_lstm=False)
+                         seed=42, n_chunks=1, lstm_layers=0)
 params_s, hist_s = train(x1, labels, tr, va, cfg_static)
 print(f"static held-out AUC:   {auc(predict(x1[te], params_s), labels[te]):.3f}")

@@ -63,6 +63,14 @@ class ExperimentConfig:
                              f"itself gives no DeLong or bootstrap result")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        known = [c.value for c in Channel]
+        unknown = [c for c in self.channels if c not in known]
+        if unknown:
+            raise ValueError(f"unknown channel names {unknown}; known: {known}")
+        if len(set(self.channels)) != len(self.channels):
+            raise ValueError(f"channels {list(self.channels)} name a channel twice")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
 
     def channel_subset(self) -> tuple[Channel, ...]:
         return tuple(Channel(c) for c in self.channels)
@@ -70,15 +78,14 @@ class ExperimentConfig:
     def resolved_model(self, experiment: str | None = None) -> ModelConfig:
         """Model config of one run of ``experiment`` (default: this config's).
 
-        The one rule for every run: ``static`` is a single chunk without the
-        LSTM, any other experiment keeps ``model.n_chunks`` and the LSTM;
-        ``in_channels`` is the number of configured channels.
+        The one rule for every run: ``static`` is one chunk and zero LSTM
+        layers, any other experiment keeps ``model``'s; ``in_channels`` is
+        the number of configured channels.
         """
-        static = (experiment or self.experiment) == "static"
-        return replace(self.model,
-                       in_channels=len(self.channels),
-                       n_chunks=1 if static else self.model.n_chunks,
-                       use_lstm=not static)
+        if (experiment or self.experiment) == "static":
+            return replace(self.model, in_channels=len(self.channels),
+                           n_chunks=1, lstm_layers=0)
+        return replace(self.model, in_channels=len(self.channels))
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -339,6 +346,11 @@ def holdout_run(x, labels, model_cfg: ModelConfig, split_seed: int):
 # Hyperparameter sweep (one parameter at a time)
 # ---------------------------------------------------------------------------
 
+# ModelConfig fields a sweep sets itself: the seed per repeat, and the input
+# shape, which the one tensor that every run trains on fixes.
+_SWEEP_FIXED = ("seed", "n_chunks", "in_channels", "input_hw")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     axes: dict = field(default_factory=lambda: {
@@ -347,6 +359,18 @@ class SweepSpec:
         "learning_rate": (1e-2, 1e-3, 1e-4, 1e-5),
     })
     repeats: int = 4
+
+    def __post_init__(self):
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        tunable = [f.name for f in dataclasses.fields(ModelConfig)
+                   if f.name not in _SWEEP_FIXED]
+        for axis, values in self.axes.items():
+            if axis not in tunable:
+                raise ValueError(f"sweep axis {axis!r} is not a ModelConfig field "
+                                 f"a sweep can vary; those are {tunable}")
+            if len(values) == 0:
+                raise ValueError(f"sweep axis {axis!r} has no values")
 
     @property
     def total_runs(self) -> int:
@@ -367,21 +391,23 @@ def sweep(spec: SweepSpec, base: ExperimentConfig) -> SweepResult:
     """For each axis, vary only that parameter (others at their defaults),
     train ``repeats`` times per value on the fixed 70/15/15 split of
     ``holdout_run``, and pick the winner by mean validation AUC.  The test
-    part of the split is never scored."""
+    part of the split is never scored.  Every run's config is built, and so
+    checked, before the first record is read."""
+    model_base = base.resolved_model()
+    configs = {axis: [[replace(model_base, **{axis: value}, seed=model_base.seed + r)
+                       for r in range(spec.repeats)] for value in values]
+               for axis, values in spec.axes.items()}
     records = prepare_records(base.data_dir, base.window_s)
     labels = np.array([r.label for r in records], dtype=bool)
-    model_base = base.resolved_model()
     x = build_sequences(records, model_base.n_chunks, base.channel_subset())
     tr, va, _ = stratified_split(labels, _HOLDOUT_FRACTIONS, base.seed)
 
     runs, rows = [], []
     for axis, values in spec.axes.items():
         means = []
-        for value in values:
+        for value, value_cfgs in zip(values, configs[axis]):
             aucs = []
-            for r in range(spec.repeats):
-                cfg_run = replace(model_base, **{axis: value},
-                                  seed=model_base.seed + r)
+            for r, cfg_run in enumerate(value_cfgs):
                 _, history = train(x, labels, tr, va, cfg_run)
                 best_val = max(history.val_auc)
                 aucs.append(best_val)
@@ -435,8 +461,9 @@ class AblationResult:
 
 def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
     """3-fold CV per condition: chunk grid at all of ``base.channels``,
-    channel grid at 6 chunks.  The chunks=1 condition is the static (no
-    LSTM) model, and ``channels=c`` uses the first ``c`` of ``base.channels``.
+    channel grid at 6 chunks.  The chunks=1 condition is the static
+    (zero LSTM layers) model, and ``channels=c`` uses the first ``c`` of
+    ``base.channels``.
 
     Every chunk count is checked against the record length, and every
     channel count against ``base.channels``, before the first transform.

@@ -1,6 +1,7 @@
 """Chunk-sequence classifier: a shared convolutional encoder applied to each
-chunk tensor, a two-layer LSTM over the resulting embedding sequence, and a
-small classifier head, trained with class-weighted cross-entropy.
+chunk tensor, a stack of LSTM layers (two by default, none for the static
+model) over the embedding sequence, and a small classifier head on its last
+step, trained with class-weighted cross-entropy.
 
 Everything (forward, backward, Adam, clipping, early stopping) is explicit
 numpy so gradients can be validated against central differences and training
@@ -23,7 +24,7 @@ from .records import ClassWeights, class_weights
 from .stats import auc
 
 LOG_CLAMP = 1e-12
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _EVAL_BATCH = 16  # sequences per eval-mode forward pass
 
 
@@ -33,6 +34,8 @@ class ModelConfig:
 
     ``embed_dim`` defaults to the 128-wide desk-scale encoder; 1280 mirrors
     the width of the large pretrained encoder the desk model stands in for.
+    ``lstm_layers = 0`` is the static model: its head reads the embedding of
+    its single chunk, so it requires ``n_chunks == 1``.
     """
 
     embed_dim: int = 128
@@ -49,21 +52,21 @@ class ModelConfig:
     n_chunks: int = 6
     in_channels: int = 4
     input_hw: int = 64
-    use_lstm: bool = True
 
     def __post_init__(self):
-        if min(self.embed_dim, self.lstm_hidden, self.lstm_layers, self.head_hidden,
+        if min(self.embed_dim, self.lstm_hidden, self.head_hidden,
                self.patience, self.max_epochs, self.batch_size, self.n_chunks,
-               self.in_channels) <= 0:
-            raise ValueError("all size/count fields must be positive")
+               self.in_channels) <= 0 or self.lstm_layers < 0:
+            raise ValueError("size/count fields must be positive (lstm_layers >= 0)")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.learning_rate <= 0 or self.clip_norm <= 0:
             raise ValueError("learning_rate and clip_norm must be positive")
         if self.input_hw % 8 != 0:
             raise ValueError("input_hw must be divisible by 8 (three 2x2 pools)")
-        if not self.use_lstm and self.n_chunks != 1:
-            raise ValueError("the no-LSTM (static) model requires n_chunks == 1")
+        if self.lstm_layers == 0 and self.n_chunks != 1:
+            raise ValueError(f"lstm_layers == 0 (the static model) requires "
+                             f"n_chunks == 1, got n_chunks={self.n_chunks}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -85,7 +88,7 @@ class ModelParams:
 class TrainHistory:
     train_loss: list[float]
     val_auc: list[float]
-    max_grad_norm: list[float]
+    max_grad_norm: list[float]  # per epoch, the largest pre-clip global norm
     best_epoch: int  # 1-based
     stop_reason: str  # "patience" | "max_epochs"
 
@@ -115,24 +118,21 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     tensors["conv3_w"] = uniform((w3, w2, 3, 3), w2 * 9)
     tensors["conv3_b"] = np.zeros(w3)
 
-    if cfg.use_lstm:
-        h = cfg.lstm_hidden
-        for layer in range(cfg.lstm_layers):
-            d_in = cfg.embed_dim if layer == 0 else h
-            tensors[f"lstm{layer}_wx"] = uniform((4 * h, d_in), d_in)
-            blocks = []
-            for _ in range(4):
-                q, _ = np.linalg.qr(rng.standard_normal((h, h)))
-                blocks.append(q)
-            tensors[f"lstm{layer}_wh"] = np.concatenate(blocks, axis=0)
-            b = np.zeros(4 * h)
-            b[h:2 * h] = 1.0  # forget gate
-            tensors[f"lstm{layer}_b"] = b
-        head_in = h
-    else:
-        head_in = cfg.embed_dim
+    h = cfg.lstm_hidden
+    width = cfg.embed_dim  # of the sequence the next layer reads
+    for layer in range(cfg.lstm_layers):
+        tensors[f"lstm{layer}_wx"] = uniform((4 * h, width), width)
+        blocks = []
+        for _ in range(4):
+            q, _ = np.linalg.qr(rng.standard_normal((h, h)))
+            blocks.append(q)
+        tensors[f"lstm{layer}_wh"] = np.concatenate(blocks, axis=0)
+        b = np.zeros(4 * h)
+        b[h:2 * h] = 1.0  # forget gate
+        tensors[f"lstm{layer}_b"] = b
+        width = h
 
-    tensors["head_w1"] = uniform((cfg.head_hidden, head_in), head_in)
+    tensors["head_w1"] = uniform((cfg.head_hidden, width), width)
     tensors["head_b1"] = np.zeros(cfg.head_hidden)
     tensors["head_w2"] = uniform((2, cfg.head_hidden), cfg.head_hidden)
     tensors["head_b2"] = np.zeros(2)
@@ -394,27 +394,22 @@ def _model_forward(x, params: ModelParams, train: bool, rng, ws: _Workspace):
     bsz, t_len = x.shape[:2]
     flat = x.reshape(bsz * t_len, *x.shape[2:])
     h, enc_cache = _encoder_forward(flat, tensors, ws)
-    embed = h.reshape(bsz, t_len, cfg.embed_dim)
+    seq = h.reshape(bsz, t_len, cfg.embed_dim)
 
     lstm_caches = []
     drop_masks = []
-    if cfg.use_lstm:
-        seq = embed
-        for layer in range(cfg.lstm_layers):
-            if layer > 0 and train and cfg.dropout > 0:
-                mask = _dropout_mask(seq.shape, cfg.dropout, rng)
-                seq = seq * mask
-            else:
-                mask = None
-            drop_masks.append(mask)
-            hs, cache = _lstm_layer_forward(
-                seq, tensors[f"lstm{layer}_wx"], tensors[f"lstm{layer}_wh"],
-                tensors[f"lstm{layer}_b"])
-            lstm_caches.append(cache)
-            seq = hs
-        final = seq[:, -1]
-    else:
-        final = embed[:, 0]
+    for layer in range(cfg.lstm_layers):
+        if layer > 0 and train and cfg.dropout > 0:
+            mask = _dropout_mask(seq.shape, cfg.dropout, rng)
+            seq = seq * mask
+        else:
+            mask = None
+        drop_masks.append(mask)
+        seq, cache = _lstm_layer_forward(
+            seq, tensors[f"lstm{layer}_wx"], tensors[f"lstm{layer}_wh"],
+            tensors[f"lstm{layer}_b"])
+        lstm_caches.append(cache)
+    final = seq[:, -1]
 
     u = final @ tensors["head_w1"].T + tensors["head_b1"]
     relu_mask = u > 0
@@ -451,28 +446,19 @@ def _model_backward(dlogits, cache, params: ModelParams, ws: _Workspace):
     grads["head_b1"] += du.sum(axis=0)
     dfinal = du @ tensors["head_w1"]
 
-    if cfg.use_lstm:
-        dseq = None
-        for layer in reversed(range(cfg.lstm_layers)):
-            dhs = np.zeros((bsz, t_len, cfg.lstm_hidden))
-            if layer == cfg.lstm_layers - 1:
-                dhs[:, -1] = dfinal
-            if dseq is not None:
-                dhs += dseq
-            dseq, dwx, dwh, db = _lstm_layer_backward(
-                dhs, lstm_caches[layer], tensors[f"lstm{layer}_wx"],
-                tensors[f"lstm{layer}_wh"])
-            grads[f"lstm{layer}_wx"] += dwx
-            grads[f"lstm{layer}_wh"] += dwh
-            grads[f"lstm{layer}_b"] += db
-            if drop_masks[layer] is not None:
-                dseq = dseq * drop_masks[layer]
-        dembed = dseq
-    else:
-        dembed = np.zeros((bsz, t_len, cfg.embed_dim))
-        dembed[:, 0] = dfinal
+    dseq = np.zeros((bsz, t_len, dfinal.shape[1]))
+    dseq[:, -1] = dfinal
+    for layer in reversed(range(cfg.lstm_layers)):
+        dseq, dwx, dwh, db = _lstm_layer_backward(
+            dseq, lstm_caches[layer], tensors[f"lstm{layer}_wx"],
+            tensors[f"lstm{layer}_wh"])
+        grads[f"lstm{layer}_wx"] += dwx
+        grads[f"lstm{layer}_wh"] += dwh
+        grads[f"lstm{layer}_b"] += db
+        if drop_masks[layer] is not None:
+            dseq = dseq * drop_masks[layer]
 
-    dh = dembed.reshape(bsz * t_len, cfg.embed_dim)
+    dh = dseq.reshape(bsz * t_len, cfg.embed_dim)
     _encoder_backward(dh, enc_cache, tensors, grads, ws)
     return grads
 
@@ -503,15 +489,13 @@ def _global_norm(grads: dict[str, np.ndarray]):
     return np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
 
 
-def _clip_to(grads: dict[str, np.ndarray], total, clip_norm: float):
+def _clip_to(grads: dict[str, np.ndarray], total, clip_norm: float) -> None:
     """Scale ``grads`` in place from global norm ``total`` to at most
-    ``clip_norm``; returns the post-clip norm."""
+    ``clip_norm``."""
     if total > clip_norm:
         scale = clip_norm / total
         for g in grads.values():
             g *= scale
-        return clip_norm
-    return total
 
 
 class _Adam:
@@ -621,10 +605,10 @@ def train(sequences, labels, train_idx, val_idx,
             if not np.isfinite(loss + norm):
                 raise ValueError(f"training diverged at epoch {epoch}, batch "
                                  f"{n_batch}: loss {loss}, gradient norm {norm}")
-            post_norm = _clip_to(grads, norm, cfg.clip_norm)
+            _clip_to(grads, norm, cfg.clip_norm)
             opt.step(params.tensors, grads)
             epoch_losses.append(loss)
-            epoch_max_norm = max(epoch_max_norm, post_norm)
+            epoch_max_norm = max(epoch_max_norm, norm)
         # the validation pass reuses the training buffers
         val_auc = auc(_predict(x[val_idx], params, ws), labels[val_idx])
         history.train_loss.append(float(np.mean(epoch_losses)))

@@ -36,23 +36,9 @@ KERNEL_SUPPORT_SCALES = 4.0  # kernel truncated at +/- 4a samples
 FLAT_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class ScaleGrid:
-    """Geometric scale sequence from ``s_min`` to ``s_max`` inclusive."""
-
-    n_scales: int
-    s_min: float
-    s_max: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
-def log_scales(n: int = 64, s_min: float = 1.0, s_max: float = 128.0) -> ScaleGrid:
-    """Logarithmically spaced scales: values[i] = s_min*(s_max/s_min)**(i/(n-1))."""
+def log_scales(n: int = 64, s_min: float = 1.0, s_max: float = 128.0) -> np.ndarray:
+    """Logarithmically spaced scales, a read-only float64 array from ``s_min``
+    to ``s_max`` inclusive: scales[i] = s_min*(s_max/s_min)**(i/(n-1))."""
     if n < 2:
         raise ValueError(f"need at least 2 scales, got {n}")
     if not 0 < s_min < s_max:
@@ -61,7 +47,8 @@ def log_scales(n: int = 64, s_min: float = 1.0, s_max: float = 128.0) -> ScaleGr
     values = s_min * (s_max / s_min) ** (i / (n - 1))
     # pin the endpoints exactly despite float exponentiation
     values[0], values[-1] = s_min, s_max
-    return ScaleGrid(n_scales=n, s_min=s_min, s_max=s_max, values=values)
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)
@@ -122,7 +109,7 @@ def _kernel_spectra(scale_bytes: bytes, omega0: float, nfft: int) -> np.ndarray:
     return spectra
 
 
-def cwt(signal: np.ndarray, scales: ScaleGrid | np.ndarray,
+def cwt(signal: np.ndarray, scales: np.ndarray,
         params: MorletParams = MorletParams(),
         out: np.ndarray | None = None) -> np.ndarray:
     """Complex CWT coefficients, one row per scale, one column per sample.
@@ -148,10 +135,10 @@ def cwt(signal: np.ndarray, scales: ScaleGrid | np.ndarray,
         raise ValueError("signal must be a 1-D vector of length >= 2")
     if not np.isfinite(x).all():
         raise ValueError("signal contains non-finite values")
-    scale_values = scales.values if isinstance(scales, ScaleGrid) else np.asarray(scales, float)
+    scales = np.asarray(scales, dtype=np.float64)
     n = x.size
-    nfft = fft_length(n, scale_values.max())
-    spectra = _kernel_spectra(scale_values.tobytes(), params.omega0, nfft)
+    nfft = fft_length(n, scales.max())
+    spectra = _kernel_spectra(scales.tobytes(), params.omega0, nfft)
     if out is None:
         out = np.empty(spectra.shape, dtype=np.complex128)
     elif out.shape != spectra.shape or out.dtype != np.complex128:

@@ -39,8 +39,8 @@ def build_sequence(record: Record, n_chunks: int,
     check_chunk_count(record, n_chunks)
     # (n_chunks, N / n_chunks) views; Record.channel raises if a channel is absent
     chunks = [record.channel(chan).reshape(n_chunks, -1) for chan in subset]
-    tensors = np.empty((n_chunks, len(subset), SCALES.n_scales, 64))
-    buf = np.empty((SCALES.n_scales, fft_length(chunks[0].shape[1], SCALES.s_max)),
+    tensors = np.empty((n_chunks, len(subset), SCALES.size, 64))
+    buf = np.empty((SCALES.size, fft_length(chunks[0].shape[1], SCALES[-1])),
                    dtype=np.complex128)
     for k in range(n_chunks):
         for ci, rows in enumerate(chunks):

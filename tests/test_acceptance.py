@@ -90,7 +90,7 @@ def test_criterion_04_cwt_oracle():
         params = MorletParams()
         energy = np.sum(np.abs(cwt(x, grid, params)) ** 2, axis=1)
         peak = int(np.argmax(energy))
-        target = int(np.argmin(np.abs(grid.values - params.fc * fs / f)))
+        target = int(np.argmin(np.abs(grid - params.fc * fs / f)))
         assert abs(peak - target) <= 1
 
 

@@ -124,7 +124,7 @@ class TestRunExperiment:
     def test_static_mode_single_chunk_no_lstm(self, data_dir, tmp_path):
         cfg = tiny_config(data_dir, tmp_path, experiment="static")
         model = cfg.resolved_model()
-        assert model.n_chunks == 1 and not model.use_lstm
+        assert model.n_chunks == 1 and model.lstm_layers == 0
         report = json.loads((run_experiment(cfg) / "report.json").read_text())
         jsonschema.validate(report, REPORT_SCHEMA)
 
@@ -189,11 +189,47 @@ class TestRunExperiment:
             ExperimentConfig(experiment=experiment, data_dir=str(data_dir),
                              compare_with=experiment)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"channels": ("ECG_II", "ECG_II")},
+         r"channels \['ECG_II', 'ECG_II'\] name a channel twice"),
+        ({"channels": ("ECG_II", "FOO")}, r"unknown channel names \['FOO'\]"),
+        ({"val_fraction": 0.0}, r"val_fraction must lie in \(0, 1\), got 0.0"),
+        ({"val_fraction": 1.5}, r"val_fraction must lie in \(0, 1\), got 1.5"),
+    ], ids=["duplicate-channel", "unknown-channel", "val-fraction-0", "val-fraction-1.5"])
+    def test_malformed_config_refused_by_name(self, data_dir, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(experiment="temporal", data_dir=str(data_dir),
+                             **overrides)
+
 
 class TestSweep:
     def test_counting_formula_48(self):
         assert SweepSpec().total_runs == 48
         assert SweepSpec(repeats=1).total_runs == 12
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"repeats": 0}, r"repeats must be >= 1, got 0"),
+        ({"axes": {"dropout": ()}}, r"sweep axis 'dropout' has no values"),
+        ({"axes": {"foo": (1, 2)}}, r"sweep axis 'foo' is not a ModelConfig field"),
+        ({"axes": {"seed": (1, 2)}}, r"sweep axis 'seed' is not a ModelConfig field"),
+        ({"axes": {"n_chunks": (1, 2)}}, r"sweep axis 'n_chunks' is not"),
+        ({"axes": {"in_channels": (1, 2)}}, r"sweep axis 'in_channels' is not"),
+        ({"axes": {"input_hw": (8, 16)}}, r"sweep axis 'input_hw' is not"),
+    ], ids=["repeats-0", "empty-axis", "unknown-field", "seed", "n_chunks",
+            "in_channels", "input_hw"])
+    def test_malformed_spec_refused_by_name(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(**spec)
+
+    def test_bad_axis_value_refused_before_any_record_is_read(
+            self, data_dir, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(alarmsift.harness, "prepare_records",
+                            lambda *args: calls.append(args))
+        spec = SweepSpec(axes={"dropout": (0.2, 1.0)}, repeats=1)
+        with pytest.raises(ValueError, match=r"dropout must lie in \[0, 1\), got 1.0"):
+            sweep(spec, tiny_config(data_dir, tmp_path))
+        assert calls == []
 
     def test_tiny_sweep_executes_and_reports(self, data_dir, tmp_path):
         spec = SweepSpec(axes={"lstm_hidden": (4, 8), "dropout": (0.0, 0.2)},
