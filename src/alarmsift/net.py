@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .stats import auc
 LOG_CLAMP = 1e-12
 CHECKPOINT_VERSION = 2
 _EVAL_BATCH = 16  # sequences per eval-mode forward pass
+_ENCODER_DTYPE = np.float32  # of the encoder pass in ``train`` and ``predict``
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,9 @@ class ModelConfig:
     ``embed_dim`` defaults to the 128-wide desk-scale encoder; 1280 mirrors
     the width of the large pretrained encoder the desk model stands in for.
     ``lstm_layers = 0`` is the static model: its head reads the embedding of
-    its single chunk, so it requires ``n_chunks == 1``.
+    its single chunk, so it requires ``n_chunks == 1``.  A field annotated
+    ``int`` refuses a bool or a non-integer and stores a numpy integer as
+    ``int``.
     """
 
     embed_dim: int = 128
@@ -54,6 +57,11 @@ class ModelConfig:
     input_hw: int = 64
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self) if f.type == "int"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if min(self.embed_dim, self.lstm_hidden, self.head_hidden,
                self.patience, self.max_epochs, self.batch_size, self.n_chunks,
                self.in_channels) <= 0 or self.lstm_layers < 0:
@@ -146,8 +154,10 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
 class _Workspace:
     """Scratch buffers of one call, reused by all of its batches and layers.
 
-    Each name maps to one flat array, which grows when a request does not
-    fit; ``get`` returns a C-contiguous prefix view of the requested shape.
+    Each name maps to one flat array, which is replaced when a request does
+    not fit or names another dtype; ``get`` returns a C-contiguous prefix
+    view of the requested shape.  Every request names its dtype, that of the
+    array the buffer is computed from, so no buffer promotes a float32 pass.
     A view holds whatever its last user left there, so a caller zeroes what
     it needs zeroed.  ``train``, ``predict`` and ``finite_diff_check`` each
     make their own: no buffer outlives the call, and no two threads share
@@ -157,7 +167,7 @@ class _Workspace:
     def __init__(self):
         self._flat: dict[str, np.ndarray] = {}
 
-    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    def get(self, name: str, shape: tuple, dtype) -> np.ndarray:
         size = math.prod(shape)
         flat = self._flat.get(name)
         if flat is None or flat.size < size or flat.dtype != dtype:
@@ -174,14 +184,14 @@ def _im2col(x: np.ndarray, ws: _Workspace, name: str) -> np.ndarray:
     Patch layout is (di, dj, c), matching ``_flat_weight``.
     """
     b, h, w, c = x.shape
-    xp = ws.get("padded", (b, h + 2, w + 2, c))
+    xp = ws.get("padded", (b, h + 2, w + 2, c), x.dtype)
     xp[:, 0] = 0.0
     xp[:, -1] = 0.0
     xp[:, 1:-1, 0] = 0.0
     xp[:, 1:-1, -1] = 0.0
     xp[:, 1:-1, 1:-1] = x
     windows = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B, H, W, C, 3, 3)
-    cols = ws.get(name, (b * h * w, 9 * c))
+    cols = ws.get(name, (b * h * w, 9 * c), x.dtype)
     cols.reshape(b, h, w, 3, 3, c)[...] = windows.transpose(0, 1, 2, 4, 5, 3)
     return cols
 
@@ -192,18 +202,20 @@ def _flat_weight(w: np.ndarray) -> np.ndarray:
 
 
 def _conv_forward(x, w, b, ws: _Workspace, layer: int):
-    """NHWC convolution; the column matrix of ``layer`` stays in the
-    workspace for the backward pass."""
+    """NHWC convolution in the dtype of ``x``; the column matrix of ``layer``
+    stays in the workspace for the backward pass."""
     bb, h, ww, c = x.shape
     f = w.shape[0]
     cols = _im2col(x, ws, f"cols{layer}")
-    out = np.matmul(cols, _flat_weight(w), out=ws.get("z", (bb * h * ww, f)))
-    out += b
+    out = np.matmul(cols, _flat_weight(w).astype(x.dtype, copy=False),
+                    out=ws.get("z", (bb * h * ww, f), x.dtype))
+    out += b.astype(x.dtype, copy=False)
     return out.reshape(bb, h, ww, f), cols
 
 
 def _conv_backward(dout, cols, w, need_dx: bool, ws: _Workspace):
-    """Weight, bias and (when ``need_dx``) input gradients of a 3x3 conv.
+    """Weight, bias and (when ``need_dx``) input gradients of a 3x3 conv,
+    in the dtype of ``dout``; the bias gradient is summed in float64.
 
     The input gradient takes one (B*H*W, C) GEMM per tap, ``dflat @ W_t``,
     all nine through one buffer.  Each element is the same length-F dot
@@ -216,23 +228,24 @@ def _conv_backward(dout, cols, w, need_dx: bool, ws: _Workspace):
     c = w.shape[1]
     dflat = dout.reshape(-1, f)
     dw = (cols.T @ dflat).reshape(3, 3, c, f).transpose(3, 2, 0, 1)
-    db = dflat.sum(axis=0)
+    db = dflat.sum(axis=0, dtype=np.float64)
     if not need_dx:
         return None, dw, db
-    wflat = _flat_weight(w)  # tap t = 3*di + dj owns rows t*C .. t*C + C - 1
+    # tap t = 3*di + dj owns rows t*C .. t*C + C - 1
+    wflat = _flat_weight(w).astype(dflat.dtype, copy=False)
     m = dflat.shape[0]
     if c == 1:
-        dcols = np.matmul(dflat, wflat.T, out=ws.get("dcols", (m, 9)))
+        dcols = np.matmul(dflat, wflat.T, out=ws.get("dcols", (m, 9), dflat.dtype))
         taps = dcols.reshape(bb, h, ww, 9, 1).transpose(3, 0, 1, 2, 4)
     else:
-        tap_buf = ws.get("tap", (m, c))
+        tap_buf = ws.get("tap", (m, c), dflat.dtype)
         taps = (np.matmul(dflat, wflat[t * c:(t + 1) * c].T, out=tap_buf)
                 .reshape(bb, h, ww, c) for t in range(9))
     # col2im: output pixel (i, j) took tap (di, dj) from input (i+di-1, j+dj-1).
     # Taps that fell on the zero padding are dropped by clipping the slices;
     # the (di, dj) order fixes each element's sequence of additions.  Each
     # tap is added before the next one's GEMM overwrites the buffer.
-    dx = ws.get("dx", (bb, h, ww, c))
+    dx = ws.get("dx", (bb, h, ww, c), dflat.dtype)
     dx[...] = 0.0
     for t, tap in enumerate(taps):
         di, dj = divmod(t, 3)
@@ -254,7 +267,7 @@ def _avgpool_forward(x, ws: _Workspace):
     """
     b, h, w, f = x.shape
     v = x.reshape(b, h // 2, 2, w // 2, 2, f)
-    out = ws.get("pool", (b, h // 2, w // 2, f))
+    out = ws.get("pool", (b, h // 2, w // 2, f), x.dtype)
     if f == 1:
         return np.mean(v, axis=(2, 4), out=out)
     np.add(v[:, :, 0, :, 0], v[:, :, 0, :, 1], out=out)
@@ -271,8 +284,8 @@ def _avgpool_backward(dy, mask, ws: _Workspace):
     once pooled: the mask keeps what the backward pass needs of it.
     """
     b, h, w, f = mask.shape
-    dy4 = np.divide(dy, 4.0, out=ws.get("pool_grad", dy.shape))
-    dz = ws.get("z", mask.shape)
+    dy4 = np.divide(dy, 4.0, out=ws.get("pool_grad", dy.shape, dy.dtype))
+    dz = ws.get("z", mask.shape, dy.dtype)
     np.multiply(mask.reshape(b, h // 2, 2, w // 2, 2, f),
                 dy4[:, :, None, :, None, :],
                 out=dz.reshape(b, h // 2, 2, w // 2, 2, f))
@@ -293,10 +306,11 @@ def _dropout_mask(shape, rate, rng):
 
 
 def _encoder_forward(x, tensors, ws: _Workspace):
-    """Shared per-chunk encoder: (N, C, H, W) -> (N, D) embeddings.
+    """Shared per-chunk encoder: (N, C, H, W) -> (N, D) float64 embeddings.
 
-    The cache holds views into ``ws``; they stay valid until the next
-    forward pass through the same workspace.
+    It computes in the dtype of ``x``, and so does its backward pass.  The
+    cache holds views into ``ws``; they stay valid until the next forward
+    pass through the same workspace.
     """
     caches = []
     out = np.transpose(x, (0, 2, 3, 1))  # NHWC internally; im2col copies it
@@ -307,15 +321,16 @@ def _encoder_forward(x, tensors, ws: _Workspace):
         z *= mask  # ReLU
         out = _avgpool_forward(z, ws)
         caches.append((cols, mask))
-    h = out.mean(axis=(1, 2))
+    h = out.mean(axis=(1, 2), dtype=np.float64)
     return h, (caches, out.shape)
 
 
 def _encoder_backward(dh, cache, tensors, grads, ws: _Workspace):
     caches, out_shape = cache
     b, hh, ww, f = out_shape
+    dtype = caches[0][0].dtype  # of the forward pass's columns
     dout = np.divide(np.broadcast_to(dh[:, None, None, :], out_shape), hh * ww,
-                     out=ws.get("embed_grad", out_shape))
+                     out=ws.get("embed_grad", out_shape, dtype))
     for i in (3, 2, 1):
         cols, mask = caches[i - 1]
         dz = _avgpool_backward(dout, mask, ws)
@@ -522,8 +537,9 @@ class _Adam:
 def _as_batch(sequences, cfg: ModelConfig) -> np.ndarray:
     """The one check on model input, made by every public entry point: an
     (N, T, C, H, W) batch whose (T, C, H, W) matches ``cfg``.  A sequence
-    holding NaN or inf is refused by its index.  Entry points that take one
-    sequence pass it as a batch of one."""
+    holding NaN or inf, or a value that float32 cannot hold, is refused by
+    its index.  Entry points that take one sequence pass it as a batch of
+    one."""
     x = sequences if isinstance(sequences, np.ndarray) else stack_sequences(sequences)
     if x.ndim != 5:
         raise ValueError(f"expected (N, n_chunks, C, H, W) input, got shape {x.shape}")
@@ -537,6 +553,11 @@ def _as_batch(sequences, cfg: ModelConfig) -> np.ndarray:
     finite = np.isfinite(x).all(axis=(1, 2, 3, 4))
     if not finite.all():
         raise ValueError(f"sequence {int(np.argmin(finite))} holds NaN or inf")
+    top = np.finfo(_ENCODER_DTYPE).max
+    inside = (x.max(axis=(1, 2, 3, 4)) <= top) & (x.min(axis=(1, 2, 3, 4)) >= -top)
+    if not inside.all():
+        raise ValueError(f"sequence {int(np.argmin(inside))} holds a value outside "
+                         f"float32 range")
     return x
 
 
@@ -547,13 +568,25 @@ def stack_sequences(sequences) -> np.ndarray:
 
 def predict(sequences, params: ModelParams) -> np.ndarray:
     """Eval-mode p_true per record; deterministic (dropout off)."""
-    return _predict(_as_batch(sequences, params.config), params, _Workspace())
+    x = _as_batch(sequences, params.config)
+    return _predict(x, np.arange(x.shape[0]), params, _Workspace())
 
 
-def _predict(x, params: ModelParams, ws: _Workspace):
-    out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], _EVAL_BATCH):
-        probs, _ = _model_forward(x[start:start + _EVAL_BATCH], params, False, None, ws)
+def _load_batch(x, idx, ws: _Workspace) -> np.ndarray:
+    """Copy the sequences ``x[idx]`` into the workspace's encoder-dtype batch
+    buffer; the cast happens in the copy, one sequence at a time."""
+    xb = ws.get("batch", (len(idx), *x.shape[1:]), _ENCODER_DTYPE)
+    for row, i in zip(xb, idx):
+        row[...] = x[i]
+    return xb
+
+
+def _predict(x, idx, params: ModelParams, ws: _Workspace):
+    """Eval-mode p_true of the sequences ``x[idx]``."""
+    out = np.empty(len(idx))
+    for start in range(0, len(idx), _EVAL_BATCH):
+        xb = _load_batch(x, idx[start:start + _EVAL_BATCH], ws)
+        probs, _ = _model_forward(xb, params, False, None, ws)
         out[start:start + _EVAL_BATCH] = probs[:, 1]
     return out
 
@@ -595,9 +628,7 @@ def train(sequences, labels, train_idx, val_idx,
         epoch_max_norm = 0.0
         for n_batch, start in enumerate(range(0, order.size, cfg.batch_size), 1):
             batch = order[start:start + cfg.batch_size]
-            xb = ws.get("batch", (batch.size, *x.shape[1:]), x.dtype)
-            for row, i in zip(xb, batch):
-                row[...] = x[i]
+            xb = _load_batch(x, batch, ws)
             probs, cache = _model_forward(xb, params, True, rng, ws)
             loss, dlogits = _batch_loss_and_grad(probs, labels[batch], weights)
             grads = _model_backward(dlogits, cache, params, ws)
@@ -610,7 +641,7 @@ def train(sequences, labels, train_idx, val_idx,
             epoch_losses.append(loss)
             epoch_max_norm = max(epoch_max_norm, norm)
         # the validation pass reuses the training buffers
-        val_auc = auc(_predict(x[val_idx], params, ws), labels[val_idx])
+        val_auc = auc(_predict(x, val_idx, params, ws), labels[val_idx])
         history.train_loss.append(float(np.mean(epoch_losses)))
         history.val_auc.append(float(val_auc))
         history.max_grad_norm.append(epoch_max_norm)
@@ -633,7 +664,9 @@ def finite_diff_check(params: ModelParams, sample, label: bool,
                       epsilon: float = 1e-5, per_group: bool = False):
     """Max relative error between analytic and central-difference gradients.
 
-    Dropout is disabled; use double precision and a reduced config.  The
+    Dropout is disabled, and the sample is cast to float64, so the encoder
+    runs the same code as in ``train`` but in double precision; use a
+    reduced config.  The
     per-group relative error is ||g_analytic - g_numeric||_2 /
     max(||g_analytic||_2, ||g_numeric||_2, 1e-12).  Returns the max over
     parameter groups, or the full per-group dict when ``per_group``.

@@ -231,6 +231,20 @@ class TestSweep:
             sweep(spec, tiny_config(data_dir, tmp_path))
         assert calls == []
 
+    @pytest.mark.parametrize("value", [64.0, True])
+    def test_non_integer_axis_value_refused_before_any_record_is_read(
+            self, data_dir, tmp_path, monkeypatch, value):
+        """A JSON sweep such as ``"lstm_hidden": [64.0]`` fails in the
+        up-front config build, not inside ``train``."""
+        calls = []
+        monkeypatch.setattr(alarmsift.harness, "prepare_records",
+                            lambda *args: calls.append(args))
+        spec = SweepSpec(axes={"lstm_hidden": [value]}, repeats=1)
+        with pytest.raises(ValueError, match=rf"^lstm_hidden must be an integer, "
+                                             rf"got {value!r}$"):
+            sweep(spec, tiny_config(data_dir, tmp_path))
+        assert calls == []
+
     def test_tiny_sweep_executes_and_reports(self, data_dir, tmp_path):
         spec = SweepSpec(axes={"lstm_hidden": (4, 8), "dropout": (0.0, 0.2)},
                          repeats=2)

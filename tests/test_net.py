@@ -1,6 +1,6 @@
-import math
-
 import json
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -202,6 +202,30 @@ class TestPrimitivesMatchReference:
         np.testing.assert_allclose(out, _direct_conv(x, wt, bias),
                                    rtol=1e-12, atol=1e-12)
 
+    @given(b=st.integers(1, 3), h=st.integers(1, 6), w=st.integers(1, 6),
+           c=st.integers(1, 5), f=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_float32_input_stays_float32(self, b, h, w, c, f, seed):
+        """Fed float32 input and float64 weights, every primitive returns
+        float32: no buffer promotes the pass back to float64."""
+        from alarmsift.net import (_Workspace, _avgpool_backward, _avgpool_forward,
+                                   _conv_backward, _conv_forward, _im2col)
+
+        rng = np.random.default_rng(seed)
+        ws = _Workspace()
+        x = _wide_range(rng, (b, 2 * h, 2 * w, c)).astype(np.float32)
+        assert _im2col(x, ws, "cols1").dtype == np.float32
+        wt = rng.standard_normal((f, c, 3, 3))
+        z, cols = _conv_forward(x, wt, rng.standard_normal(f), ws, 1)
+        assert z.dtype == cols.dtype == np.float32
+        mask = z > 0
+        assert _avgpool_forward(z * mask, ws).dtype == np.float32
+        dy = _wide_range(rng, (b, h, w, f)).astype(np.float32)
+        dz = _avgpool_backward(dy, mask, ws)
+        assert dz.dtype == np.float32
+        dx, _, _ = _conv_backward(dz, cols, wt, True, ws)
+        assert dx.dtype == np.float32
+
 
 class TestConfig:
     def test_defaults(self):
@@ -210,6 +234,21 @@ class TestConfig:
         assert cfg.lstm_layers == 2 and cfg.dropout == 0.3
         assert cfg.learning_rate == 1e-3 and cfg.clip_norm == 1.0
         assert cfg.patience == 8 and cfg.seed == 42
+
+    @pytest.mark.parametrize("field, value", [
+        ("lstm_hidden", 4.5), ("embed_dim", 64.0), ("batch_size", True),
+        ("lstm_layers", False), ("seed", "1"), ("max_epochs", None),
+        ("input_hw", np.float64(64.0)),
+    ])
+    def test_integer_fields_refuse_other_types(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, "
+                                             rf"got {re.escape(repr(value))}$"):
+            ModelConfig(**{field: value})
+
+    def test_numpy_integers_are_plain_ints(self):
+        cfg = ModelConfig(embed_dim=np.int64(16), seed=np.uint8(3))
+        assert cfg == ModelConfig(embed_dim=16, seed=3)
+        assert type(cfg.embed_dim) is int and type(cfg.seed) is int
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -427,10 +466,10 @@ class TestTrain:
             train(x[:12], labels[:n_labels], idx[:6], idx[6:], REDUCED)
 
     def test_non_finite_loss_names_epoch_and_batch(self):
-        """An input at the float64 limit is finite, so it is admitted, but it
+        """An input at the float32 limit is finite, so it is admitted, but it
         overflows to a NaN loss in the first batch that holds it."""
         x, labels = _toy_dataset(16, seed=8)
-        x[:12] = np.finfo(np.float64).max
+        x[:12] = np.finfo(np.float32).max
         idx = np.arange(16)
         with pytest.raises(ValueError, match=r"diverged at epoch 1, batch 1: "
                                              r"loss nan"), \
@@ -499,6 +538,94 @@ class TestNonFiniteInput:
         x, _, first = case
         with pytest.raises(ValueError, match=r"^sequence 0 holds NaN or inf$"):
             call(x[first], reduced_params())
+
+
+@st.composite
+def _batch_outside_float32(draw):
+    """A toy batch with finite values beyond float32's range planted in one
+    or more sequences; returns (x, labels, index of the first)."""
+    x, labels = _toy_dataset(16, seed=draw(st.integers(0, 20)))
+    top = float(np.finfo(np.float32).max)
+    bad = draw(st.lists(st.integers(0, 15), min_size=1, max_size=3, unique=True))
+    for i in bad:
+        where = tuple(draw(st.integers(0, d - 1)) for d in x.shape[1:])
+        magnitude = draw(st.floats(np.nextafter(top, np.inf), np.finfo(np.float64).max))
+        x[(i, *where)] = draw(st.sampled_from((1.0, -1.0))) * magnitude
+    return x, labels, min(bad)
+
+
+class TestOutsideFloat32Input:
+    """The encoder computes in float32, so a finite value that float32 cannot
+    hold is refused by its sequence, not cast to inf."""
+
+    MESSAGE = r"^sequence {} holds a value outside float32 range$"
+
+    @given(case=_batch_outside_float32())
+    @settings(max_examples=30, deadline=None)
+    def test_train_names_the_sequence(self, case):
+        x, labels, first = case
+        idx = np.arange(16)
+        with pytest.raises(ValueError, match=self.MESSAGE.format(first)):
+            train(x, labels, idx[:12], idx[12:], REDUCED)
+
+    @given(case=_batch_outside_float32())
+    @settings(max_examples=30, deadline=None)
+    def test_predict_names_the_sequence(self, case):
+        x, _, first = case
+        with pytest.raises(ValueError, match=self.MESSAGE.format(first)):
+            predict(x, reduced_params())
+
+    @given(case=_batch_outside_float32())
+    @settings(max_examples=20, deadline=None)
+    def test_finite_diff_check_refuses(self, case):
+        x, _, first = case
+        with pytest.raises(ValueError, match=self.MESSAGE.format(0)):
+            finite_diff_check(reduced_params(), x[first], True)
+
+    def test_non_finite_check_runs_first(self):
+        x, _ = _toy_dataset(4)
+        x[0, 0, 0, 0, 0] = np.finfo(np.float64).max
+        x[2, 0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^sequence 2 holds NaN or inf$"):
+            predict(x, reduced_params())
+
+    def test_float32_limit_admitted(self):
+        x, _ = _toy_dataset(4)
+        x[1, 0, 0, 0, 0] = -np.finfo(np.float32).max
+        assert predict(x, reduced_params()).shape == (4,)
+
+
+class TestPrecision:
+    """``train`` and ``predict`` run the encoder in float32; parameters,
+    Adam state and the rest of the model stay float64."""
+
+    def test_predict_matches_float64_forward(self):
+        from alarmsift.net import _Workspace, _model_forward
+
+        params = reduced_params(4)
+        x = np.random.default_rng(9).random((20, 3, 4, 8, 8))
+        probs, _ = _model_forward(x, params, False, None, _Workspace())
+        np.testing.assert_allclose(predict(x, params), probs[:, 1], rtol=0, atol=1e-6)
+
+    def test_parameters_and_adam_moments_stay_float64(self, monkeypatch):
+        import alarmsift.net as net
+
+        made = []
+
+        class Recorded(net._Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+        monkeypatch.setattr(net, "_Adam", Recorded)
+        x, labels = _toy_dataset(16, seed=3)
+        idx = np.arange(16)
+        params, _ = train(x, labels, idx[:12], idx[12:], replace(REDUCED, max_epochs=2))
+        (opt,) = made
+        assert opt.t > 0
+        assert set(opt.m) == set(opt.v) == set(params.tensors)
+        for tensors in (params.tensors, opt.m, opt.v):
+            for name, tensor in tensors.items():
+                assert tensor.dtype == np.float64, name
 
 
 class TestPredict:
