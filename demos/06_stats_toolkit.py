@@ -16,8 +16,7 @@ print("all ties:       ", auc([0.5] * 4, [1, 0, 1, 0]))
 print("\n== clinical metrics from confusion counts ==")
 m = confusion_metrics(Confusion(tp=93, tn=288, fp=52, fn=65))
 for k, v in m.as_dict().items():
-    if v is not None:
-        print(f"  {k:12s} {v:.3f}")
+    print(f"  {k:12s} {v:.3f}")
 
 print("\n== fold aggregation ==")
 s = fold_summary([0.7923, 0.8254, 0.8185, 0.8344, 0.8373])

@@ -20,7 +20,7 @@ from .harness import (AblationSpec, ExperimentConfig, SweepSpec, ablate,
                       holdout_run, prepare_records, run_experiment, sweep,
                       write_ablation, write_sweep)
 from .net import save_checkpoint
-from .records import SynthSpec, synth_dataset, write_dataset
+from .records import WINDOW_SECONDS, SynthSpec, synth_dataset, write_dataset
 
 
 class CliError(Exception):
@@ -39,10 +39,9 @@ def _load_json(path) -> dict:
         raise CliError(f"cannot read config {path}: {exc}") from exc
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    blob = _load_json(args.config)
-    blob.pop("sweep_spec", None)
-    blob.pop("ablation_spec", None)
+def _experiment_config(blob: dict, args) -> ExperimentConfig:
+    """A parsed config file's experiment config, with the command line's overrides."""
+    blob = {k: v for k, v in blob.items() if k not in ("sweep_spec", "ablation_spec")}
     if getattr(args, "data", None):
         blob["data_dir"] = args.data
     if getattr(args, "seed", None) is not None:
@@ -60,13 +59,13 @@ def cmd_synth(args) -> None:
 
 
 def cmd_features(args) -> None:
-    records = prepare_records(getattr(args, "in"))
+    records = prepare_records(getattr(args, "in"), WINDOW_SECONDS)
     feats.export_features_csv(records, args.out)
     print(json.dumps({"records": len(records), "out": str(args.out)}))
 
 
 def cmd_train(args) -> None:
-    cfg = _experiment_config(args)
+    cfg = _experiment_config(_load_json(args.config), args)
     model_cfg = cfg.resolved_model()
     records = prepare_records(cfg.data_dir, cfg.window_s)
     labels = np.array([r.label for r in records], dtype=bool)
@@ -88,7 +87,7 @@ def cmd_train(args) -> None:
 
 
 def cmd_run(args) -> None:
-    cfg = _experiment_config(args)
+    cfg = _experiment_config(_load_json(args.config), args)
     run_dir = run_experiment(cfg)
     print(json.dumps({"run_dir": str(run_dir)}))
 
@@ -98,7 +97,7 @@ def cmd_sweep(args) -> None:
     spec_blob = blob.get("sweep_spec", {})
     spec = SweepSpec(**{k: (dict(v) if k == "axes" else v)
                         for k, v in spec_blob.items()}) if spec_blob else SweepSpec()
-    cfg = _experiment_config(args)
+    cfg = _experiment_config(blob, args)
     result = sweep(spec, cfg)
     out = write_sweep(result, args.out or cfg.out_dir)
     print(json.dumps({"out": str(out), "runs_executed": result.runs_executed}))
@@ -109,7 +108,7 @@ def cmd_ablate(args) -> None:
     spec_blob = blob.get("ablation_spec", {})
     spec = AblationSpec(**{k: tuple(v) if isinstance(v, list) else v
                            for k, v in spec_blob.items()}) if spec_blob else AblationSpec()
-    cfg = _experiment_config(args)
+    cfg = _experiment_config(blob, args)
     result = ablate(spec, cfg)
     out = write_ablation(result, args.out or cfg.out_dir)
     print(json.dumps({"out": str(out),

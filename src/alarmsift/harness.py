@@ -15,13 +15,14 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import features as feats
 from .net import ModelConfig, predict, stack_sequences, train
-from .records import (CHANNEL_ORDER, Channel, Record, load_dataset,
-                      tail_window, write_csv)
+from .records import (CHANNEL_ORDER, WINDOW_SECONDS, Channel, Record,
+                      load_dataset, tail_window, write_csv)
 from .stats import (Confusion, FoldAssignment, auc, confusion_metrics,
                     bootstrap_auc_diff, delong_test, error_report,
                     fold_summary, per_alarm_report, stratified_kfold)
@@ -47,7 +48,7 @@ class ExperimentConfig:
     folds: int = 5
     seed: int = 42
     out_dir: str = "runs"
-    window_s: float = 60.0
+    window_s: float = WINDOW_SECONDS
     channels: tuple[str, ...] = tuple(c.value for c in CHANNEL_ORDER)
     val_fraction: float = 0.15  # inner early-stopping split within train folds
     compare_with: str | None = None
@@ -143,7 +144,7 @@ def _assert_no_leakage(train_idx, eval_idx, ids):
 # Data preparation
 # ---------------------------------------------------------------------------
 
-def prepare_records(data_dir, window_s: float = 60.0) -> list[Record]:
+def prepare_records(data_dir, window_s: float) -> list[Record]:
     """Every record under ``data_dir``, cut to its final ``window_s``.
 
     A record shorter than the window is refused by name.  A dataset has one
@@ -175,56 +176,52 @@ def _beat_matrix(records) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cross-validation: one fold loop, one fold scorer per experiment
+# Cross-validation: one fold loop for every experiment
 # ---------------------------------------------------------------------------
 
-def _cross_validate(score_fold, labels, ids, assignment: FoldAssignment):
-    """k-fold CV; ``score_fold(fold, train_idx, test_idx)`` returns the
-    held-out scores and a training history (None for the linear models).
-    Returns the out-of-fold scores, the per-fold AUCs and the histories."""
+class _CrossValidation(NamedTuple):
+    oof: np.ndarray        # out-of-fold score of every record
+    fold_aucs: list        # held-out AUC of each fold
+    histories: list        # TrainHistory of each fold; empty for linear models
+
+
+def _cross_validate(experiment: str, cfg: ExperimentConfig, x, records,
+                    assignment: FoldAssignment) -> _CrossValidation:
+    """k-fold CV of ``experiment`` on input ``x`` (row i is ``records[i]``).
+
+    temporal / static: the sequence model, trained with an inner stratified
+    early-stopping split.  features: one logistic model.  per_alarm: one per
+    alarm type; a type whose training part lacks a class scores 0.5.
+    """
+    labels = np.array([r.label for r in records], dtype=bool)
+    ids = [r.record_id for r in records]
+    model_cfg = cfg.resolved_model(experiment)
+    per_type = experiment == "per_alarm"  # else one group of every record
+    groups = np.array([r.alarm_type if per_type else None for r in records],
+                      dtype=object)
     oof = np.full(labels.size, np.nan)
     fold_aucs, histories = [], []
     for fold in range(assignment.k):
         tr, te = assignment.train_indices(fold), assignment.test_indices(fold)
         _assert_no_leakage(tr, te, ids)
-        oof[te], history = score_fold(fold, tr, te)
-        fold_aucs.append(auc(oof[te], labels[te]))
-        if history is not None:
-            histories.append(history)
-    return oof, fold_aucs, histories
-
-
-def _fold_scorer(experiment: str, cfg: ExperimentConfig, x, labels, records):
-    """The per-fold rule of ``experiment`` on input ``x``.  temporal / static:
-    the sequence model with an inner stratified early-stopping split.
-    features: one logistic model.  per_alarm: one per alarm type; a type
-    whose training part lacks a class scores 0.5."""
-    if experiment in ("temporal", "static"):
-        model_cfg = cfg.resolved_model(experiment)
-
-        def score_net(fold, tr, te):
+        if experiment in ("temporal", "static"):
             fit_rel, stop_rel = stratified_split(
                 labels[tr], [1.0 - cfg.val_fraction, cfg.val_fraction],
                 cfg.seed + 101 * fold)
             params, history = train(x, labels, tr[fit_rel], tr[stop_rel],
                                     replace(model_cfg, seed=model_cfg.seed + fold))
-            return predict(x[te], params), history
-        return score_net
-
-    per_type = experiment == "per_alarm"  # else one group of every record
-    groups = np.array([r.alarm_type if per_type else None for r in records],
-                      dtype=object)
-
-    def score_linear(fold, tr, te):
-        scores = np.full(te.size, 0.5)
-        for group in set(groups[te]):
-            tr_g, te_g = tr[groups[tr] == group], groups[te] == group
-            if not per_type or labels[tr_g].any() and not labels[tr_g].all():
-                model = feats.linear_classifier_fit(x[tr_g], labels[tr_g],
-                                                    seed=cfg.seed + fold)
-                scores[te_g] = feats.linear_classifier_predict(model, x[te[te_g]])
-        return scores, None
-    return score_linear
+            oof[te] = predict(x[te], params)
+            histories.append(history)
+        else:
+            oof[te] = 0.5
+            for group in set(groups[te]):
+                tr_g, te_g = tr[groups[tr] == group], te[groups[te] == group]
+                if not per_type or labels[tr_g].any() and not labels[tr_g].all():
+                    model = feats.linear_classifier_fit(x[tr_g], labels[tr_g],
+                                                        seed=cfg.seed + fold)
+                    oof[te_g] = feats.linear_classifier_predict(model, x[te_g])
+        fold_aucs.append(auc(oof[te], labels[te]))
+    return _CrossValidation(oof, fold_aucs, histories)
 
 
 # ---------------------------------------------------------------------------
@@ -240,28 +237,27 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     """
     records = prepare_records(cfg.data_dir, cfg.window_s)
     labels = np.array([r.label for r in records], dtype=bool)
-    ids = [r.record_id for r in records]
     assignment = stratified_kfold(labels, cfg.folds, cfg.seed)
 
     # built on first use and shared, so features and per_alarm extract once
     record_features = functools.cache(
         lambda: np.stack([feats.extract_features(r).values for r in records]))
 
-    def cross_validate(experiment):
+    def model_input(experiment) -> np.ndarray:
         if experiment in ("temporal", "static"):
-            x = build_sequences(records, cfg.resolved_model(experiment).n_chunks,
-                                cfg.channel_subset())
-        elif experiment == "features":
-            x = record_features()
-        else:  # per_alarm: the feature matrix plus the beat columns
-            x = np.hstack([record_features(), _beat_matrix(records)])
-        return _cross_validate(_fold_scorer(experiment, cfg, x, labels, records),
-                               labels, ids, assignment)
+            return build_sequences(records, cfg.resolved_model(experiment).n_chunks,
+                                   cfg.channel_subset())
+        if experiment == "features":
+            return record_features()
+        return np.hstack([record_features(), _beat_matrix(records)])  # per_alarm
 
-    oof, fold_aucs, histories = cross_validate(cfg.experiment)
+    # each input is a temporary, freed before the next one is built
+    oof, fold_aucs, histories = _cross_validate(
+        cfg.experiment, cfg, model_input(cfg.experiment), records, assignment)
     delong_blob = bootstrap_blob = None
     if cfg.compare_with is not None:
-        base_oof, _, _ = cross_validate(cfg.compare_with)
+        base_oof = _cross_validate(cfg.compare_with, cfg, model_input(cfg.compare_with),
+                                   records, assignment).oof
         # baseline first so the z statistic is negative when the main model wins
         dl = delong_test(base_oof, oof, labels)
         ci = bootstrap_auc_diff(oof, base_oof, labels, seed=cfg.seed)
@@ -273,9 +269,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 
     summary = fold_summary(fold_aucs)
     confusion = Confusion.from_predictions(oof, labels)
-    metrics = confusion_metrics(confusion, auc_value=auc(oof, labels))
+    metrics = confusion_metrics(confusion)
+    pooled = auc(oof, labels)
     per_alarm = per_alarm_report(oof, records)
-    errors = error_report(oof, labels, ids)
+    errors = error_report(oof, labels, [r.record_id for r in records])
 
     report = {
         "run_id": run_id_for(cfg),
@@ -284,10 +281,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         "mean_auc": summary.mean,
         "std_auc": summary.std,
         "ci95": [summary.ci_lo, summary.ci_hi],
-        "pooled_auc": metrics.auc,
+        "pooled_auc": pooled,
         "confusion": {"tp": confusion.tp, "tn": confusion.tn,
                       "fp": confusion.fp, "fn": confusion.fn},
-        "metrics": metrics.as_dict(),
+        "metrics": {**metrics.as_dict(), "auc": pooled},
         "per_alarm": [{"type": row.alarm_type.value, "n": row.n,
                        "auc": row.auc, "accuracy": row.accuracy}
                       for row in per_alarm],
@@ -488,9 +485,7 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
         channel_counts.setdefault(n_chunks, {})[n_channels] = None
     for n_chunks in channel_counts:
         check_chunk_count(records[0], n_chunks)
-    labels = np.array([r.label for r in records], dtype=bool)
-    ids = [r.record_id for r in records]
-    assignment = stratified_kfold(labels, spec.folds, base.seed)
+    assignment = stratified_kfold([r.label for r in records], spec.folds, base.seed)
 
     fold_aucs = {}
     for n_chunks, widths in channel_counts.items():
@@ -498,11 +493,10 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
         for n_channels in widths:
             cfg = replace(base, model=replace(base.model, n_chunks=n_chunks),
                           channels=tuple(base.channels[:n_channels]))
-            _, fold_aucs[n_chunks, n_channels], _ = _cross_validate(
-                _fold_scorer("static" if n_chunks == 1 else "temporal", cfg,
-                             x[:, :, :n_channels], labels, records),
-                labels, ids, assignment)
-        del x  # the scorers were temporaries, so this frees the tensor
+            fold_aucs[n_chunks, n_channels] = _cross_validate(
+                "static" if n_chunks == 1 else "temporal", cfg,
+                x[:, :, :n_channels], records, assignment).fold_aucs
+        del x  # nothing else holds the tensor, so this frees it
 
     rows = []
     for name, n_chunks, n_channels in conditions:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -38,7 +39,8 @@ class ModelConfig:
     ``lstm_layers = 0`` is the static model: its head reads the embedding of
     its single chunk, so it requires ``n_chunks == 1``.  A field annotated
     ``int`` refuses a bool or a non-integer and stores a numpy integer as
-    ``int``.
+    ``int``; a field annotated ``float`` refuses a bool, a non-real or a
+    non-finite value.
     """
 
     embed_dim: int = 128
@@ -62,6 +64,11 @@ class ModelConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        for name in (f.name for f in fields(self) if f.type == "float"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if min(self.embed_dim, self.lstm_hidden, self.head_hidden,
                self.patience, self.max_epochs, self.batch_size, self.n_chunks,
                self.in_channels) <= 0 or self.lstm_layers < 0:
@@ -660,19 +667,18 @@ def train(sequences, labels, train_idx, val_idx,
 # ---------------------------------------------------------------------------
 
 def finite_diff_check(params: ModelParams, sample, label: bool,
-                      weights: ClassWeights = ClassWeights(1.0, 1.0),
-                      epsilon: float = 1e-5, per_group: bool = False):
-    """Max relative error between analytic and central-difference gradients.
+                      epsilon: float = 1e-5) -> dict[str, float]:
+    """Relative error between analytic and central-difference gradients,
+    per parameter group: ||g_analytic - g_numeric||_2 /
+    max(||g_analytic||_2, ||g_numeric||_2, 1e-12).
 
-    Dropout is disabled, and the sample is cast to float64, so the encoder
-    runs the same code as in ``train`` but in double precision; use a
-    reduced config.  The
-    per-group relative error is ||g_analytic - g_numeric||_2 /
-    max(||g_analytic||_2, ||g_numeric||_2, 1e-12).  Returns the max over
-    parameter groups, or the full per-group dict when ``per_group``.
+    The loss runs at unit class weights with dropout disabled, and the
+    sample is cast to float64, so the encoder runs the same code as in
+    ``train`` but in double precision; use a reduced config.
     """
     x = _as_batch(np.asarray(sample, float)[None], params.config)
     labels = np.array([label])
+    weights = ClassWeights(1.0, 1.0)
     ws = _Workspace()
 
     def loss_at() -> float:
@@ -698,7 +704,7 @@ def finite_diff_check(params: ModelParams, sample, label: bool,
         ga, gn = analytic[name], numeric
         denom = max(float(np.linalg.norm(ga)), float(np.linalg.norm(gn)), 1e-12)
         errors[name] = float(np.linalg.norm(ga - gn)) / denom
-    return errors if per_group else max(errors.values())
+    return errors
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from scipy.fft import next_fast_len
 
 KERNEL_SUPPORT_SCALES = 4.0  # kernel truncated at +/- 4a samples
 FLAT_EPS = 1e-12
+SCALOGRAM_COLS = 64  # time bins of a scalogram image
 
 
 def log_scales(n: int = 64, s_min: float = 1.0, s_max: float = 128.0) -> np.ndarray:
@@ -161,7 +162,7 @@ def pool_columns(mag: np.ndarray, target_cols: int) -> np.ndarray:
     return sums / np.maximum(counts, 1)
 
 
-def to_scalogram(coeffs: np.ndarray, target_cols: int = 64) -> np.ndarray:
+def to_scalogram(coeffs: np.ndarray, target_cols: int = SCALOGRAM_COLS) -> np.ndarray:
     """Magnitude -> time pooling to ``target_cols`` bins -> min-max to [0, 1].
 
     Returns the (n_scales, ``target_cols``) image: its values span [0, 1]

@@ -116,7 +116,6 @@ class MetricsReport:
     f1: float
     npv: float
     accuracy: float
-    auc: float | None = None
     flagged: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
@@ -127,12 +126,11 @@ class MetricsReport:
             "f1": self.f1,
             "npv": self.npv,
             "accuracy": self.accuracy,
-            "auc": self.auc,
         }
 
 
-def confusion_metrics(c: Confusion, auc_value: float | None = None) -> MetricsReport:
-    """Closed-form metrics from confusion counts; AUC is supplied separately."""
+def confusion_metrics(c: Confusion) -> MetricsReport:
+    """Closed-form metrics from confusion counts alone."""
     flagged = []
 
     def ratio(num, den, name):
@@ -147,7 +145,7 @@ def confusion_metrics(c: Confusion, auc_value: float | None = None) -> MetricsRe
     f1 = ratio(2.0 * prec * sens, prec + sens, "f1")
     npv = ratio(c.tn, c.tn + c.fn, "npv")
     acc = ratio(c.tp + c.tn, c.total, "accuracy")
-    return MetricsReport(sens, spec, prec, f1, npv, acc, auc_value, tuple(flagged))
+    return MetricsReport(sens, spec, prec, f1, npv, acc, tuple(flagged))
 
 
 # ---------------------------------------------------------------------------

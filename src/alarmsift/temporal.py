@@ -7,7 +7,8 @@ from __future__ import annotations
 import numpy as np
 
 from .records import Channel, Record
-from .scalogram import MorletParams, cwt, fft_length, log_scales, to_scalogram
+from .scalogram import (SCALOGRAM_COLS, MorletParams, cwt, fft_length, log_scales,
+                        to_scalogram)
 
 SCALES = log_scales()
 MORLET = MorletParams()
@@ -39,11 +40,11 @@ def build_sequence(record: Record, n_chunks: int,
     check_chunk_count(record, n_chunks)
     # (n_chunks, N / n_chunks) views; Record.channel raises if a channel is absent
     chunks = [record.channel(chan).reshape(n_chunks, -1) for chan in subset]
-    tensors = np.empty((n_chunks, len(subset), SCALES.size, 64))
+    tensors = np.empty((n_chunks, len(subset), SCALES.size, SCALOGRAM_COLS))
     buf = np.empty((SCALES.size, fft_length(chunks[0].shape[1], SCALES[-1])),
                    dtype=np.complex128)
     for k in range(n_chunks):
         for ci, rows in enumerate(chunks):
             # MORLET goes by position: the benchmark's tracer keys cwt on it
-            tensors[k, ci] = to_scalogram(cwt(rows[k], SCALES, MORLET, out=buf), 64)
+            tensors[k, ci] = to_scalogram(cwt(rows[k], SCALES, MORLET, out=buf))
     return tensors

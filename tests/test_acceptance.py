@@ -130,7 +130,7 @@ def test_criterion_06_delong_calibration():
 def test_criterion_07_gradient_correctness():
     with _budget(7, "finite-difference gradient check, reduced model", 120.0):
         params, sample = _kink_free_fixture()
-        errors = finite_diff_check(params, sample, True, per_group=True)
+        errors = finite_diff_check(params, sample, True)
         assert set(errors) == set(params.tensors)
         for name, err in errors.items():
             assert err < 1e-4, f"{name}: {err}"

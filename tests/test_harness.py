@@ -226,9 +226,12 @@ class TestSweep:
         calls = []
         monkeypatch.setattr(alarmsift.harness, "prepare_records",
                             lambda *args: calls.append(args))
-        spec = SweepSpec(axes={"dropout": (0.2, 1.0)}, repeats=1)
-        with pytest.raises(ValueError, match=r"dropout must lie in \[0, 1\), got 1.0"):
-            sweep(spec, tiny_config(data_dir, tmp_path))
+        for axes, message in (
+                ({"dropout": (0.2, 1.0)}, r"dropout must lie in \[0, 1\), got 1.0"),
+                ({"learning_rate": (1e-3, float("nan"))},
+                 r"learning_rate must be a finite real number, got nan")):
+            with pytest.raises(ValueError, match=message):
+                sweep(SweepSpec(axes=axes, repeats=1), tiny_config(data_dir, tmp_path))
         assert calls == []
 
     @pytest.mark.parametrize("value", [64.0, True])
@@ -393,6 +396,19 @@ class TestAblate:
         fold_aucs = [f["auc"] for f in report["folds"]]
         assert row["fold_aucs"] == fold_aucs
         assert row["mean_auc"] == report["mean_auc"]
+
+    def test_chunk_rows_equal_run_experiment_folds(self, data_dir, tmp_path):
+        """The chunks=6 and chunks=1 cells score the same folds as the
+        temporal and static experiments on the same records, seed and model,
+        so an ablation cell and a run's report can be compared directly."""
+        cfg = tiny_config(data_dir, tmp_path, model={"max_epochs": 1})
+        spec = AblationSpec(chunk_grid=(6, 1), channel_grid=(), folds=2)
+        rows = {row["condition"]: row["fold_aucs"]
+                for row in ablate(spec, cfg).chunk_rows}
+        for condition, experiment in (("chunks=6", "temporal"), ("chunks=1", "static")):
+            run_dir = run_experiment(replace(cfg, experiment=experiment))
+            report = json.loads((run_dir / "report.json").read_text())
+            assert rows[condition] == [f["auc"] for f in report["folds"]], condition
 
 
 class TestEmitReport:

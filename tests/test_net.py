@@ -27,7 +27,7 @@ def predict_one(seq, params):
 # The public entry points that take one chunk sequence, as (seq, params) calls.
 SINGLE_SEQUENCE_CALLS = (
     predict_one,
-    lambda seq, params: finite_diff_check(params, seq, True),
+    lambda seq, params: max(finite_diff_check(params, seq, True).values()),
 )
 
 
@@ -244,6 +244,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, "
                                              rf"got {re.escape(repr(value))}$"):
             ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "0.1"],
+                             ids=["nan", "inf", "-inf", "True", "str"])
+    @pytest.mark.parametrize("field", ["dropout", "learning_rate", "clip_norm"])
+    def test_float_fields_refuse_other_values(self, field, value):
+        """A NaN or inf ``clip_norm`` would disable clipping without a word,
+        and a NaN ``learning_rate`` would fail only as a diverged batch."""
+        with pytest.raises(ValueError, match=rf"^{field} must be a finite real "
+                                             rf"number, got {re.escape(repr(value))}$"):
+            ModelConfig(**{field: value})
+
+    def test_float_fields_take_integers(self):
+        """A JSON config may write ``"learning_rate": 1``."""
+        cfg = ModelConfig(dropout=0, learning_rate=1, clip_norm=np.int64(2))
+        assert (cfg.dropout, cfg.learning_rate, cfg.clip_norm) == (0, 1, 2)
 
     def test_numpy_integers_are_plain_ints(self):
         cfg = ModelConfig(embed_dim=np.int64(16), seed=np.uint8(3))
@@ -687,7 +702,7 @@ class TestPredict:
 class TestGradients:
     def test_finite_difference_all_groups(self):
         params, sample = _kink_free_fixture()
-        errors = finite_diff_check(params, sample, True, per_group=True)
+        errors = finite_diff_check(params, sample, True)
         assert set(errors) == set(params.tensors)
         for name, err in errors.items():
             assert err < 1e-4, f"{name}: {err}"
@@ -710,7 +725,7 @@ class TestGradients:
 
     def test_epsilon_sweep_v_curve(self):
         params, sample = _kink_free_fixture()
-        errs = [finite_diff_check(params, sample, True, epsilon=e)
+        errs = [max(finite_diff_check(params, sample, True, epsilon=e).values())
                 for e in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)]
         best = int(np.argmin(errs))
         assert 0 < best < len(errs) - 1, errs  # interior minimum: the V shape
@@ -732,7 +747,7 @@ class TestStaticVariant:
         params = init_params(cfg, np.random.default_rng(6))
         params.tensors["head_b1"] += 0.05  # clear of the ReLU kink
         sample = np.random.default_rng(7).random((1, 4, 8, 8))
-        assert finite_diff_check(params, sample, False) < 1e-4
+        assert max(finite_diff_check(params, sample, False).values()) < 1e-4
 
 
 class TestCheckpoint:

@@ -2,9 +2,9 @@
 
 ``perfbench/tracing.py`` wraps library functions by name and hashes some of
 their arguments by position, so a signature change in the library can break
-traced benchmark runs without failing anything else.  This test runs the
-sequence-building path under ``instrument`` on one short record.  It only
-reads ``perfbench/``.
+traced benchmark runs without failing anything else.  These tests run the
+sequence-building path on one short record, and one small experiment, under
+``instrument``.  They only read ``perfbench/``.
 """
 
 import importlib.util
@@ -15,6 +15,9 @@ import numpy as np
 
 import alarmsift
 from alarmsift import harness
+from alarmsift.harness import ExperimentConfig, run_experiment
+from alarmsift.net import ModelConfig
+from alarmsift.records import SynthSpec, synth_dataset, write_dataset
 from conftest import make_record
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -43,3 +46,24 @@ def test_build_sequences_traced(monkeypatch):
     assert names.count("temporal.build_sequence") == 1
     assert names.count("net.stack_sequences") == 1
     assert np.array_equal(traced, untraced)
+
+
+def test_run_experiment_traced_per_layer(monkeypatch, tmp_path):
+    """Every call the fold loop makes into another layer reaches the
+    tracer's wrapper; a function bound at import time would blank its row."""
+    tracing = _load_tracing(monkeypatch)
+    write_dataset(synth_dataset(SynthSpec(n=12, true_ratio=0.5), seed=42),
+                  tmp_path / "data")
+    model = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6, dropout=0.0,
+                        max_epochs=1, batch_size=8)
+    cfg = ExperimentConfig(experiment="temporal", data_dir=str(tmp_path / "data"),
+                           model=model, folds=2, out_dir=str(tmp_path / "runs"),
+                           val_fraction=0.25, compare_with="features")
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer, alarmsift):
+        run_experiment(cfg)
+    names = [span.name for span in tracer.spans]
+    counts = {name: names.count(name) for name in (
+        "net.train", "net.predict", "features.linear_classifier_fit", "stats.auc")}
+    assert counts == {"net.train": 2, "net.predict": 2,
+                      "features.linear_classifier_fit": 2, "stats.auc": 5}
