@@ -105,9 +105,7 @@ def cmd_sweep(args) -> None:
 
 def cmd_ablate(args) -> None:
     blob = _load_json(args.config)
-    spec_blob = blob.get("ablation_spec", {})
-    spec = AblationSpec(**{k: tuple(v) if isinstance(v, list) else v
-                           for k, v in spec_blob.items()}) if spec_blob else AblationSpec()
+    spec = AblationSpec(**blob.get("ablation_spec", {}))
     cfg = _experiment_config(blob, args)
     result = ablate(spec, cfg)
     out = write_ablation(result, args.out or cfg.out_dir)

@@ -20,7 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import features as feats
-from .net import ModelConfig, predict, stack_sequences, train
+from .net import (ModelConfig, _checked_number, _store_number_fields, predict,
+                  stack_sequences, train)
 from .records import (CHANNEL_ORDER, WINDOW_SECONDS, Channel, Record,
                       load_dataset, tail_window, write_csv)
 from .stats import (Confusion, FoldAssignment, auc, confusion_metrics,
@@ -54,6 +55,7 @@ class ExperimentConfig:
     compare_with: str | None = None
 
     def __post_init__(self):
+        _store_number_fields(self)  # folds, seed, window_s, val_fraction
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}")
         if self.compare_with is not None and self.compare_with not in EXPERIMENTS:
@@ -64,6 +66,10 @@ class ExperimentConfig:
                              f"itself gives no DeLong or bootstrap result")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.window_s <= 0:
+            raise ValueError(f"window_s must be > 0, got {self.window_s}")
         known = [c.value for c in Channel]
         unknown = [c for c in self.channels if c not in known]
         if unknown:
@@ -358,6 +364,7 @@ class SweepSpec:
     repeats: int = 4
 
     def __post_init__(self):
+        _store_number_fields(self)  # repeats
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         tunable = [f.name for f in dataclasses.fields(ModelConfig)
@@ -441,13 +448,21 @@ class AblationSpec:
     folds: int = 3
 
     def __post_init__(self):
+        _store_number_fields(self)  # folds
+        for name in ("chunk_grid", "channel_grid"):
+            grid = getattr(self, name)
+            if isinstance(grid, (str, bytes)) or not hasattr(grid, "__iter__"):
+                raise ValueError(f"{name} must be a sequence of integers, got {grid!r}")
+            object.__setattr__(self, name, tuple(
+                _checked_number(f"{name} entry", v, "int") for v in grid))
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         if any(n < 1 for n in self.chunk_grid):
-            raise ValueError(f"chunk counts must be >= 1, got {self.chunk_grid}")
+            raise ValueError(f"chunk_grid: chunk counts must be >= 1, "
+                             f"got {self.chunk_grid}")
         if any(not 1 <= c <= len(CHANNEL_ORDER) for c in self.channel_grid):
-            raise ValueError(f"channel counts must lie in 1..{len(CHANNEL_ORDER)}, "
-                             f"got {self.channel_grid}")
+            raise ValueError(f"channel_grid: channel counts must lie in "
+                             f"1..{len(CHANNEL_ORDER)}, got {self.channel_grid}")
 
 
 @dataclass

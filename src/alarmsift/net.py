@@ -30,6 +30,38 @@ _EVAL_BATCH = 16  # sequences per eval-mode forward pass
 _ENCODER_DTYPE = np.float32  # of the encoder pass in ``train`` and ``predict``
 
 
+def _checked_number(name: str, value, kind: str):
+    """``value`` as a plain ``int`` (``kind`` "int") or ``float`` ("float").
+
+    An integer refuses a bool or a non-integer; a float refuses a bool, a
+    non-real or a non-finite value.  The error names ``name``.
+    """
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    message = f"{name} must be a finite real number, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(message)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        raise ValueError(message) from None
+    if not math.isfinite(number):
+        raise ValueError(message)
+    return number
+
+
+def _store_number_fields(config) -> None:
+    """Check every field of the frozen dataclass ``config`` annotated ``int``
+    or ``float`` by ``_checked_number`` and store it as that plain type, so
+    configs that compare equal (``1`` and ``1.0``) write equal JSON."""
+    for f in fields(config):
+        if f.type in ("int", "float"):
+            object.__setattr__(config, f.name,
+                               _checked_number(f.name, getattr(config, f.name), f.type))
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture and training hyperparameters.
@@ -37,10 +69,9 @@ class ModelConfig:
     ``embed_dim`` defaults to the 128-wide desk-scale encoder; 1280 mirrors
     the width of the large pretrained encoder the desk model stands in for.
     ``lstm_layers = 0`` is the static model: its head reads the embedding of
-    its single chunk, so it requires ``n_chunks == 1``.  A field annotated
-    ``int`` refuses a bool or a non-integer and stores a numpy integer as
-    ``int``; a field annotated ``float`` refuses a bool, a non-real or a
-    non-finite value.
+    its single chunk, so it requires ``n_chunks == 1``.  Every ``int`` and
+    ``float`` field is checked and stored as a plain ``int`` or ``float``
+    (see ``_store_number_fields``).
     """
 
     embed_dim: int = 128
@@ -59,16 +90,7 @@ class ModelConfig:
     input_hw: int = 64
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self) if f.type == "int"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        for name in (f.name for f in fields(self) if f.type == "float"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        _store_number_fields(self)
         if min(self.embed_dim, self.lstm_hidden, self.head_hidden,
                self.patience, self.max_epochs, self.batch_size, self.n_chunks,
                self.in_channels) <= 0 or self.lstm_layers < 0:
@@ -569,8 +591,10 @@ def _as_batch(sequences, cfg: ModelConfig) -> np.ndarray:
 
 
 def stack_sequences(sequences) -> np.ndarray:
-    """List of (T, C, H, W) arrays -> one float (N, T, C, H, W) array."""
-    return np.stack([np.asarray(s, float) for s in sequences])
+    """List of (T, C, H, W) arrays -> one (N, T, C, H, W) array: float32 when
+    every sequence is float32, as ``build_sequence`` returns, else float64."""
+    x = np.stack([np.asarray(s) for s in sequences])
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def predict(sequences, params: ModelParams) -> np.ndarray:
@@ -581,7 +605,8 @@ def predict(sequences, params: ModelParams) -> np.ndarray:
 
 def _load_batch(x, idx, ws: _Workspace) -> np.ndarray:
     """Copy the sequences ``x[idx]`` into the workspace's encoder-dtype batch
-    buffer; the cast happens in the copy, one sequence at a time."""
+    buffer, one sequence at a time; float32 input, as ``build_sequence``
+    returns, is copied as is, and any other input is cast in the copy."""
     xb = ws.get("batch", (len(idx), *x.shape[1:]), _ENCODER_DTYPE)
     for row, i in zip(xb, idx):
         row[...] = x[i]

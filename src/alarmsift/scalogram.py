@@ -21,6 +21,13 @@ the output window [0, N).  L >= 2M + 1 keeps the wrapped kernel from
 overlapping itself.  The result therefore equals linear convolution with
 the truncated kernels (Torrence & Compo 1998, on padding for the FFT
 wavelet transform).
+
+The transform computes in the precision of its input.  A float32 signal,
+such as a record's samples, runs the FFTs and the spectral product in
+complex64 against the float64 kernel spectra rounded once to complex64;
+any other input is cast to float64 and runs in complex128, the path the
+direct-convolution oracle checks.  ``to_scalogram`` pools and normalises
+the magnitudes in float64 either way.
 """
 
 from __future__ import annotations
@@ -89,9 +96,11 @@ def fft_length(n: int, max_scale: float) -> int:
     return next_fast_len(max(n + max_half, 2 * max_half + 1))
 
 
-@functools.lru_cache(maxsize=4)
-def _kernel_spectra(scale_bytes: bytes, omega0: float, nfft: int) -> np.ndarray:
-    """FFTs of the truncated kernels at the float64 scales in ``scale_bytes``.
+@functools.lru_cache(maxsize=8)
+def _kernel_spectra(scale_bytes: bytes, omega0: float, nfft: int,
+                    dtype: np.dtype) -> np.ndarray:
+    """FFTs of the truncated kernels at the float64 scales in ``scale_bytes``,
+    computed in complex128 and rounded once to the complex ``dtype``.
 
     Every chunk of a run shares one scale grid and a few FFT lengths, so a
     few entries are reused across all chunks, channels and records.  The
@@ -105,7 +114,7 @@ def _kernel_spectra(scale_bytes: bytes, omega0: float, nfft: int) -> np.ndarray:
     for i, a in enumerate(scales):
         support = np.abs(offsets) <= KERNEL_SUPPORT_SCALES * a
         kernels[i, support] = morlet_wavelet(offsets[support], a, params)
-    spectra = np.fft.fft(kernels, axis=1)
+    spectra = np.fft.fft(kernels, axis=1).astype(dtype, copy=False)
     spectra.setflags(write=False)
     return spectra
 
@@ -125,13 +134,18 @@ def cwt(signal: np.ndarray, scales: np.ndarray,
     direct time-domain convolution with the truncated kernels to machine
     precision.
 
-    The spectral product and the inverse FFT go through one complex
-    (n_scales, L) array: ``out`` when given (a caller transforming many
-    equal-length signals passes the same one each time), otherwise a fresh
-    one.  The result is the view of its first N columns, so it is
-    overwritten by the next call that reuses ``out``.
+    A float32 signal is transformed in complex64; any other input is cast
+    to float64 and transformed in complex128.  The spectral product and the
+    inverse FFT go through one (n_scales, L) array of that complex dtype:
+    ``out`` when given (a caller transforming many equal-length signals
+    passes the same one each time), otherwise a fresh one.  The result is
+    the view of its first N columns, so it is overwritten by the next call
+    that reuses ``out``.
     """
-    x = np.asarray(signal, dtype=np.float64)
+    x = np.asarray(signal)
+    if x.dtype != np.float32:
+        x = np.asarray(x, dtype=np.float64)
+    ctype = np.dtype(np.complex64 if x.dtype == np.float32 else np.complex128)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("signal must be a 1-D vector of length >= 2")
     if not np.isfinite(x).all():
@@ -139,11 +153,11 @@ def cwt(signal: np.ndarray, scales: np.ndarray,
     scales = np.asarray(scales, dtype=np.float64)
     n = x.size
     nfft = fft_length(n, scales.max())
-    spectra = _kernel_spectra(scales.tobytes(), params.omega0, nfft)
+    spectra = _kernel_spectra(scales.tobytes(), params.omega0, nfft, ctype)
     if out is None:
-        out = np.empty(spectra.shape, dtype=np.complex128)
-    elif out.shape != spectra.shape or out.dtype != np.complex128:
-        raise ValueError(f"out must be a complex128 array of shape {spectra.shape}, "
+        out = np.empty(spectra.shape, dtype=ctype)
+    elif out.shape != spectra.shape or out.dtype != ctype:
+        raise ValueError(f"out must be a {ctype} array of shape {spectra.shape}, "
                          f"got {out.dtype} {out.shape}")
     np.multiply(np.fft.fft(x, nfft)[None, :], spectra, out=out)
     return np.fft.ifft(out, axis=1, out=out)[:, :n]
@@ -153,21 +167,23 @@ def pool_columns(mag: np.ndarray, target_cols: int) -> np.ndarray:
     """Mean-pool columns into ``target_cols`` nearly-equal contiguous bins.
 
     Bin j covers columns [j*N//C, (j+1)*N//C); when a bin is empty
-    (N < C) the single column at its left edge is used.
+    (N < C) the single column at its left edge is used.  The sums and means
+    are float64 whatever the dtype of ``mag``.
     """
     n = mag.shape[1]
     edges = (np.arange(target_cols + 1) * n) // target_cols
     counts = np.diff(edges)
-    sums = np.add.reduceat(mag, edges[:-1], axis=1)
+    sums = np.add.reduceat(mag, edges[:-1], axis=1, dtype=np.float64)
     return sums / np.maximum(counts, 1)
 
 
 def to_scalogram(coeffs: np.ndarray, target_cols: int = SCALOGRAM_COLS) -> np.ndarray:
     """Magnitude -> time pooling to ``target_cols`` bins -> min-max to [0, 1].
 
-    Returns the (n_scales, ``target_cols``) image: its values span [0, 1]
-    exactly, except that a flat magnitude image (max - min below 1e-12)
-    maps to all zeros.
+    Returns the float64 (n_scales, ``target_cols``) image, pooled and
+    normalised in float64 whatever the precision of ``coeffs``: its values
+    span [0, 1] exactly, except that a flat magnitude image (max - min
+    below 1e-12) maps to all zeros.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.size == 0:

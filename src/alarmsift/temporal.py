@@ -1,6 +1,10 @@
 """Temporal chunking: cut a record into consecutive equal chunks and build
 the per-chunk multi-channel scalogram tensor consumed by the sequence
-classifier."""
+classifier.
+
+A record's samples are float32, so each chunk is transformed in complex64
+(see ``scalogram``) and the tensor is float32, the dtype the encoder
+computes in."""
 
 from __future__ import annotations
 
@@ -26,13 +30,15 @@ def check_chunk_count(record: Record, n_chunks: int) -> None:
 def build_sequence(record: Record, n_chunks: int,
                    channel_subset: tuple[Channel, ...] | list[Channel] | None = None
                    ) -> np.ndarray:
-    """Per-chunk, per-channel scalograms as a float64 (n_chunks, C, 64, 64) array.
+    """Per-chunk, per-channel scalograms as a float32 (n_chunks, C, 64, 64) array.
 
     Chunk k of a channel is samples [k*N/n_chunks, (k+1)*N/n_chunks) of its
     row, and tensor[k][c] is the normalized scalogram of chunk k on the c-th
-    channel of ``channel_subset`` (default: the record's own channel order).
-    N must be divisible by ``n_chunks``.  Deterministic; chunks and channels
-    are processed independently.  The array is fresh and owned by the caller.
+    channel of ``channel_subset`` (default: the record's own channel order),
+    transformed from the float32 samples in complex64 and rounded to float32
+    once it is normalized.  N must be divisible by ``n_chunks``.
+    Deterministic; chunks and channels are processed independently.  The
+    array is fresh and owned by the caller.
     """
     subset = record.channels if channel_subset is None else tuple(channel_subset)
     if not subset:
@@ -40,9 +46,10 @@ def build_sequence(record: Record, n_chunks: int,
     check_chunk_count(record, n_chunks)
     # (n_chunks, N / n_chunks) views; Record.channel raises if a channel is absent
     chunks = [record.channel(chan).reshape(n_chunks, -1) for chan in subset]
-    tensors = np.empty((n_chunks, len(subset), SCALES.size, SCALOGRAM_COLS))
+    tensors = np.empty((n_chunks, len(subset), SCALES.size, SCALOGRAM_COLS),
+                       dtype=np.float32)
     buf = np.empty((SCALES.size, fft_length(chunks[0].shape[1], SCALES[-1])),
-                   dtype=np.complex128)
+                   dtype=np.complex64)
     for k in range(n_chunks):
         for ci, rows in enumerate(chunks):
             # MORLET goes by position: the benchmark's tracer keys cwt on it

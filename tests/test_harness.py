@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import jsonschema
@@ -11,8 +12,8 @@ import alarmsift.harness
 import alarmsift.temporal
 from alarmsift.harness import (AblationSpec, ExperimentConfig, SweepSpec,
                                ablate, emit_comparison, emit_report,
-                               run_experiment, stratified_split, sweep,
-                               write_ablation, write_sweep)
+                               run_experiment, run_id_for, stratified_split,
+                               sweep, write_ablation, write_sweep)
 from alarmsift.net import ModelConfig
 from alarmsift.records import (CHANNEL_ORDER, Channel, SynthSpec,
                                synth_dataset, write_dataset)
@@ -202,6 +203,85 @@ class TestRunExperiment:
                              **overrides)
 
 
+# Values a JSON or Python spec may put in a number field.
+ANY_VALUE = st.one_of(st.booleans(), st.integers(-3, 8), st.integers(),
+                      st.floats(allow_nan=True, allow_infinity=True),
+                      st.text(max_size=2), st.none())
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) < 2 ** 1024 - 2 ** 970  # float() rounds up to inf here
+    return isinstance(value, float) and math.isfinite(value)
+
+
+class TestSpecFields:
+    """Number fields of the experiment and ablation specs are refused by
+    name in the constructor, so before any record is loaded, and stored as
+    plain ``int`` or ``float``."""
+
+    @given(field=st.sampled_from(["folds", "seed", "window_s"]), value=ANY_VALUE)
+    @settings(max_examples=300, deadline=None)
+    def test_experiment_number_fields(self, field, value):
+        valid = {"folds": is_int(value) and value >= 2,
+                 "seed": is_int(value) and value >= 0,
+                 "window_s": is_finite_real(value) and value > 0}[field]
+        try:
+            cfg = ExperimentConfig("temporal", "data", **{field: value})
+        except ValueError as err:
+            assert not valid and str(err).startswith(field), str(err)
+        else:
+            assert valid
+            assert type(getattr(cfg, field)) is (float if field == "window_s" else int)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"folds": 2.5}, r"^folds must be an integer, got 2.5$"),
+        ({"seed": 1.5}, r"^seed must be an integer, got 1.5$"),
+        ({"window_s": math.nan}, r"^window_s must be a finite real number, got nan$"),
+        ({"window_s": -1.0}, r"^window_s must be > 0, got -1.0$"),
+    ], ids=["folds-2.5", "seed-1.5", "window-nan", "window-negative"])
+    def test_experiment_refused_before_any_record_is_read(
+            self, data_dir, tmp_path, monkeypatch, overrides, message):
+        calls = []
+        monkeypatch.setattr(alarmsift.harness, "load_dataset",
+                            lambda *args: calls.append(args))
+        blob = {**tiny_config(data_dir, tmp_path, experiment="features").to_dict(),
+                **overrides}
+        with pytest.raises(ValueError, match=message):
+            run_experiment(ExperimentConfig.from_dict(blob))
+        assert calls == []
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"folds": 2.5}, r"^folds must be an integer, got 2.5$"),
+        ({"chunk_grid": (1.5,)}, r"^chunk_grid entry must be an integer, got 1.5$"),
+        ({"channel_grid": (True,)}, r"^channel_grid entry must be an integer, got True$"),
+        ({"chunk_grid": 6}, r"^chunk_grid must be a sequence of integers, got 6$"),
+    ], ids=["folds-2.5", "chunk-1.5", "channel-True", "grid-not-a-sequence"])
+    def test_ablation_refused_by_name(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            AblationSpec(**spec)
+
+    def test_equal_configs_share_one_run_id(self):
+        """``1`` and ``1.0`` compare equal, so they write one JSON and one id."""
+        ints = ExperimentConfig("temporal", "d", window_s=60,
+                                model=ModelConfig(learning_rate=1, dropout=0))
+        floats = ExperimentConfig("temporal", "d", window_s=60.0,
+                                  model=ModelConfig(learning_rate=1.0, dropout=0.0))
+        assert ints == floats
+        assert json.dumps(ints.to_dict()) == json.dumps(floats.to_dict())
+        assert run_id_for(ints) == run_id_for(floats)
+
+    def test_default_run_ids_unchanged(self):
+        """Storing floats as ``float`` leaves default configs' bytes as they were."""
+        assert run_id_for(ExperimentConfig("temporal", "data")) == "61dd2dbf84e6"
+        assert run_id_for(ExperimentConfig("features", "data", folds=3,
+                                           compare_with="temporal")) == "e215fdcf9fd9"
+
+
 class TestSweep:
     def test_counting_formula_48(self):
         assert SweepSpec().total_runs == 48
@@ -209,13 +289,14 @@ class TestSweep:
 
     @pytest.mark.parametrize("spec, message", [
         ({"repeats": 0}, r"repeats must be >= 1, got 0"),
+        ({"repeats": 2.5}, r"^repeats must be an integer, got 2.5$"),
         ({"axes": {"dropout": ()}}, r"sweep axis 'dropout' has no values"),
         ({"axes": {"foo": (1, 2)}}, r"sweep axis 'foo' is not a ModelConfig field"),
         ({"axes": {"seed": (1, 2)}}, r"sweep axis 'seed' is not a ModelConfig field"),
         ({"axes": {"n_chunks": (1, 2)}}, r"sweep axis 'n_chunks' is not"),
         ({"axes": {"in_channels": (1, 2)}}, r"sweep axis 'in_channels' is not"),
         ({"axes": {"input_hw": (8, 16)}}, r"sweep axis 'input_hw' is not"),
-    ], ids=["repeats-0", "empty-axis", "unknown-field", "seed", "n_chunks",
+    ], ids=["repeats-0", "repeats-2.5", "empty-axis", "unknown-field", "seed", "n_chunks",
             "in_channels", "input_hw"])
     def test_malformed_spec_refused_by_name(self, spec, message):
         with pytest.raises(ValueError, match=message):
@@ -283,26 +364,36 @@ class TestAblate:
         assert spec.channel_grid == (1, 2, 4)
         assert spec.folds == 3
 
-    @given(chunk_grid=st.lists(st.integers(-2, 12), max_size=4),
-           channel_grid=st.lists(st.integers(-1, 6), max_size=4),
-           folds=st.integers(-1, 6))
-    @settings(max_examples=200, deadline=None)
+    @given(chunk_grid=st.lists(st.integers(-2, 12) | ANY_VALUE, max_size=4),
+           channel_grid=st.lists(st.integers(-1, 6) | ANY_VALUE, max_size=4),
+           folds=st.integers(-1, 6) | ANY_VALUE)
+    @settings(max_examples=400, deadline=None)
     def test_spec_rejects_bad_grids_by_name(self, chunk_grid, channel_grid, folds):
+        """Types are checked first (``folds``, then each grid's entries),
+        then ranges; the first failing check names its field."""
         args = dict(chunk_grid=tuple(chunk_grid),
                     channel_grid=tuple(channel_grid), folds=folds)
         reasons = []
-        if folds < 2:
-            reasons.append("folds")
-        if any(n < 1 for n in chunk_grid):
-            reasons.append("chunk counts")
-        if any(not 1 <= c <= len(CHANNEL_ORDER) for c in channel_grid):
-            reasons.append("channel counts")
+        if not is_int(folds):
+            reasons.append("folds must be an integer")
+        if not all(map(is_int, chunk_grid)):
+            reasons.append("chunk_grid entry must be an integer")
+        if not all(map(is_int, channel_grid)):
+            reasons.append("channel_grid entry must be an integer")
         if not reasons:
-            assert AblationSpec(**args).chunk_grid == tuple(chunk_grid)
+            if folds < 2:
+                reasons.append("folds")
+            if any(n < 1 for n in chunk_grid):
+                reasons.append("chunk_grid: chunk counts")
+            if any(not 1 <= c <= len(CHANNEL_ORDER) for c in channel_grid):
+                reasons.append("channel_grid: channel counts")
+        if not reasons:
+            spec = AblationSpec(**args)
+            assert spec.chunk_grid == tuple(chunk_grid) and spec.folds == folds
             return
         with pytest.raises(ValueError) as err:
             AblationSpec(**args)
-        assert reasons[0] in str(err.value)
+        assert str(err.value).startswith(reasons[0])
 
     def test_one_cwt_per_chunk_channel(self, data_dir, tmp_path, monkeypatch):
         """Each chunk count's tensor is built once, at its widest prefix:

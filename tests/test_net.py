@@ -256,9 +256,14 @@ class TestConfig:
             ModelConfig(**{field: value})
 
     def test_float_fields_take_integers(self):
-        """A JSON config may write ``"learning_rate": 1``."""
+        """A JSON config may write ``"learning_rate": 1``; it is stored as
+        ``1.0``, so it serializes as the float spelling does."""
         cfg = ModelConfig(dropout=0, learning_rate=1, clip_norm=np.int64(2))
         assert (cfg.dropout, cfg.learning_rate, cfg.clip_norm) == (0, 1, 2)
+        assert all(type(v) is float for v in (cfg.dropout, cfg.learning_rate,
+                                                cfg.clip_norm))
+        assert cfg.to_dict() == ModelConfig(dropout=0.0, learning_rate=1.0,
+                                            clip_norm=2.0).to_dict()
 
     def test_numpy_integers_are_plain_ints(self):
         cfg = ModelConfig(embed_dim=np.int64(16), seed=np.uint8(3))

@@ -45,7 +45,11 @@ def test_build_sequences_traced(monkeypatch):
     assert names.count("scalogram.to_scalogram") == 4
     assert names.count("temporal.build_sequence") == 1
     assert names.count("net.stack_sequences") == 1
+    assert traced.dtype == untraced.dtype == np.float32
     assert np.array_equal(traced, untraced)
+    # a float32 chunk still gets a content digest, so unique_ratio is computable
+    digests = [span.digest for span in tracer.spans if span.name == "scalogram.cwt"]
+    assert all(digests) and len(set(digests)) == 4
 
 
 def test_run_experiment_traced_per_layer(monkeypatch, tmp_path):

@@ -163,19 +163,29 @@ class TestCwt:
         x = np.ones(100)
         nfft = fft_length(100, 128.0)
         for bad in (np.empty((64, nfft + 1), complex), np.empty((63, nfft), complex),
-                    np.empty((64, nfft))):
+                    np.empty((64, nfft)), np.empty((64, nfft), np.complex64)):
             with pytest.raises(ValueError, match="out must be a complex128 array"):
                 cwt(x, log_scales(), out=bad)
+        with pytest.raises(ValueError, match="out must be a complex64 array"):
+            cwt(x.astype(np.float32), log_scales(),
+                out=np.empty((64, nfft), complex))
 
     def test_cached_kernel_spectra_are_read_only(self):
-        """Every transform at one (scales, omega0, FFT length) reads the same
-        cached spectra, so a write to them would corrupt later transforms."""
+        """Every transform at one (scales, omega0, FFT length, dtype) reads
+        the same cached spectra, so a write to them would corrupt later
+        transforms."""
         from alarmsift.scalogram import _kernel_spectra
 
-        spectra = _kernel_spectra(log_scales().tobytes(), 6.0,
-                                  fft_length(100, 128.0))
-        with pytest.raises(ValueError, match="read-only"):
-            spectra[0, 0] = 0.0
+        key = (log_scales().tobytes(), 6.0, fft_length(100, 128.0))
+        for dtype in (np.complex64, np.complex128):
+            spectra = _kernel_spectra(*key, np.dtype(dtype))
+            assert spectra.dtype == dtype
+            with pytest.raises(ValueError, match="read-only"):
+                spectra[0, 0] = 0.0
+        # the complex64 spectra are the complex128 ones, rounded once
+        assert np.array_equal(_kernel_spectra(*key, np.dtype(np.complex64)),
+                              _kernel_spectra(*key, np.dtype(np.complex128))
+                              .astype(np.complex64))
 
     def test_time_shift_covariance(self):
         rng = np.random.default_rng(5)
@@ -191,6 +201,41 @@ class TestCwt:
         shifted = wy[:, margin:n - margin]
         err = np.max(np.abs(shifted - ref)) / np.max(np.abs(ref))
         assert err < 1e-6
+
+
+class TestFloat32Path:
+    """A float32 signal is transformed in complex64; anything else in
+    complex128, the path the direct-convolution oracle checks."""
+
+    def test_dtype_follows_input(self):
+        x = np.random.default_rng(1).standard_normal(700)
+        grid = log_scales()
+        assert cwt(x.astype(np.float32), grid).dtype == np.complex64
+        assert cwt(x, grid).dtype == np.complex128
+        assert cwt(x.astype(np.float16), grid).dtype == np.complex128
+        assert cwt([1, 2, 3, 4], grid).dtype == np.complex128
+        assert to_scalogram(cwt(x.astype(np.float32), grid)).dtype == np.float64
+
+    @pytest.mark.parametrize("offset", [0.0, 100.0, 1e4])
+    @pytest.mark.parametrize("n", [2500, 15000])
+    def test_float32_coefficients_match_float64(self, offset, n):
+        """Within 1e-5 of the float64 transform of the same float32 samples,
+        relative to its largest magnitude, also on a large DC offset."""
+        rng = np.random.default_rng(n + int(offset))
+        t = np.arange(n) / 250.0
+        x = (offset + np.sin(2 * np.pi * 7.0 * t)
+             + 0.3 * rng.standard_normal(n)).astype(np.float32)
+        single = cwt(x, log_scales())
+        double = cwt(x.astype(np.float64), log_scales())
+        err = np.max(np.abs(single - double)) / np.max(np.abs(double))
+        assert err < 1e-5, f"err={err}"
+
+    def test_out_buffer_gives_the_same_coefficients(self):
+        x = np.random.default_rng(2).standard_normal(900).astype(np.float32)
+        buf = np.full((64, fft_length(900, 128.0)), np.nan, dtype=np.complex64)
+        got = cwt(x, log_scales(), out=buf)
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(got, cwt(x, log_scales()))
 
 
 class TestToScalogram:

@@ -10,9 +10,10 @@ from conftest import make_record
 
 
 def chunk_scalogram(samples):
-    """Reference: the scalogram of one chunk, computed on its own."""
-    return to_scalogram(cwt(np.asarray(samples, dtype=np.float64), log_scales(),
-                            MorletParams()))
+    """Reference: the scalogram of one chunk, computed on its own in the
+    dtype of ``samples`` and stored in it."""
+    samples = np.asarray(samples)
+    return to_scalogram(cwt(samples, log_scales(), MorletParams())).astype(samples.dtype)
 
 
 class TestSplitChunks:
@@ -21,7 +22,7 @@ class TestSplitChunks:
     def test_six_chunks_of_2500(self):
         r = make_record(n=15000)
         seq = build_sequence(r, 6)
-        assert seq.shape == (6, 4, 64, 64) and seq.dtype == np.float64
+        assert seq.shape == (6, 4, 64, 64) and seq.dtype == np.float32
         for k in range(6):
             for c in range(4):
                 np.testing.assert_array_equal(
@@ -32,6 +33,24 @@ class TestSplitChunks:
         seq = build_sequence(r, 1)
         for c in range(4):
             np.testing.assert_array_equal(seq[0, c], chunk_scalogram(r.samples[c]))
+
+    @pytest.mark.parametrize("n_chunks", [1, 6])
+    def test_float32_matches_float64_reference(self, n_chunks):
+        """Within 2e-6 of scalograms computed from the same samples in
+        float64, on channels with DC offsets up to 1e4."""
+        rng = np.random.default_rng(n_chunks)
+        t = np.arange(15000) / 250.0
+        samples = (np.sin(2 * np.pi * np.array([[1.2], [3.0], [7.5], [20.0]]) * t)
+                   + 0.2 * rng.standard_normal((4, 15000))
+                   + np.array([[0.0], [1.0], [100.0], [1e4]]))
+        r = make_record(n=15000, samples=samples)
+        seq = build_sequence(r, n_chunks)
+        width = 15000 // n_chunks
+        for k in range(n_chunks):
+            for c in range(4):
+                part = r.samples[c, width * k:width * (k + 1)].astype(np.float64)
+                ref = to_scalogram(cwt(part, log_scales(), MorletParams()))
+                np.testing.assert_allclose(seq[k, c], ref, rtol=0, atol=2e-6)
 
     def test_non_divisible_errors(self):
         r = make_record(n=15000)
