@@ -94,9 +94,7 @@ def cmd_run(args) -> None:
 
 def cmd_sweep(args) -> None:
     blob = _load_json(args.config)
-    spec_blob = blob.get("sweep_spec", {})
-    spec = SweepSpec(**{k: (dict(v) if k == "axes" else v)
-                        for k, v in spec_blob.items()}) if spec_blob else SweepSpec()
+    spec = SweepSpec(**blob.get("sweep_spec", {}))
     cfg = _experiment_config(blob, args)
     result = sweep(spec, cfg)
     out = write_sweep(result, args.out or cfg.out_dir)

@@ -20,10 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import features as feats
-from .net import (ModelConfig, _checked_number, _store_number_fields, predict,
-                  stack_sequences, train)
+from .net import ModelConfig, predict, stack_sequences, train
 from .records import (CHANNEL_ORDER, WINDOW_SECONDS, Channel, Record,
-                      load_dataset, tail_window, write_csv)
+                      _checked_number, _store_number_fields, load_dataset,
+                      tail_window, write_csv)
 from .stats import (Confusion, FoldAssignment, auc, confusion_metrics,
                     bootstrap_auc_diff, delong_test, error_report,
                     fold_summary, per_alarm_report, stratified_kfold)
@@ -472,10 +472,10 @@ class AblationResult:
 
 
 def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
-    """3-fold CV per condition: chunk grid at all of ``base.channels``,
-    channel grid at 6 chunks.  The chunks=1 condition is the static
-    (zero LSTM layers) model, and ``channels=c`` uses the first ``c`` of
-    ``base.channels``.
+    """``spec.folds``-fold CV per condition: chunk grid at all of
+    ``base.channels``, channel grid at ``base.model.n_chunks``.  The chunks=1
+    condition is the static (zero LSTM layers) model, and ``channels=c``
+    uses the first ``c`` of ``base.channels``.
 
     Every chunk count is checked against the record length, and every
     channel count against ``base.channels``, before the first transform.
@@ -494,7 +494,8 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
                          f"configured channels {base.channels}")
     records = prepare_records(base.data_dir, base.window_s)
     conditions = ([(f"chunks={n}", n, len(subset)) for n in spec.chunk_grid]
-                  + [(f"channels={c}", 6, c) for c in spec.channel_grid])
+                  + [(f"channels={c}", base.model.n_chunks, c)
+                     for c in spec.channel_grid])
     channel_counts = {}  # chunk count -> its distinct channel counts, in grid order
     for _, n_chunks, n_channels in conditions:
         channel_counts.setdefault(n_chunks, {})[n_channels] = None

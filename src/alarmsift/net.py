@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .records import ClassWeights, class_weights
+from .records import ClassWeights, _store_number_fields, class_weights
 from .stats import auc
 
 LOG_CLAMP = 1e-12
@@ -30,48 +29,18 @@ _EVAL_BATCH = 16  # sequences per eval-mode forward pass
 _ENCODER_DTYPE = np.float32  # of the encoder pass in ``train`` and ``predict``
 
 
-def _checked_number(name: str, value, kind: str):
-    """``value`` as a plain ``int`` (``kind`` "int") or ``float`` ("float").
-
-    An integer refuses a bool or a non-integer; a float refuses a bool, a
-    non-real or a non-finite value.  The error names ``name``.
-    """
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-    message = f"{name} must be a finite real number, got {value!r}"
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(message)
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond float range
-        raise ValueError(message) from None
-    if not math.isfinite(number):
-        raise ValueError(message)
-    return number
-
-
-def _store_number_fields(config) -> None:
-    """Check every field of the frozen dataclass ``config`` annotated ``int``
-    or ``float`` by ``_checked_number`` and store it as that plain type, so
-    configs that compare equal (``1`` and ``1.0``) write equal JSON."""
-    for f in fields(config):
-        if f.type in ("int", "float"):
-            object.__setattr__(config, f.name,
-                               _checked_number(f.name, getattr(config, f.name), f.type))
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture and training hyperparameters.
 
     ``embed_dim`` defaults to the 128-wide desk-scale encoder; 1280 mirrors
     the width of the large pretrained encoder the desk model stands in for.
-    ``lstm_layers = 0`` is the static model: its head reads the embedding of
-    its single chunk, so it requires ``n_chunks == 1``.  Every ``int`` and
-    ``float`` field is checked and stored as a plain ``int`` or ``float``
-    (see ``_store_number_fields``).
+    It must be at least 8, the smallest width at which every conv layer has
+    two or more feature maps (see ``_encoder_widths``).  ``lstm_layers = 0``
+    is the static model: its head reads the embedding of its single chunk,
+    so it requires ``n_chunks == 1``.  Every ``int`` and ``float`` field is
+    checked and stored as a plain ``int`` or ``float`` (see
+    ``records._store_number_fields``).
     """
 
     embed_dim: int = 128
@@ -91,8 +60,12 @@ class ModelConfig:
 
     def __post_init__(self):
         _store_number_fields(self)
-        if min(self.embed_dim, self.lstm_hidden, self.head_hidden,
-               self.patience, self.max_epochs, self.batch_size, self.n_chunks,
+        if self.embed_dim < 8:
+            raise ValueError(f"embed_dim must be >= 8, got {self.embed_dim}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if min(self.lstm_hidden, self.head_hidden, self.patience,
+               self.max_epochs, self.batch_size, self.n_chunks,
                self.in_channels) <= 0 or self.lstm_layers < 0:
             raise ValueError("size/count fields must be positive (lstm_layers >= 0)")
         if not 0.0 <= self.dropout < 1.0:
@@ -135,7 +108,7 @@ class TrainHistory:
 
 
 def _encoder_widths(embed_dim: int) -> tuple[int, int, int]:
-    return max(1, embed_dim // 4), max(1, embed_dim // 2), embed_dim
+    return embed_dim // 4, embed_dim // 2, embed_dim
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
@@ -249,9 +222,9 @@ def _conv_backward(dout, cols, w, need_dx: bool, ws: _Workspace):
     The input gradient takes one (B*H*W, C) GEMM per tap, ``dflat @ W_t``,
     all nine through one buffer.  Each element is the same length-F dot
     product as in one (B*H*W, 9C) GEMM, and with C >= 2 the BLAS returns
-    the same bits.  With C = 1 numpy hands the (B*H*W, F) @ (F, 1) product
-    to GEMV, whose bits differ, so a single-channel input keeps the one
-    (B*H*W, 9) GEMM.
+    the same bits.  Only layer 1 may have C = 1, and it never asks for
+    ``dx``; ``ModelConfig`` refuses ``embed_dim`` < 8, so later layers have
+    C >= 2.
     """
     bb, h, ww, f = dout.shape
     c = w.shape[1]
@@ -262,14 +235,9 @@ def _conv_backward(dout, cols, w, need_dx: bool, ws: _Workspace):
         return None, dw, db
     # tap t = 3*di + dj owns rows t*C .. t*C + C - 1
     wflat = _flat_weight(w).astype(dflat.dtype, copy=False)
-    m = dflat.shape[0]
-    if c == 1:
-        dcols = np.matmul(dflat, wflat.T, out=ws.get("dcols", (m, 9), dflat.dtype))
-        taps = dcols.reshape(bb, h, ww, 9, 1).transpose(3, 0, 1, 2, 4)
-    else:
-        tap_buf = ws.get("tap", (m, c), dflat.dtype)
-        taps = (np.matmul(dflat, wflat[t * c:(t + 1) * c].T, out=tap_buf)
-                .reshape(bb, h, ww, c) for t in range(9))
+    tap_buf = ws.get("tap", (dflat.shape[0], c), dflat.dtype)
+    taps = (np.matmul(dflat, wflat[t * c:(t + 1) * c].T, out=tap_buf)
+            .reshape(bb, h, ww, c) for t in range(9))
     # col2im: output pixel (i, j) took tap (di, dj) from input (i+di-1, j+dj-1).
     # Taps that fell on the zero padding are dropped by clipping the slices;
     # the (di, dj) order fixes each element's sequence of additions.  Each
@@ -289,16 +257,14 @@ def _avgpool_forward(x, ws: _Workspace):
     """2x2 mean pool of NHWC input, bit for bit ``mean(axis=(2, 4))`` of the
     (B, H/2, 2, W/2, 2, F) reshape.
 
-    With two or more feature maps that mean adds the taps in the order
-    (0,0), (0,1), (1,0), (1,1) and divides by 4; four strided adds in that
-    order skip its slow reduction loop.  With a single map numpy's tap order
-    depends on the shape, so that case keeps the mean.
+    With two or more feature maps, as every layer has at ``embed_dim`` >= 8,
+    that mean adds the taps in the order (0,0), (0,1), (1,0), (1,1) and
+    divides by 4; four strided adds in that order skip its slow reduction
+    loop.
     """
     b, h, w, f = x.shape
     v = x.reshape(b, h // 2, 2, w // 2, 2, f)
     out = ws.get("pool", (b, h // 2, w // 2, f), x.dtype)
-    if f == 1:
-        return np.mean(v, axis=(2, 4), out=out)
     np.add(v[:, :, 0, :, 0], v[:, :, 0, :, 1], out=out)
     out += v[:, :, 1, :, 0]
     out += v[:, :, 1, :, 1]

@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -41,6 +42,38 @@ CHANNEL_ORDER = (Channel.ECG_II, Channel.ECG_V, Channel.PLETH, Channel.RESP)
 
 class RecordError(ValueError):
     """Raised for malformed record files or invalid record construction."""
+
+
+def _checked_number(name: str, value, kind: str):
+    """``value`` as a plain ``int`` (``kind`` "int") or ``float`` ("float").
+
+    An integer refuses a bool or a non-integer; a float refuses a bool, a
+    non-real or a non-finite value.  The error names ``name``.
+    """
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    message = f"{name} must be a finite real number, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(message)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        raise ValueError(message) from None
+    if not math.isfinite(number):
+        raise ValueError(message)
+    return number
+
+
+def _store_number_fields(config) -> None:
+    """Check every field of the frozen dataclass ``config`` annotated ``int``
+    or ``float`` by ``_checked_number`` and store it as that plain type, so
+    configs that compare equal (``1`` and ``1.0``) write equal JSON."""
+    for f in fields(config):
+        if f.type in ("int", "float"):
+            object.__setattr__(config, f.name,
+                               _checked_number(f.name, getattr(config, f.name), f.type))
 
 
 @dataclass(frozen=True)
@@ -262,7 +295,8 @@ class SynthSpec:
     carry a burst of identical total energy dropped abruptly into one
     uniformly random chunk.  Total window energy is therefore matched
     between the two families, so only the temporal placement and onset
-    shape separate them.
+    shape separate them.  Every ``int`` and ``float`` field is checked and
+    stored as a plain ``int`` or ``float`` (see ``_store_number_fields``).
     """
 
     n: int
@@ -274,7 +308,8 @@ class SynthSpec:
     anomaly_energy: float = 900.0
     noise_std: float = 0.05
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        _store_number_fields(self)
         if self.n <= 0:
             raise ValueError(f"n must be positive, got {self.n}")
         if not 0.0 < self.true_ratio < 1.0:
@@ -361,7 +396,6 @@ def _anomaly_burst(spec: SynthSpec, rng: np.random.Generator,
 
 def synth_dataset(spec: SynthSpec, seed: int) -> list[Record]:
     """Generate ``spec.n`` labelled 4-channel records, deterministic under seed."""
-    spec.validate()
     rng = np.random.default_rng(seed)
     n_true = int(round(spec.n * spec.true_ratio))
     alarm_types = list(AlarmType)

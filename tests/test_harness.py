@@ -453,6 +453,24 @@ class TestAblate:
         assert (full["condition"], same["condition"]) == ("chunks=6", "channels=4")
         assert {**full, "condition": None} == {**same, "condition": None}
 
+    def test_channel_rows_run_at_configured_chunk_count(self, data_dir, tmp_path,
+                                                         monkeypatch):
+        """With ``n_chunks=3`` the channels=4 row is the chunks=3 model, and
+        no 6-chunk tensor is built."""
+        real_build, built = alarmsift.harness.build_sequence, set()
+
+        def spy_build(record, n_chunks, *args, **kwargs):
+            built.add(n_chunks)
+            return real_build(record, n_chunks, *args, **kwargs)
+
+        monkeypatch.setattr(alarmsift.harness, "build_sequence", spy_build)
+        cfg = tiny_config(data_dir, tmp_path, model={"max_epochs": 1, "n_chunks": 3})
+        result = ablate(AblationSpec(chunk_grid=(1, 3), channel_grid=(4,), folds=2), cfg)
+        assert built == {1, 3}
+        three, same = result.chunk_rows[1], result.channel_rows[0]
+        assert (three["condition"], same["condition"]) == ("chunks=3", "channels=4")
+        assert {**three, "condition": None} == {**same, "condition": None}
+
     def test_rejects_channel_count_above_configured(self, data_dir, tmp_path):
         cfg = tiny_config(data_dir, tmp_path, channels=("ECG_II", "ECG_V"))
         spec = AblationSpec(chunk_grid=(1,), channel_grid=(1, 4), folds=2)

@@ -138,7 +138,8 @@ def _wide_range(rng, shape):
 
 def _check_primitives(ws, b, h, w, c, f, rng):
     """Every encoder primitive, run through ``ws``, equals its reference bit
-    for bit on one random (b, h, w, c) input and f output maps."""
+    for bit on one random (b, h, w, c) input and f output maps.  A
+    one-channel input is layer 1's, which never asks for ``dx``."""
     from alarmsift.net import (_avgpool_backward, _avgpool_forward,
                                _conv_backward, _conv_forward, _im2col)
 
@@ -155,14 +156,19 @@ def _check_primitives(ws, b, h, w, c, f, rng):
     dy = _wide_range(rng, (b, h // 2, w // 2, f))
     dz = _avgpool_backward(dy, mask, ws)
     assert np.array_equal(dz, _ref_avgpool_backward(dy, mask))
-    for got, want in zip(_conv_backward(dz, cols, wt, True, ws),
-                         _ref_conv_backward(dz, cols, wt)):
+    dx, *grads = _conv_backward(dz, cols, wt, c > 1, ws)
+    ref_dx, *ref_grads = _ref_conv_backward(dz, cols, wt)
+    if c == 1:
+        assert dx is None
+    else:
+        assert np.array_equal(dx, ref_dx)
+    for got, want in zip(grads, ref_grads):
         assert np.array_equal(got, want)
 
 
 class TestPrimitivesMatchReference:
     @given(b=st.integers(1, 3), h=st.integers(1, 6), w=st.integers(1, 6),
-           c=st.integers(1, 5), f=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1))
+           c=st.integers(1, 5), f=st.integers(2, 4), seed=st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal(self, b, h, w, c, f, seed):
         from alarmsift.net import _Workspace
@@ -171,7 +177,7 @@ class TestPrimitivesMatchReference:
                           np.random.default_rng(seed))
 
     @given(small=st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6),
-                           st.integers(1, 5), st.integers(1, 4)),
+                           st.integers(1, 5), st.integers(2, 4)),
            grow=st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3),
                           st.integers(0, 3), st.integers(0, 3)),
            seed=st.integers(0, 2 ** 31 - 1))
@@ -269,6 +275,24 @@ class TestConfig:
         cfg = ModelConfig(embed_dim=np.int64(16), seed=np.uint8(3))
         assert cfg == ModelConfig(embed_dim=16, seed=3)
         assert type(cfg.embed_dim) is int and type(cfg.seed) is int
+
+    @given(embed_dim=st.integers(-4, 2048))
+    def test_embed_dim_gives_every_conv_layer_two_maps(self, embed_dim):
+        """``embed_dim`` < 8 would leave a conv layer one feature map; it is
+        refused by name, and every admitted width gives each layer two."""
+        from alarmsift.net import _encoder_widths
+
+        if embed_dim < 8:
+            with pytest.raises(ValueError, match=rf"^embed_dim must be >= 8, "
+                                                 rf"got {embed_dim}$"):
+                ModelConfig(embed_dim=embed_dim)
+        else:
+            assert min(_encoder_widths(ModelConfig(embed_dim=embed_dim).embed_dim)) >= 2
+
+    @pytest.mark.parametrize("seed", [-1, -2 ** 63])
+    def test_negative_seed_refused_by_name(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be >= 0, got {seed}$"):
+            ModelConfig(seed=seed)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -784,6 +808,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"tensor 'conv1_w' has shape "
                                              r"\(2, 4, 3, 3\), but "
                                              r"m.config.json builds \(4, 4, 3, 3\)"):
+            load_checkpoint(tmp_path / "m.npz")
+
+    def test_narrow_sidecar_refused_by_field(self, tmp_path):
+        """A sidecar with ``embed_dim`` < 8 is refused by ModelConfig, by
+        the field's name, before any tensor shape is compared."""
+        save_checkpoint(reduced_params(15), tmp_path / "m.npz")
+        sidecar = tmp_path / "m.config.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "embed_dim": 4}))
+        with pytest.raises(ValueError, match=r"^embed_dim must be >= 8, got 4$"):
             load_checkpoint(tmp_path / "m.npz")
 
     def test_missing_tensor_named(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -260,3 +261,45 @@ class TestSynthDataset:
             synth_dataset(SynthSpec(n=0), 0)
         with pytest.raises(ValueError):
             synth_dataset(SynthSpec(n=4, true_ratio=1.5), 0)
+
+
+_SYNTH_INT_FIELDS = ("n", "n_coding_chunks")
+_SYNTH_FLOAT_FIELDS = ("true_ratio", "fs", "duration_s", "anomaly_freq_hz",
+                       "anomaly_energy", "noise_std")
+
+
+class TestSynthSpecNumbers:
+    """SynthSpec checks its number fields on construction, by name, with the
+    rule the model and experiment configs use."""
+
+    @given(field=st.sampled_from(_SYNTH_INT_FIELDS),
+           value=st.one_of(st.booleans(), st.floats(allow_nan=True),
+                           st.text(max_size=3), st.none()))
+    def test_integer_fields_refuse_other_types(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, "
+                                             rf"got {re.escape(repr(value))}$"):
+            SynthSpec(**{"n": 4, field: value})
+
+    @given(field=st.sampled_from(_SYNTH_FLOAT_FIELDS),
+           value=st.one_of(st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf]),
+                           st.integers(min_value=2 ** 1024, max_value=2 ** 1100),
+                           st.text(max_size=3), st.none()))
+    def test_float_fields_refuse_other_values(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a finite real "
+                                             rf"number, got {re.escape(repr(value))}$"):
+            SynthSpec(**{"n": 4, field: value})
+
+    @given(n=st.integers(-2, 3), chunks=st.integers(-1, 3),
+           ratio=st.floats(-0.5, 1.5), fs=st.sampled_from([-1.0, 0.0, 1e-3, 250]))
+    def test_range_boundaries(self, n, chunks, ratio, fs):
+        """Admitted specs hold plain ``int`` and ``float`` values; anything
+        past a range boundary is refused on construction."""
+        kwargs = dict(n=np.int64(n), n_coding_chunks=chunks, true_ratio=ratio, fs=fs)
+        if n >= 1 and chunks >= 2 and 0.0 < ratio < 1.0 and fs > 0:
+            spec = SynthSpec(**kwargs)
+            assert type(spec.n) is int and type(spec.fs) is float
+            assert spec == SynthSpec(n=n, n_coding_chunks=chunks, true_ratio=ratio,
+                                     fs=float(fs))
+        else:
+            with pytest.raises(ValueError):
+                SynthSpec(**kwargs)
