@@ -20,7 +20,8 @@ from .harness import (AblationSpec, ExperimentConfig, SweepSpec, ablate,
                       holdout_run, prepare_records, run_experiment, sweep,
                       write_ablation, write_sweep)
 from .net import save_checkpoint
-from .records import WINDOW_SECONDS, SynthSpec, synth_dataset, write_dataset
+from .records import (WINDOW_SECONDS, SynthSpec, synth_dataset, write_dataset,
+                      write_json)
 
 
 class CliError(Exception):
@@ -72,16 +73,11 @@ def cmd_train(args) -> None:
     x = build_sequences(records, model_cfg.n_chunks, cfg.channel_subset())
     params, history, best_val, test_auc = holdout_run(x, labels, model_cfg, cfg.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(params, out / "checkpoint.npz")
-    (out / "history.json").write_text(json.dumps({
-        "train_loss": history.train_loss,
-        "val_auc": history.val_auc,
-        "best_epoch": history.best_epoch,
-        "stop_reason": history.stop_reason,
-        "best_val_auc": best_val,
-        "test_auc": test_auc,
-    }, indent=2) + "\n")
+    save_checkpoint(params, out / "checkpoint.npz")  # makes ``out``
+    write_json(out / "history.json", {
+        "train_loss": history.train_loss, "val_auc": history.val_auc,
+        "best_epoch": history.best_epoch, "stop_reason": history.stop_reason,
+        "best_val_auc": best_val, "test_auc": test_auc})
     print(json.dumps({"out": str(out), "best_val_auc": best_val,
                       "test_auc": test_auc, "epochs": history.epochs_run}))
 

@@ -23,7 +23,7 @@ from . import features as feats
 from .net import ModelConfig, predict, stack_sequences, train
 from .records import (CHANNEL_ORDER, WINDOW_SECONDS, Channel, Record,
                       _checked_number, _store_number_fields, load_dataset,
-                      tail_window, write_csv)
+                      tail_window, write_csv, write_json)
 from .stats import (Confusion, FoldAssignment, auc, confusion_metrics,
                     bootstrap_auc_diff, delong_test, error_report,
                     fold_summary, per_alarm_report, stratified_kfold)
@@ -86,19 +86,15 @@ class ExperimentConfig:
         """Model config of one run of ``experiment`` (default: this config's).
 
         The one rule for every run: ``static`` is one chunk and zero LSTM
-        layers, any other experiment keeps ``model``'s; ``in_channels`` is
-        the number of configured channels.
+        layers, any other experiment keeps ``model``'s.  The input shape is
+        the data's: ``train`` reads the channel count from its input.
         """
         if (experiment or self.experiment) == "static":
-            return replace(self.model, in_channels=len(self.channels),
-                           n_chunks=1, lstm_layers=0)
-        return replace(self.model, in_channels=len(self.channels))
+            return replace(self.model, n_chunks=1, lstm_layers=0)
+        return self.model
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["channels"] = list(self.channels)
-        d["model"] = self.model.to_dict()
-        return d
+        return {**dataclasses.asdict(self), "channels": list(self.channels)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -308,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 
     run_dir = Path(cfg.out_dir) / f"{cfg.experiment}-{report['run_id']}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    write_json(run_dir / "report.json", report)
     write_csv(run_dir / "predictions.csv",
               ["record_id", "alarm_type", "label", "fold", "p_true"],
               ([r.record_id, r.alarm_type.value, int(r.label),
@@ -349,9 +345,9 @@ def holdout_run(x, labels, model_cfg: ModelConfig, split_seed: int):
 # Hyperparameter sweep (one parameter at a time)
 # ---------------------------------------------------------------------------
 
-# ModelConfig fields a sweep sets itself: the seed per repeat, and the input
-# shape, which the one tensor that every run trains on fixes.
-_SWEEP_FIXED = ("seed", "n_chunks", "in_channels", "input_hw")
+# ModelConfig fields a sweep sets itself: the seed per repeat, and the chunk
+# count, which the one tensor that every run trains on fixes.
+_SWEEP_FIXED = ("seed", "n_chunks")
 
 
 @dataclass(frozen=True)
@@ -427,9 +423,8 @@ def sweep(spec: SweepSpec, base: ExperimentConfig) -> SweepResult:
 def write_sweep(result: SweepResult, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep.json").write_text(json.dumps(
-        {"rows": result.rows, "runs": result.runs,
-         "runs_executed": result.runs_executed}, indent=2) + "\n")
+    write_json(out_dir / "sweep.json", {"rows": result.rows, "runs": result.runs,
+                                        "runs_executed": result.runs_executed})
     write_csv(out_dir / "sweep.csv",
               ["parameter", "values_tested", "winner", "val_auc"],
               ([row["parameter"], " ".join(str(v) for v in row["values"]),
@@ -506,9 +501,8 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
     fold_aucs = {}
     for n_chunks, widths in channel_counts.items():
         x = build_sequences(records, n_chunks, subset[:max(widths)])
+        cfg = replace(base, model=replace(base.model, n_chunks=n_chunks))
         for n_channels in widths:
-            cfg = replace(base, model=replace(base.model, n_chunks=n_chunks),
-                          channels=tuple(base.channels[:n_channels]))
             fold_aucs[n_chunks, n_channels] = _cross_validate(
                 "static" if n_chunks == 1 else "temporal", cfg,
                 x[:, :, :n_channels], records, assignment).fold_aucs
@@ -528,9 +522,8 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
 def write_ablation(result: AblationResult, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "ablation.json").write_text(json.dumps(
-        {"chunks": result.chunk_rows, "channels": result.channel_rows},
-        indent=2) + "\n")
+    write_json(out_dir / "ablation.json",
+               {"chunks": result.chunk_rows, "channels": result.channel_rows})
     for name, rows in (("ablation_chunks.csv", result.chunk_rows),
                        ("ablation_channels.csv", result.channel_rows)):
         write_csv(out_dir / name, ["condition", "mean_auc", "std_auc"],
@@ -579,7 +572,7 @@ def emit_report(run_dir, fmt: str = "csv") -> list[Path]:
 
     if fmt == "json":
         path = out / "figures.json"
-        path.write_text(json.dumps(blocks, indent=2) + "\n")
+        write_json(path, blocks)
         return [path]
     for name, rows in blocks.items():
         path = out / f"{name}.csv"
@@ -606,7 +599,7 @@ def emit_comparison(parent_dir, fmt: str = "csv") -> Path:
         raise FileNotFoundError(f"no completed runs under {parent}")
     if fmt == "json":
         path = parent / "comparison.json"
-        path.write_text(json.dumps(rows, indent=2) + "\n")
+        write_json(path, rows)
         return path
     path = parent / "comparison.csv"
     write_csv(path, ["experiment", "run_id", "mean_auc", "std_auc"],

@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .records import ClassWeights, _store_number_fields, class_weights
+from .records import ClassWeights, _store_number_fields, class_weights, write_json
 from .stats import auc
 
 LOG_CLAMP = 1e-12
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _EVAL_BATCH = 16  # sequences per eval-mode forward pass
 _ENCODER_DTYPE = np.float32  # of the encoder pass in ``train`` and ``predict``
 
@@ -38,8 +38,9 @@ class ModelConfig:
     It must be at least 8, the smallest width at which every conv layer has
     two or more feature maps (see ``_encoder_widths``).  ``lstm_layers = 0``
     is the static model: its head reads the embedding of its single chunk,
-    so it requires ``n_chunks == 1``.  Every ``int`` and ``float`` field is
-    checked and stored as a plain ``int`` or ``float`` (see
+    so it requires ``n_chunks == 1``.  The input shape is the data's, not
+    config (see ``_as_batch``).  Every ``int`` and ``float`` field is checked
+    and stored as a plain ``int`` or ``float`` (see
     ``records._store_number_fields``).
     """
 
@@ -55,8 +56,6 @@ class ModelConfig:
     batch_size: int = 16
     seed: int = 42
     n_chunks: int = 6
-    in_channels: int = 4
-    input_hw: int = 64
 
     def __post_init__(self):
         _store_number_fields(self)
@@ -64,16 +63,13 @@ class ModelConfig:
             raise ValueError(f"embed_dim must be >= 8, got {self.embed_dim}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if min(self.lstm_hidden, self.head_hidden, self.patience,
-               self.max_epochs, self.batch_size, self.n_chunks,
-               self.in_channels) <= 0 or self.lstm_layers < 0:
+        if min(self.lstm_hidden, self.head_hidden, self.patience, self.max_epochs,
+               self.batch_size, self.n_chunks) <= 0 or self.lstm_layers < 0:
             raise ValueError("size/count fields must be positive (lstm_layers >= 0)")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.learning_rate <= 0 or self.clip_norm <= 0:
             raise ValueError("learning_rate and clip_norm must be positive")
-        if self.input_hw % 8 != 0:
-            raise ValueError("input_hw must be divisible by 8 (three 2x2 pools)")
         if self.lstm_layers == 0 and self.n_chunks != 1:
             raise ValueError(f"lstm_layers == 0 (the static model) requires "
                              f"n_chunks == 1, got n_chunks={self.n_chunks}")
@@ -88,7 +84,7 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """Named parameter tensors plus the config they were built for."""
+    """Named parameter tensors (C is ``conv1_w``'s axis 1) and their config."""
 
     config: ModelConfig
     tensors: dict[str, np.ndarray]
@@ -111,9 +107,10 @@ def _encoder_widths(embed_dim: int) -> tuple[int, int, int]:
     return embed_dim // 4, embed_dim // 2, embed_dim
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
+def init_params(cfg: ModelConfig, in_channels: int,
+                rng: np.random.Generator) -> ModelParams:
     """Fan-based uniform init for conv/linear weights, orthogonal recurrent
-    blocks, and forget-gate bias 1."""
+    blocks, and forget-gate bias 1; ``conv1_w`` reads ``in_channels``."""
     w1, w2, w3 = _encoder_widths(cfg.embed_dim)
     tensors: dict[str, np.ndarray] = {}
 
@@ -121,7 +118,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
-    tensors["conv1_w"] = uniform((w1, cfg.in_channels, 3, 3), cfg.in_channels * 9)
+    tensors["conv1_w"] = uniform((w1, in_channels, 3, 3), in_channels * 9)
     tensors["conv1_b"] = np.zeros(w1)
     tensors["conv2_w"] = uniform((w2, w1, 3, 3), w1 * 9)
     tensors["conv2_b"] = np.zeros(w2)
@@ -529,22 +526,25 @@ class _Adam:
 # Public API
 # ---------------------------------------------------------------------------
 
-def _as_batch(sequences, cfg: ModelConfig) -> np.ndarray:
-    """The one check on model input, made by every public entry point: an
-    (N, T, C, H, W) batch whose (T, C, H, W) matches ``cfg``.  A sequence
-    holding NaN or inf, or a value that float32 cannot hold, is refused by
-    its index.  Entry points that take one sequence pass it as a batch of
-    one."""
+def _as_batch(sequences, cfg: ModelConfig, channels: int | None) -> np.ndarray:
+    """The one check on model input, made by every public entry point before
+    any forward pass: an (N, T, C, H, W) batch of ``cfg.n_chunks`` chunks, C
+    >= 1 (equal to a trained model's ``channels``; ``train`` passes None and
+    builds ``conv1_w`` for C), and H, W multiples of 8 for the three 2x2
+    pools.  A sequence holding NaN or inf, or a value that float32 cannot
+    hold, is refused by its index; a single sequence is a batch of one."""
     x = sequences if isinstance(sequences, np.ndarray) else stack_sequences(sequences)
     if x.ndim != 5:
         raise ValueError(f"expected (N, n_chunks, C, H, W) input, got shape {x.shape}")
     t, c, h, w = x.shape[1:]
-    if c != cfg.in_channels or h != cfg.input_hw or w != cfg.input_hw:
-        raise ValueError(
-            f"input shape {x.shape[1:]} does not match config "
-            f"(C={cfg.in_channels}, HW={cfg.input_hw})")
     if t != cfg.n_chunks:
         raise ValueError(f"sequence has {t} chunks, config expects {cfg.n_chunks}")
+    if channels is not None and c != channels:
+        raise ValueError(f"input shape {x.shape[1:]} has {c} channels, but the "
+                         f"model reads {channels}")
+    if c < 1 or min(h, w) < 8 or h % 8 or w % 8:
+        raise ValueError(f"input shape {x.shape[1:]}: C must be >= 1, and H and W "
+                         f"multiples of 8 (three 2x2 pools); got C={c}, H={h}, W={w}")
     finite = np.isfinite(x).all(axis=(1, 2, 3, 4))
     if not finite.all():
         raise ValueError(f"sequence {int(np.argmin(finite))} holds NaN or inf")
@@ -565,7 +565,7 @@ def stack_sequences(sequences) -> np.ndarray:
 
 def predict(sequences, params: ModelParams) -> np.ndarray:
     """Eval-mode p_true per record; deterministic (dropout off)."""
-    x = _as_batch(sequences, params.config)
+    x = _as_batch(sequences, params.config, params.tensors["conv1_w"].shape[1])
     return _predict(x, np.arange(x.shape[0]), params, _Workspace())
 
 
@@ -599,7 +599,7 @@ def train(sequences, labels, train_idx, val_idx,
     sequence.  A batch whose loss or pre-clip gradient norm is not finite
     raises ValueError naming the epoch and the batch.
     """
-    x = _as_batch(sequences, cfg)
+    x = _as_batch(sequences, cfg, None)
     labels = np.asarray(labels, dtype=bool)
     if labels.shape != x.shape[:1]:
         raise ValueError(f"train requires one label per sequence; got {labels.size} "
@@ -613,7 +613,7 @@ def train(sequences, labels, train_idx, val_idx,
     weights = class_weights(labels[train_idx])
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(cfg, rng)
+    params = init_params(cfg, x.shape[2], rng)
     opt = _Adam(params.tensors, cfg.learning_rate)
 
     history = TrainHistory([], [], [], best_epoch=0, stop_reason="max_epochs")
@@ -667,7 +667,8 @@ def finite_diff_check(params: ModelParams, sample, label: bool,
     sample is cast to float64, so the encoder runs the same code as in
     ``train`` but in double precision; use a reduced config.
     """
-    x = _as_batch(np.asarray(sample, float)[None], params.config)
+    x = _as_batch(np.asarray(sample, float)[None], params.config,
+                  params.tensors["conv1_w"].shape[1])
     labels = np.array([label])
     weights = ClassWeights(1.0, 1.0)
     ws = _Workspace()
@@ -706,8 +707,7 @@ def save_checkpoint(params: ModelParams, path: Path | str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez(path, __version__=np.int64(CHECKPOINT_VERSION), **params.tensors)
-    sidecar = path.with_suffix(".config.json")
-    sidecar.write_text(json.dumps(params.config.to_dict(), indent=2) + "\n")
+    write_json(path.with_suffix(".config.json"), params.config.to_dict())
 
 
 def load_checkpoint(path: Path | str) -> ModelParams:
@@ -717,9 +717,13 @@ def load_checkpoint(path: Path | str) -> ModelParams:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         tensors = {k: blob[k] for k in blob.files if k != "__version__"}
+    conv1_w = tensors.get("conv1_w")
+    if conv1_w is None or conv1_w.ndim != 4 or conv1_w.shape[1] < 1:
+        raise ValueError(f"checkpoint {path}: no tensor 'conv1_w' of shape "
+                         f"(F, C >= 1, 3, 3) to read the input channel count from")
     sidecar = path.with_suffix(".config.json")
     cfg = ModelConfig.from_dict(json.loads(sidecar.read_text()))
-    built = init_params(cfg, np.random.default_rng(0)).tensors
+    built = init_params(cfg, conv1_w.shape[1], np.random.default_rng(0)).tensors
     for name in [*built, *sorted(tensors.keys() - built.keys())]:
         got = tensors[name].shape if name in tensors else None
         want = built[name].shape if name in built else None

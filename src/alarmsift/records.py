@@ -170,15 +170,14 @@ def write_record(record: Record, root: Path | str) -> Path:
     """Write ``record`` under ``root/<record_id>/``; returns the directory."""
     rec_dir = Path(root) / record.record_id
     rec_dir.mkdir(parents=True, exist_ok=True)
-    header = {
+    write_json(rec_dir / "header.json", {
         "record_id": record.record_id,
         "alarm_type": record.alarm_type.value,
         "label": record.label,
         "fs": record.fs,
         "channels": [c.value for c in record.channels],
         "n_samples": record.n_samples,
-    }
-    (rec_dir / "header.json").write_text(json.dumps(header, indent=2) + "\n")
+    })
     data = record.samples.astype("<f4", copy=False)
     (rec_dir / "signal.f32").write_bytes(data.tobytes(order="C"))
     return rec_dir
@@ -235,6 +234,11 @@ def load_dataset(root: Path | str) -> list[Record]:
 def write_dataset(records: list[Record], root: Path | str) -> None:
     for r in records:
         write_record(r, root)
+
+
+def write_json(path: Path | str, obj) -> None:
+    """Write ``obj`` in the library's one JSON format: indent 2, final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
 def write_csv(path: Path | str, header, rows) -> None:
@@ -318,6 +322,9 @@ class SynthSpec:
             raise ValueError("fs and duration_s must be positive")
         if self.n_coding_chunks < 2:
             raise ValueError("need at least 2 coding chunks")
+        if (samples := round(self.duration_s * self.fs)) < self.n_coding_chunks:
+            raise ValueError(f"duration_s * fs gives {samples} samples, fewer than "
+                             f"n_coding_chunks={self.n_coding_chunks}")
         if self.anomaly_energy <= 0 or self.noise_std < 0:
             raise ValueError("invalid anomaly_energy / noise_std")
 

@@ -171,3 +171,17 @@ class TestErrorContract:
         rc = main(["run", "--config", str(path)])
         assert rc != 0
         assert "message" in json.loads(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key, value", [("in_channels", 4), ("input_hw", 64)])
+    def test_removed_model_key_error_json(self, cli_data, tmp_path, capsys, key, value):
+        """A model block copied from an older report.json names an input-shape
+        key ``ModelConfig`` no longer has; the run is refused by the key."""
+        cfg = write_config(tmp_path, data_dir=str(cli_data),
+                           model={**TINY["model"], key: value},
+                           out_dir=str(tmp_path / "runs"))
+        rc = main(["run", "--config", str(cfg)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TypeError"
+        assert f"unexpected keyword argument '{key}'" in err["message"]
+        assert not (tmp_path / "runs").exists()

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 from dataclasses import replace
 
 import jsonschema
@@ -276,10 +278,20 @@ class TestSpecFields:
         assert run_id_for(ints) == run_id_for(floats)
 
     def test_default_run_ids_unchanged(self):
-        """Storing floats as ``float`` leaves default configs' bytes as they were."""
-        assert run_id_for(ExperimentConfig("temporal", "data")) == "61dd2dbf84e6"
+        """Default configs' run ids are pinned: they move only when the
+        config's JSON does."""
+        assert run_id_for(ExperimentConfig("temporal", "data")) == "8720d9ecc7f4"
         assert run_id_for(ExperimentConfig("features", "data", folds=3,
-                                           compare_with="temporal")) == "e215fdcf9fd9"
+                                           compare_with="temporal")) == "37bdea710398"
+
+    @pytest.mark.parametrize("key, value", [("in_channels", 4), ("input_hw", 64)])
+    def test_removed_model_keys_refused_by_name(self, key, value):
+        """A config copied from an older report.json carries the input-shape
+        keys ``ModelConfig`` no longer has; it is refused, naming the key."""
+        blob = {"experiment": "temporal", "data_dir": "d",
+                "model": {**ModelConfig().to_dict(), key: value}}
+        with pytest.raises(TypeError, match=rf"unexpected keyword argument '{key}'"):
+            ExperimentConfig.from_dict(blob)
 
 
 class TestSweep:
@@ -301,6 +313,15 @@ class TestSweep:
     def test_malformed_spec_refused_by_name(self, spec, message):
         with pytest.raises(ValueError, match=message):
             SweepSpec(**spec)
+
+    def test_every_model_field_but_seed_and_chunks_is_tunable(self):
+        """The data fixes the input shape, so a sweep sets only the seed per
+        repeat and the chunk count of the one tensor every run trains on."""
+        assert alarmsift.harness._SWEEP_FIXED == ("seed", "n_chunks")
+        tunable = [f.name for f in dataclasses.fields(ModelConfig)
+                   if f.name not in ("seed", "n_chunks")]
+        with pytest.raises(ValueError, match=re.escape(f"those are {tunable}")):
+            SweepSpec(axes={"seed": (1,)})
 
     def test_bad_axis_value_refused_before_any_record_is_read(
             self, data_dir, tmp_path, monkeypatch):
@@ -421,8 +442,9 @@ class TestAblate:
             return real_build(record, n_chunks, channel_subset, *args, **kwargs)
 
         def spy_train(x, labels, fit_idx, stop_idx, model_cfg):
-            trained.append((x.shape[2], model_cfg.in_channels))
-            return real_train(x, labels, fit_idx, stop_idx, model_cfg)
+            params, history = real_train(x, labels, fit_idx, stop_idx, model_cfg)
+            trained.append((x.shape[2], params.tensors["conv1_w"].shape[1]))
+            return params, history
 
         monkeypatch.setattr(alarmsift.harness, "build_sequence", spy_build)
         monkeypatch.setattr(alarmsift.harness, "train", spy_train)

@@ -12,12 +12,12 @@ from alarmsift.net import (ModelConfig, finite_diff_check, init_params,
                            load_checkpoint, predict, save_checkpoint, train)
 from alarmsift.records import ClassWeights
 
-REDUCED = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6, input_hw=8,
-                      n_chunks=3, dropout=0.0, max_epochs=5, batch_size=4)
+REDUCED = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6, n_chunks=3,
+                      dropout=0.0, max_epochs=5, batch_size=4)
 
 
 def reduced_params(seed=3):
-    return init_params(REDUCED, np.random.default_rng(seed))
+    return init_params(REDUCED, 4, np.random.default_rng(seed))
 
 
 def predict_one(seq, params):
@@ -244,7 +244,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("lstm_hidden", 4.5), ("embed_dim", 64.0), ("batch_size", True),
         ("lstm_layers", False), ("seed", "1"), ("max_epochs", None),
-        ("input_hw", np.float64(64.0)),
+        ("n_chunks", np.float64(6.0)),
     ])
     def test_integer_fields_refuse_other_types(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, "
@@ -297,8 +297,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ModelConfig(dropout=1.0)
-        with pytest.raises(ValueError):
-            ModelConfig(input_hw=30)
         with pytest.raises(ValueError, match=r"lstm_layers >= 0"):
             ModelConfig(lstm_layers=-1)
         with pytest.raises(ValueError, match=r"lstm_layers == 0 .* requires "
@@ -319,7 +317,7 @@ class TestForward:
         from alarmsift.net import _Workspace, _encoder_forward
 
         cfg = ModelConfig(embed_dim=128, lstm_hidden=64, n_chunks=6)
-        params = init_params(cfg, np.random.default_rng(0))
+        params = init_params(cfg, 4, np.random.default_rng(0))
         seq = np.random.default_rng(2).random((6, 4, 64, 64))
         emb, _ = _encoder_forward(seq, params.tensors, _Workspace())
         assert emb.shape == (6, 128)
@@ -431,7 +429,7 @@ class TestTrain:
     def test_learns_separable_set(self):
         x, labels = _toy_dataset(32, seed=5)
         cfg = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6,
-                          input_hw=8, n_chunks=3, dropout=0.0, max_epochs=30,
+                          n_chunks=3, dropout=0.0, max_epochs=30,
                           batch_size=8, learning_rate=5e-3, seed=1)
         idx = np.arange(32)
         params, hist = train(x, labels, idx[:24], idx[24:], cfg)
@@ -440,7 +438,7 @@ class TestTrain:
     def test_bitwise_determinism(self):
         x, labels = _toy_dataset(16, seed=2)
         cfg = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6,
-                          input_hw=8, n_chunks=3, dropout=0.3, max_epochs=4,
+                          n_chunks=3, dropout=0.3, max_epochs=4,
                           batch_size=4, seed=9)
         idx = np.arange(16)
         p1, h1 = train(x, labels, idx[:12], idx[12:], cfg)
@@ -457,7 +455,7 @@ class TestTrain:
         x = np.full((12, 3, 4, 8, 8), 0.5)
         labels = np.arange(12) % 2 == 0
         cfg = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6,
-                          input_hw=8, n_chunks=3, dropout=0.0, max_epochs=40,
+                          n_chunks=3, dropout=0.0, max_epochs=40,
                           batch_size=4, seed=3)
         idx = np.arange(12)
         params, hist = train(x, labels, idx[:8], idx[8:], cfg)
@@ -468,7 +466,7 @@ class TestTrain:
     def test_max_epochs_stop(self):
         x, labels = _toy_dataset(16, seed=4)
         cfg = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6,
-                          input_hw=8, n_chunks=3, dropout=0.0, max_epochs=3,
+                          n_chunks=3, dropout=0.0, max_epochs=3,
                           batch_size=4, seed=3)
         idx = np.arange(16)
         _, hist = train(x, labels, idx[:12], idx[12:], cfg)
@@ -479,7 +477,7 @@ class TestTrain:
         under a tiny bound the recorded norms exceed it."""
         x, labels = _toy_dataset(16, seed=6)
         cfg = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6,
-                          input_hw=8, n_chunks=3, dropout=0.0, max_epochs=5,
+                          n_chunks=3, dropout=0.0, max_epochs=5,
                           batch_size=4, seed=2, clip_norm=1e-6)
         idx = np.arange(16)
         _, hist = train(x, labels, idx[:12], idx[12:], cfg)
@@ -493,10 +491,17 @@ class TestTrain:
             train(x, labels, np.array([0, 2, 4]), np.array([1, 3]), cfg)
 
     def test_shape_mismatch_errors(self):
+        """``train`` takes the channel count of its data, but refuses another
+        chunk count, no channels, and an H or W the pools cannot halve."""
         x, labels = _toy_dataset(8, seed=7)
         idx = np.arange(8)
-        with pytest.raises(ValueError, match=r"input shape \(3, 2, 8, 8\)"):
-            train(x[:, :, :2], labels, idx[:6], idx[6:], REDUCED)
+        with pytest.raises(ValueError, match=r"^sequence has 2 chunks, config "
+                                             r"expects 3$"):
+            train(x[:, :2], labels, idx[:6], idx[6:], REDUCED)
+        with pytest.raises(ValueError, match=r"got C=0, H=8, W=8$"):
+            train(x[:, :, :0], labels, idx[:6], idx[6:], REDUCED)
+        with pytest.raises(ValueError, match=r"got C=4, H=8, W=6$"):
+            train(x[..., :6], labels, idx[:6], idx[6:], REDUCED)
 
     @pytest.mark.parametrize("n_labels", [10, 14])
     def test_labels_of_another_length_refused(self, n_labels):
@@ -692,7 +697,7 @@ class TestPredict:
         params = reduced_params()
         x = np.random.default_rng(7).random((17, 3, 4, 8, 8))
         before = predict(x, params)
-        cfg = replace(REDUCED, n_chunks=2, input_hw=16, max_epochs=2)
+        cfg = replace(REDUCED, n_chunks=2, max_epochs=2)
         big = np.random.default_rng(8).random((12, 2, 4, 16, 16))
         labels = np.arange(12) % 2 == 0
         train(big, labels, np.arange(8), np.arange(8, 12), cfg)
@@ -701,13 +706,15 @@ class TestPredict:
     @given(t=st.integers(1, 5), c=st.integers(1, 4), hw=st.sampled_from((8, 16)))
     @settings(max_examples=40, deadline=None)
     def test_checks_each_sequence_shape(self, t, c, hw):
-        """A batch is scored only when its (T, C, H, W) matches the config."""
+        """A batch is scored only when its T matches the config and its C the
+        model's ``conv1_w``; the encoder's global pooling takes any H = W
+        divisible by 8."""
         params = reduced_params()
         x = np.zeros((2, t, c, hw, hw))
-        if (t, c, hw) == (REDUCED.n_chunks, REDUCED.in_channels, REDUCED.input_hw):
+        if (t, c) == (REDUCED.n_chunks, params.tensors["conv1_w"].shape[1]):
             assert predict(x, params).shape == (2,)
             return
-        with pytest.raises(ValueError, match="chunks|does not match config"):
+        with pytest.raises(ValueError, match="chunks|channels"):
             predict(x, params)
 
     def test_rejects_unbatched_input(self):
@@ -718,14 +725,58 @@ class TestPredict:
         from alarmsift.net import _Workspace, _model_forward
 
         cfg = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6,
-                          input_hw=8, n_chunks=3, dropout=0.5)
-        params = init_params(cfg, np.random.default_rng(1))
+                          n_chunks=3, dropout=0.5)
+        params = init_params(cfg, 4, np.random.default_rng(1))
         x = np.random.default_rng(2).random((3, 4, 8, 8))[None]
         eval_pt = predict(x, params)[0]
         diffs = [abs(_model_forward(x, params, True, np.random.default_rng(k),
                                     _Workspace())[0][0, 1] - eval_pt)
                  for k in range(10)]
         assert max(diffs) > 0
+
+
+class TestInputShapeRule:
+    """The input shape is the data's: ``train`` builds ``conv1_w`` for the C
+    it is given, a trained model refuses any other C by both counts, and
+    every entry point refuses an H or W its three 2x2 pools cannot halve."""
+
+    @given(c=st.integers(1, 5), other=st.integers(1, 5),
+           h=st.sampled_from((8, 16, 24)), w=st.sampled_from((8, 16, 24)),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_train_builds_conv1_w_for_the_data(self, c, other, h, w, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.random((8, REDUCED.n_chunks, c, h, w))
+        labels = np.arange(8) % 2 == 0
+        params, _ = train(x, labels, np.arange(6), np.arange(6, 8),
+                          replace(REDUCED, max_epochs=1))
+        assert params.tensors["conv1_w"].shape == (REDUCED.embed_dim // 4, c, 3, 3)
+        assert predict(x, params).shape == (8,)
+        if other == c:
+            return
+        y = rng.random((2, REDUCED.n_chunks, other, h, w))
+        message = rf"^input shape .* has {other} channels, but the model reads {c}$"
+        with pytest.raises(ValueError, match=message):
+            predict(y, params)
+        with pytest.raises(ValueError, match=message):
+            finite_diff_check(params, y[0], True)
+
+    @given(c=st.integers(1, 5), h=st.integers(1, 40), w=st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_h_and_w_must_be_multiples_of_8(self, c, h, w):
+        x = np.zeros((4, REDUCED.n_chunks, c, h, w))
+        labels = np.arange(4) % 2 == 0
+        params = init_params(REDUCED, c, np.random.default_rng(0))
+        if h % 8 == 0 and w % 8 == 0:
+            assert predict(x, params).shape == (4,)
+            return
+        message = rf"multiples of 8 \(three 2x2 pools\); got C={c}, H={h}, W={w}$"
+        with pytest.raises(ValueError, match=message):
+            train(x, labels, np.arange(2), np.arange(2, 4), REDUCED)
+        with pytest.raises(ValueError, match=message):
+            predict(x, params)
+        with pytest.raises(ValueError, match=message):
+            finite_diff_check(params, x[0], True)
 
 
 class TestGradients:
@@ -764,16 +815,16 @@ class TestGradients:
 class TestStaticVariant:
     def test_no_lstm_head_on_embedding(self):
         cfg = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6,
-                          input_hw=8, n_chunks=1, lstm_layers=0, dropout=0.0)
-        params = init_params(cfg, np.random.default_rng(4))
+                          n_chunks=1, lstm_layers=0, dropout=0.0)
+        params = init_params(cfg, 4, np.random.default_rng(4))
         assert not any(k.startswith("lstm") for k in params.tensors)
         probs = _eval_probs(np.random.default_rng(5).random((1, 4, 8, 8)), params)
         assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_static_gradients_check_out(self):
         cfg = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6,
-                          input_hw=8, n_chunks=1, lstm_layers=0, dropout=0.0)
-        params = init_params(cfg, np.random.default_rng(6))
+                          n_chunks=1, lstm_layers=0, dropout=0.0)
+        params = init_params(cfg, 4, np.random.default_rng(6))
         params.tensors["head_b1"] += 0.05  # clear of the ReLU kink
         sample = np.random.default_rng(7).random((1, 4, 8, 8))
         assert max(finite_diff_check(params, sample, False).values()) < 1e-4
@@ -826,6 +877,42 @@ class TestCheckpoint:
         sidecar.write_text(json.dumps({**blob, "lstm_layers": 3}))
         with pytest.raises(ValueError, match=r"tensor 'lstm2_wx' has shape None, "
                                              r"but m.config.json builds \(16, 4\)"):
+            load_checkpoint(tmp_path / "m.npz")
+
+    def test_channel_count_read_from_conv1_w(self, tmp_path):
+        """The sidecar holds no input shape: a two-channel model round-trips,
+        and the loaded model refuses four-channel input by both counts."""
+        params = init_params(REDUCED, 2, np.random.default_rng(18))
+        save_checkpoint(params, tmp_path / "m.npz")
+        blob = json.loads((tmp_path / "m.config.json").read_text())
+        assert blob == REDUCED.to_dict()
+        loaded = load_checkpoint(tmp_path / "m.npz")
+        assert loaded.tensors["conv1_w"].shape == (2, 2, 3, 3)
+        x = np.random.default_rng(19).random((2, 3, 4, 8, 8))
+        with pytest.raises(ValueError, match=r"has 4 channels, but the model reads 2$"):
+            predict(x, loaded)
+        assert predict(x[:, :, :2], loaded).tobytes() == \
+            predict(x[:, :, :2], params).tobytes()
+
+    def test_missing_conv1_w_refused_by_name(self, tmp_path):
+        params = reduced_params(20)
+        save_checkpoint(params, tmp_path / "m.npz")
+        rest = {k: v for k, v in params.tensors.items() if k != "conv1_w"}
+        np.savez(tmp_path / "m.npz", __version__=np.int64(3), **rest)
+        with pytest.raises(ValueError, match=r"no tensor 'conv1_w' of shape "
+                                             r"\(F, C >= 1, 3, 3\)"):
+            load_checkpoint(tmp_path / "m.npz")
+
+    def test_version_2_checkpoint_refused(self, tmp_path):
+        """Version 2 sidecars hold the input shape ModelConfig no longer
+        has; such a checkpoint is refused by its version."""
+        params = reduced_params(17)
+        save_checkpoint(params, tmp_path / "m.npz")
+        sidecar = tmp_path / "m.config.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                       "in_channels": 4, "input_hw": 8}))
+        np.savez(tmp_path / "m.npz", __version__=np.int64(2), **params.tensors)
+        with pytest.raises(ValueError, match=r"^unsupported checkpoint version 2$"):
             load_checkpoint(tmp_path / "m.npz")
 
     def test_version_1_checkpoint_refused(self, tmp_path):

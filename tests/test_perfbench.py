@@ -4,9 +4,12 @@
 their arguments by position, so a signature change in the library can break
 traced benchmark runs without failing anything else.  These tests run the
 sequence-building path on one short record, and one small experiment, under
-``instrument``.  They only read ``perfbench/``.
+``instrument``.  ``perfbench/worker.py`` builds each workload's
+``ModelConfig`` from its ``model`` overrides, so a removed field would break
+the benchmark alone; one test checks them.  They only read ``perfbench/``.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -20,11 +23,12 @@ from alarmsift.net import ModelConfig
 from alarmsift.records import SynthSpec, synth_dataset, write_dataset
 from conftest import make_record
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up by name while being built
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -32,8 +36,16 @@ def _load_tracing(monkeypatch):
     return module
 
 
+def test_workload_model_overrides_are_model_config_fields(monkeypatch):
+    workloads = _load(monkeypatch, "worker").WORKLOADS
+    fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    for name, spec in workloads.items():
+        unknown = sorted(spec["model"].keys() - fields)
+        assert not unknown, f"{name}: {unknown} are not ModelConfig fields"
+
+
 def test_build_sequences_traced(monkeypatch):
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load(monkeypatch, "tracing")
     records = [make_record(n=1000)]
     subset = records[0].channels[:2]
     untraced = harness.build_sequences(records, 2, subset)
@@ -55,7 +67,7 @@ def test_build_sequences_traced(monkeypatch):
 def test_run_experiment_traced_per_layer(monkeypatch, tmp_path):
     """Every call the fold loop makes into another layer reaches the
     tracer's wrapper; a function bound at import time would blank its row."""
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load(monkeypatch, "tracing")
     write_dataset(synth_dataset(SynthSpec(n=12, true_ratio=0.5), seed=42),
                   tmp_path / "data")
     model = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6, dropout=0.0,

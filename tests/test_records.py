@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alarmsift.records import (AlarmType, CHANNEL_ORDER, Channel,
+from alarmsift.records import (AlarmType, CHANNEL_ORDER, WINDOW_SECONDS, Channel,
                                RecordError, SynthSpec, class_weights,
                                filter_four_channel, load_record, synth_dataset,
                                synthetic_ecg, tail_window, write_record)
@@ -262,6 +262,19 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             synth_dataset(SynthSpec(n=4, true_ratio=1.5), 0)
 
+    @pytest.mark.parametrize("kwargs, samples, chunks", [
+        ({"duration_s": 1.0, "n_coding_chunks": 300}, 250, 300),
+        ({"duration_s": 0.001}, 0, 6),
+        ({"n_coding_chunks": 20000}, 15000, 20000),
+    ], ids=["1s-300-chunks", "1ms", "20000-chunks"])
+    def test_window_shorter_than_its_chunks_refused(self, kwargs, samples, chunks):
+        """A window with fewer samples than coding chunks would leave a burst
+        envelope of zeros; it is refused on construction, naming the fields."""
+        with pytest.raises(ValueError, match=rf"^duration_s \* fs gives {samples} "
+                                             rf"samples, fewer than "
+                                             rf"n_coding_chunks={chunks}$"):
+            SynthSpec(n=2, **kwargs)
+
 
 _SYNTH_INT_FIELDS = ("n", "n_coding_chunks")
 _SYNTH_FLOAT_FIELDS = ("true_ratio", "fs", "duration_s", "anomaly_freq_hz",
@@ -293,9 +306,11 @@ class TestSynthSpecNumbers:
            ratio=st.floats(-0.5, 1.5), fs=st.sampled_from([-1.0, 0.0, 1e-3, 250]))
     def test_range_boundaries(self, n, chunks, ratio, fs):
         """Admitted specs hold plain ``int`` and ``float`` values; anything
-        past a range boundary is refused on construction."""
+        past a range boundary, or a window of fewer samples than coding
+        chunks (``fs`` 1e-3 gives 0), is refused on construction."""
         kwargs = dict(n=np.int64(n), n_coding_chunks=chunks, true_ratio=ratio, fs=fs)
-        if n >= 1 and chunks >= 2 and 0.0 < ratio < 1.0 and fs > 0:
+        if (n >= 1 and chunks >= 2 and 0.0 < ratio < 1.0 and fs > 0
+                and round(WINDOW_SECONDS * fs) >= chunks):
             spec = SynthSpec(**kwargs)
             assert type(spec.n) is int and type(spec.fs) is float
             assert spec == SynthSpec(n=n, n_coding_chunks=chunks, true_ratio=ratio,
