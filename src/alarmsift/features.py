@@ -11,6 +11,7 @@ zero-variance channels => correlation 0) so every output is always finite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,11 @@ _PER_CHANNEL = (
     "snr_db", "line_length", "hjorth_mobility", "hjorth_complexity",
     "energy_drift_slope", "lag1_autocorr",
 )
+_STD = _PER_CHANNEL.index("std")
+
+#: Chunks of the energy drift slope and of the first-vs-last RMS ratio; a
+#: record needs one sample per chunk.
+_N_CHUNKS = 6
 
 _PAIRS = (
     (Channel.ECG_II, Channel.ECG_V),
@@ -101,12 +107,15 @@ def _band_power(freqs, power, lo, hi) -> float:
 def _channel_features(x: np.ndarray, fs: float, chan: Channel) -> list[float]:
     n = x.size
     mean = float(x.mean())
-    std = float(x.std())
     centered = x - mean
+    var_x = float(np.mean(centered * centered))  # np.var(x), bit for bit
+    std = math.sqrt(var_x)
     if std > _EPS:
+        # moments from products: libm pow on a float array is ~50x slower
         z = centered / std
-        skew = float(np.mean(z ** 3))
-        kurt = float(np.mean(z ** 4) - 3.0)
+        z2 = z * z
+        skew = float(np.mean(z2 * z))
+        kurt = float(np.mean(z2 * z2) - 3.0)
     else:
         skew = kurt = 0.0
     rms = float(np.sqrt(np.mean(x * x)))
@@ -137,9 +146,9 @@ def _channel_features(x: np.ndarray, fs: float, chan: Channel) -> list[float]:
     p_out = total - p_in
     snr_db = 10.0 * math.log10((p_in + _EPS) / (p_out + _EPS))
 
-    line_length = float(np.abs(np.diff(x)).sum() / n)
     dx = np.diff(x)
-    var_x, var_dx = float(np.var(x)), float(np.var(dx))
+    line_length = float(np.abs(dx).sum() / n)
+    var_dx = float(np.var(dx))
     mobility = math.sqrt(var_dx / var_x) if var_x > _EPS else 0.0
     if var_dx > _EPS and mobility > _EPS:
         ddx = np.diff(dx)
@@ -149,8 +158,8 @@ def _channel_features(x: np.ndarray, fs: float, chan: Channel) -> list[float]:
         complexity = 0.0
 
     chunk_rms = np.array([math.sqrt(float(np.mean(c * c)))
-                          for c in np.array_split(x, 6)])
-    drift = float(np.polyfit(np.arange(6), chunk_rms, 1)[0])
+                          for c in np.array_split(x, _N_CHUNKS)])
+    drift = float(np.polyfit(np.arange(_N_CHUNKS), chunk_rms, 1)[0])
 
     if var_x > _EPS:
         lag1 = float(np.dot(centered[:-1], centered[1:]) /
@@ -164,24 +173,35 @@ def _channel_features(x: np.ndarray, fs: float, chan: Channel) -> list[float]:
 
 
 def extract_features(record: Record) -> FeatureVector:
-    """Extract the 103-feature catalogue from a 4-channel record."""
+    """Extract the 103-feature catalogue from a 4-channel record.
+
+    A record without the four canonical channels, or with fewer than
+    ``_N_CHUNKS`` samples per channel, raises ValueError naming the record.
+    """
     if set(record.channels) != set(CHANNEL_ORDER):
         raise ValueError(
             f"extract_features needs the 4 canonical channels, record "
             f"{record.record_id} has {[c.value for c in record.channels]}"
         )
+    if record.n_samples < _N_CHUNKS:
+        raise ValueError(
+            f"extract_features needs at least {_N_CHUNKS} samples per channel, "
+            f"record {record.record_id} has {record.n_samples}"
+        )
     rows = {c: record.channel(c).astype(np.float64) for c in CHANNEL_ORDER}
     values: list[float] = []
+    std: dict[Channel, float] = {}
     for chan in CHANNEL_ORDER:
-        values.extend(_channel_features(rows[chan], record.fs, chan))
+        channel_values = _channel_features(rows[chan], record.fs, chan)
+        std[chan] = channel_values[_STD]
+        values.extend(channel_values)
     for a, b in _PAIRS:
-        xa, xb = rows[a], rows[b]
-        if xa.std() > _EPS and xb.std() > _EPS:
-            values.append(float(np.corrcoef(xa, xb)[0, 1]))
+        if std[a] > _EPS and std[b] > _EPS:
+            values.append(float(np.corrcoef(rows[a], rows[b])[0, 1]))
         else:
             values.append(0.0)
     stacked = np.concatenate([rows[c] for c in CHANNEL_ORDER])
-    chunks = np.array_split(stacked, 6)
+    chunks = np.array_split(stacked, _N_CHUNKS)
     rms_first = math.sqrt(float(np.mean(chunks[0] ** 2)))
     rms_last = math.sqrt(float(np.mean(chunks[-1] ** 2)))
     values.append(rms_last / rms_first if rms_first > _EPS else 0.0)
@@ -234,6 +254,19 @@ class BeatAnnotations:
         return self.indices.size
 
 
+@functools.lru_cache(maxsize=8)
+def _bandpass(fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order Butterworth (b, a) of the ``_BAND_HZ`` bandpass at ``fs``.
+
+    A run's records share one or a few rates, so each rate designs its
+    filter once.  The arrays are read-only: every caller shares them.
+    """
+    b, a = butter(2, _BAND_HZ, btype="bandpass", fs=fs)
+    b.setflags(write=False)
+    a.setflags(write=False)
+    return b, a
+
+
 def detect_beats(signal, fs: float = 250.0) -> BeatAnnotations:
     """Pan-Tompkins cascade: bandpass, derivative, squaring, moving-window
     integration, then adaptive dual-threshold peak picking with a 200 ms
@@ -250,8 +283,7 @@ def detect_beats(signal, fs: float = 250.0) -> BeatAnnotations:
     if x.ndim != 1 or x.size < int(2 * fs):
         raise ValueError("detect_beats needs at least 2 seconds of signal")
 
-    b, a = butter(2, _BAND_HZ, btype="bandpass", fs=fs)
-    bp = filtfilt(b, a, x)
+    bp = filtfilt(*_bandpass(fs), x)
     deriv = np.convolve(bp, _DERIVATIVE_KERNEL, mode="same")
     squared = deriv * deriv
     window = max(1, int(_INTEGRATION_WINDOW_S * fs))
@@ -311,37 +343,52 @@ BEAT_FEATURE_NAMES: tuple[str, ...] = (
 def beat_features(signal, beats: BeatAnnotations) -> np.ndarray:
     """Beat-morphology summary: RR statistics, count, amplitude, and mean
     width at half amplitude.  With fewer than 2 beats the RR features are 0
-    by convention; the count always passes through."""
+    by convention; the count always passes through.
+
+    Each beat's window is the samples within 0.1 s of it, clipped to the
+    signal; its amplitude is the largest deviation from the window's median,
+    and its width the run of samples around that peak deviating by at least
+    half of it (0 for an amplitude <= 1e-12).  A beat index outside the
+    signal raises ValueError.
+    """
     x = np.asarray(signal, dtype=np.float64)
+    idx = beats.indices
+    if idx.size and (idx[0] < 0 or idx[-1] >= x.size):
+        raise ValueError(f"beat indices {idx[0]}..{idx[-1]} do not lie in the "
+                         f"signal's {x.size} samples")
     if beats.n_beats >= 2:
         rr_stats = [float(beats.rr.mean()), float(beats.rr.std()),
                     float(beats.rr.min()), float(beats.rr.max())]
     else:
         rr_stats = [0.0, 0.0, 0.0, 0.0]
     half_win = max(1, int(0.1 * beats.fs))
-    amps, widths = [], []
-    for idx in beats.indices:
-        lo, hi = max(0, idx - half_win), min(x.size, idx + half_win + 1)
-        seg = x[lo:hi]
-        baseline = float(np.median(seg))
-        dev = np.abs(seg - baseline)
-        amp = float(dev.max())
-        amps.append(amp)
-        if amp > _EPS:
-            above = dev >= 0.5 * amp
-            center = int(np.argmax(dev))
-            left = center
-            while left > 0 and above[left - 1]:
-                left -= 1
-            right = center
-            while right < above.size - 1 and above[right + 1]:
-                right += 1
-            widths.append((right - left + 1) / beats.fs)
-        else:
-            widths.append(0.0)
-    amp_mean = float(np.mean(amps)) if amps else 0.0
-    amp_std = float(np.std(amps)) if amps else 0.0
-    width_mean = float(np.mean(widths)) if widths else 0.0
+    # one row per beat; the columns of a window clipped by either end of the
+    # signal are marked outside and sort last as +inf
+    cols = np.arange(2 * half_win + 1)
+    pos = idx[:, None] + (cols - half_win)
+    inside = (pos >= 0) & (pos < x.size)
+    seg = x[np.clip(pos, 0, x.size - 1)]
+    ordered = np.sort(np.where(inside, seg, np.inf), axis=1)
+    # np.median's arithmetic: the middle sample, or the mean of the two middle ones
+    k = inside.sum(axis=1)
+    beat = np.arange(idx.size)
+    lower, upper = ordered[beat, (k - 1) // 2], ordered[beat, k // 2]
+    baseline = np.where(k % 2 == 1, upper, (lower + upper) / 2)
+    dev = np.where(inside, np.abs(seg - baseline[:, None]), -1.0)
+    amps = dev.max(axis=1)
+    # the half-amplitude run around the first peak stops before the nearest
+    # column on each side that is below half or outside the signal, or at
+    # the window's edge
+    center = dev.argmax(axis=1)[:, None]
+    below = ~(dev >= 0.5 * amps[:, None])
+    left = np.where(below & (cols < center), cols, -1).max(axis=1) + 1
+    right = np.where(below & (cols > center), cols, cols.size).min(axis=1) - 1
+    widths = np.where(amps > _EPS, (right - left + 1) / beats.fs, 0.0)
+    if idx.size:
+        amp_mean, amp_std, width_mean = (float(amps.mean()), float(amps.std()),
+                                         float(widths.mean()))
+    else:
+        amp_mean = amp_std = width_mean = 0.0
     return np.array([*rr_stats, float(beats.n_beats), amp_mean, amp_std, width_mean])
 
 
@@ -386,11 +433,29 @@ def linear_classifier_fit(features, labels, seed: int = 0) -> LinearModel:
     w = rng.normal(0.0, 1e-3, size=z.shape[1])
     b = 0.0
     t = y.astype(np.float64)
+    # Each step is p = 1 / (1 + exp(-(z @ w + b))), g = sample_w * (p - t) / N,
+    # w -= _LR * (z.T @ g), b -= _LR * sum(g): the same roundings in the same
+    # order, written into preallocated buffers.  With tens of rows a numpy
+    # call costs more in dispatch than in arithmetic, hence positional
+    # ``out`` and ``np.dot``, which reaches the same BLAS gemv as ``@``.
+    s = np.empty(y.size)
+    g = np.empty(y.size)
+    step = np.empty(z.shape[1])
+    zt = z.T
+    n = float(y.size)
     for _ in range(_N_ITER):
-        p = 1.0 / (1.0 + np.exp(-(z @ w + b)))
-        g = sample_w * (p - t) / y.size
-        w -= _LR * (z.T @ g)
-        b -= _LR * float(g.sum())
+        np.dot(z, w, s)
+        np.subtract(-b, s, s)  # -(z @ w + b), up to a zero's sign that exp drops
+        np.exp(s, s)
+        np.add(s, 1.0, s)
+        np.divide(1.0, s, s)
+        np.subtract(s, t, s)
+        np.multiply(sample_w, s, g)
+        np.divide(g, n, g)
+        np.dot(zt, g, step)
+        np.multiply(step, _LR, step)
+        np.subtract(w, step, w)
+        b -= _LR * float(np.add.reduce(g))
     return LinearModel(weights=w, bias=b, mu=mu, sigma=sigma)
 
 
