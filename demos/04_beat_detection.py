@@ -11,10 +11,11 @@ from alarmsift import beat_features, detect_beats, synthetic_ecg
 from alarmsift.features import BEAT_FEATURE_NAMES
 
 FS = 250.0
-rng = np.random.default_rng(0)
 
 for bpm in (60, 90, 120):
-    ecg = synthetic_ecg(60.0, FS, bpm, np.random.default_rng(bpm), noise_std=0.05)
+    rng = np.random.default_rng(bpm)
+    ecg = synthetic_ecg(60.0, FS, bpm, rng)
+    ecg += 0.05 * rng.standard_normal(ecg.size)  # white noise, std 0.05
     beats = detect_beats(ecg, FS)
     bf = dict(zip(BEAT_FEATURE_NAMES, beat_features(ecg, beats)))
     print(f"{bpm:3d} bpm: detected {beats.n_beats:3d} beats, "

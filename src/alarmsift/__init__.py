@@ -10,8 +10,7 @@ from .records import (AlarmType, CHANNEL_ORDER, Channel, ClassWeights,
                       class_weights, filter_four_channel, load_dataset,
                       load_record, synth_dataset, synthetic_ecg, tail_window,
                       write_dataset, write_record)
-from .scalogram import (MorletParams, cwt, log_scales, morlet_wavelet,
-                        to_scalogram)
+from .scalogram import MorletParams, cwt, morlet_wavelet, to_scalogram
 from .temporal import build_sequence
 from .features import (BeatAnnotations, FEATURE_NAMES, FeatureVector,
                        beat_features, detect_beats, extract_features,

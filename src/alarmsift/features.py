@@ -12,6 +12,7 @@ zero-variance channels => correlation 0) so every output is always finite.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,14 +48,7 @@ _STD = _PER_CHANNEL.index("std")
 #: record needs one sample per chunk.
 _N_CHUNKS = 6
 
-_PAIRS = (
-    (Channel.ECG_II, Channel.ECG_V),
-    (Channel.ECG_II, Channel.PLETH),
-    (Channel.ECG_II, Channel.RESP),
-    (Channel.ECG_V, Channel.PLETH),
-    (Channel.ECG_V, Channel.RESP),
-    (Channel.PLETH, Channel.RESP),
-)
+_PAIRS = tuple(itertools.combinations(CHANNEL_ORDER, 2))
 
 
 def _build_registry() -> tuple[str, ...]:

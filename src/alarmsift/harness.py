@@ -76,6 +76,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown channel names {unknown}; known: {known}")
         if len(set(self.channels)) != len(self.channels):
             raise ValueError(f"channels {list(self.channels)} name a channel twice")
+        feature_runs = {"features", "per_alarm"} & {self.experiment, self.compare_with}
+        if feature_runs and set(self.channels) != set(known):
+            raise ValueError(f"channels must be all four of {known} for "
+                             f"{' and '.join(sorted(feature_runs))}, which read every "
+                             f"channel; got {list(self.channels)}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
 

@@ -59,17 +59,16 @@ class ModelConfig:
 
     def __post_init__(self):
         _store_number_fields(self)
-        if self.embed_dim < 8:
-            raise ValueError(f"embed_dim must be >= 8, got {self.embed_dim}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if min(self.lstm_hidden, self.head_hidden, self.patience, self.max_epochs,
-               self.batch_size, self.n_chunks) <= 0 or self.lstm_layers < 0:
-            raise ValueError("size/count fields must be positive (lstm_layers >= 0)")
+        for name, low in (("embed_dim", 8), ("seed", 0), ("lstm_hidden", 1),
+                          ("lstm_layers", 0), ("head_hidden", 1), ("patience", 1),
+                          ("max_epochs", 1), ("batch_size", 1), ("n_chunks", 1)):
+            if (value := getattr(self, name)) < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.learning_rate <= 0 or self.clip_norm <= 0:
-            raise ValueError("learning_rate and clip_norm must be positive")
+        for name in ("learning_rate", "clip_norm"):
+            if (value := getattr(self, name)) <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         if self.lstm_layers == 0 and self.n_chunks != 1:
             raise ValueError(f"lstm_layers == 0 (the static model) requires "
                              f"n_chunks == 1, got n_chunks={self.n_chunks}")

@@ -20,6 +20,13 @@ import numpy as np
 FS_DEFAULT = 250.0
 WINDOW_SECONDS = 60.0
 
+# The one synthetic burst (see ``SynthSpec``): its coding chunks, carrier
+# frequency and total energy, and the white noise on every channel.
+N_CODING_CHUNKS = 6
+ANOMALY_FREQ_HZ = 8.0
+ANOMALY_ENERGY = 900.0
+NOISE_STD = 0.05
+
 
 class AlarmType(Enum):
     VFIB_FLUTTER = "VFIB_FLUTTER"
@@ -293,7 +300,7 @@ def filter_four_channel(records: list[Record]):
 class SynthSpec:
     """Parameters of the synthetic labelled-waveform generator.
 
-    The generated window is split conceptually into ``n_coding_chunks``
+    The generated window is split conceptually into ``N_CODING_CHUNKS``
     equal chunks.  True-alarm records carry an anomaly burst whose envelope
     ramps up progressively across the final two chunks; false-alarm records
     carry a burst of identical total energy dropped abruptly into one
@@ -307,34 +314,27 @@ class SynthSpec:
     true_ratio: float = 0.5
     fs: float = FS_DEFAULT
     duration_s: float = WINDOW_SECONDS
-    n_coding_chunks: int = 6
-    anomaly_freq_hz: float = 8.0
-    anomaly_energy: float = 900.0
-    noise_std: float = 0.05
 
     def __post_init__(self):
         _store_number_fields(self)
         if self.n <= 0:
-            raise ValueError(f"n must be positive, got {self.n}")
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0.0 < self.true_ratio < 1.0:
             raise ValueError(f"true_ratio must lie in (0, 1), got {self.true_ratio}")
-        if self.fs <= 0 or self.duration_s <= 0:
-            raise ValueError("fs and duration_s must be positive")
-        if self.n_coding_chunks < 2:
-            raise ValueError("need at least 2 coding chunks")
-        if (samples := round(self.duration_s * self.fs)) < self.n_coding_chunks:
+        for name in ("fs", "duration_s"):
+            if (value := getattr(self, name)) <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if (samples := round(self.duration_s * self.fs)) < N_CODING_CHUNKS:
             raise ValueError(f"duration_s * fs gives {samples} samples, fewer than "
-                             f"n_coding_chunks={self.n_coding_chunks}")
-        if self.anomaly_energy <= 0 or self.noise_std < 0:
-            raise ValueError("invalid anomaly_energy / noise_std")
+                             f"the {N_CODING_CHUNKS} coding chunks")
 
 
-def synthetic_ecg(duration_s: float, fs: float, bpm: float, rng: np.random.Generator,
-                  noise_std: float = 0.0) -> np.ndarray:
+def synthetic_ecg(duration_s: float, fs: float, bpm: float,
+                  rng: np.random.Generator) -> np.ndarray:
     """ECG-like pulse train: one Gaussian-windowed biphasic complex per beat.
 
     Beat-to-beat interval jitters by ~2% so the spectrum is not a pure comb.
-    ``noise_std`` adds white Gaussian noise on top of a unit-amplitude train.
+    The train has unit amplitude and no noise.
 
     Each beat is evaluated only on the samples from 40 QRS widths before it
     to 42 after it.  Beyond about 38.6 widths from either Gaussian's centre
@@ -353,8 +353,6 @@ def synthetic_ecg(duration_s: float, fs: float, bpm: float, rng: np.random.Gener
         # sharp positive spike with a shallow negative overshoot
         x[lo:hi] += np.exp(-0.5 * u * u) - 0.3 * np.exp(-0.5 * ((u - 2.0) ** 2))
         beat_t += period * (1.0 + 0.02 * rng.standard_normal())
-    if noise_std > 0:
-        x += noise_std * rng.standard_normal(n)
     return x
 
 
@@ -371,7 +369,7 @@ def _baseline_channels(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     resp_hz = rng.uniform(0.15, 0.35)
     resp = np.sin(2 * np.pi * resp_hz * t + rng.uniform(0, 2 * np.pi))
     chans = np.stack([ecg_ii, ecg_v, pleth, resp])
-    chans += spec.noise_std * rng.standard_normal(chans.shape)
+    chans += NOISE_STD * rng.standard_normal(chans.shape)
     return chans
 
 
@@ -384,20 +382,20 @@ def _anomaly_burst(spec: SynthSpec, rng: np.random.Generator,
     uniformly random chunk.
     """
     n = int(round(spec.duration_s * spec.fs))
-    chunk_len = n // spec.n_coding_chunks
+    chunk_len = n // N_CODING_CHUNKS
     t = np.arange(n) / spec.fs
     env = np.zeros(n)
     if progressive:
-        start = (spec.n_coding_chunks - 2) * chunk_len
+        start = (N_CODING_CHUNKS - 2) * chunk_len
         env[start:] = np.linspace(0.0, 1.0, n - start)
     else:
-        k = rng.integers(0, spec.n_coding_chunks)
+        k = rng.integers(0, N_CODING_CHUNKS)
         env[k * chunk_len:(k + 1) * chunk_len] = 1.0
-    carrier = np.sin(2 * np.pi * spec.anomaly_freq_hz * t + rng.uniform(0, 2 * np.pi))
+    carrier = np.sin(2 * np.pi * ANOMALY_FREQ_HZ * t + rng.uniform(0, 2 * np.pi))
     gains = np.array([1.0, 0.8, 0.6, 0.4])  # per-channel coupling
     burst = gains[:, None] * (env * carrier)[None, :]
     energy = float(np.sum(burst * burst))
-    burst *= math.sqrt(spec.anomaly_energy / energy)
+    burst *= math.sqrt(ANOMALY_ENERGY / energy)
     return burst
 
 

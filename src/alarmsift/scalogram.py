@@ -43,20 +43,12 @@ KERNEL_SUPPORT_SCALES = 4.0  # kernel truncated at +/- 4a samples
 FLAT_EPS = 1e-12
 SCALOGRAM_COLS = 64  # time bins of a scalogram image
 
-
-def log_scales(n: int = 64, s_min: float = 1.0, s_max: float = 128.0) -> np.ndarray:
-    """Logarithmically spaced scales, a read-only float64 array from ``s_min``
-    to ``s_max`` inclusive: scales[i] = s_min*(s_max/s_min)**(i/(n-1))."""
-    if n < 2:
-        raise ValueError(f"need at least 2 scales, got {n}")
-    if not 0 < s_min < s_max:
-        raise ValueError(f"require 0 < s_min < s_max, got ({s_min}, {s_max})")
-    i = np.arange(n)
-    values = s_min * (s_max / s_min) ** (i / (n - 1))
-    # pin the endpoints exactly despite float exponentiation
-    values[0], values[-1] = s_min, s_max
-    values.setflags(write=False)
-    return values
+# The one scale grid: 64 log-spaced scales from 1 to 128 samples,
+# SCALES[i] = 128 ** (i / 63), endpoints pinned exactly despite float
+# exponentiation.  Read-only float64, the scale type ``cwt`` takes.
+SCALES = 128.0 ** (np.arange(64) / 63)
+SCALES[0], SCALES[-1] = 1.0, 128.0
+SCALES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -74,12 +66,8 @@ class MorletParams:
         """Center frequency in cycles per unit time, omega0 / (2*pi)."""
         return self.omega0 / (2.0 * math.pi)
 
-    def scale_for_freq(self, freq_hz: float, fs: float) -> float:
-        """Scale (in samples) whose pseudo-frequency is ``freq_hz``."""
-        return self.fc * fs / freq_hz
 
-    def freq_for_scale(self, scale: float, fs: float) -> float:
-        return self.fc * fs / scale
+MORLET = MorletParams()  # omega0 = 6, the wavelet of every scalogram
 
 
 def morlet_wavelet(u: np.ndarray, scale: float, params: MorletParams) -> np.ndarray:
@@ -120,7 +108,7 @@ def _kernel_spectra(scale_bytes: bytes, omega0: float, nfft: int,
 
 
 def cwt(signal: np.ndarray, scales: np.ndarray,
-        params: MorletParams = MorletParams(),
+        params: MorletParams = MORLET,
         out: np.ndarray | None = None) -> np.ndarray:
     """Complex CWT coefficients, one row per scale, one column per sample.
 
@@ -177,10 +165,10 @@ def pool_columns(mag: np.ndarray, target_cols: int) -> np.ndarray:
     return sums / np.maximum(counts, 1)
 
 
-def to_scalogram(coeffs: np.ndarray, target_cols: int = SCALOGRAM_COLS) -> np.ndarray:
-    """Magnitude -> time pooling to ``target_cols`` bins -> min-max to [0, 1].
+def to_scalogram(coeffs: np.ndarray) -> np.ndarray:
+    """Magnitude -> time pooling to ``SCALOGRAM_COLS`` bins -> min-max to [0, 1].
 
-    Returns the float64 (n_scales, ``target_cols``) image, pooled and
+    Returns the float64 (n_scales, ``SCALOGRAM_COLS``) image, pooled and
     normalised in float64 whatever the precision of ``coeffs``: its values
     span [0, 1] exactly, except that a flat magnitude image (max - min
     below 1e-12) maps to all zeros.
@@ -188,7 +176,7 @@ def to_scalogram(coeffs: np.ndarray, target_cols: int = SCALOGRAM_COLS) -> np.nd
     coeffs = np.asarray(coeffs)
     if coeffs.size == 0:
         raise ValueError("empty coefficient matrix")
-    pooled = pool_columns(np.abs(coeffs), target_cols)
+    pooled = pool_columns(np.abs(coeffs), SCALOGRAM_COLS)
     lo, hi = pooled.min(), pooled.max()
     if hi - lo < FLAT_EPS:
         return np.zeros_like(pooled)

@@ -393,7 +393,8 @@ def fold_summary(fold_aucs) -> FoldSummary:
 REPORT_SCHEMA: dict = {
     "type": "object",
     "required": ["run_id", "config", "folds", "mean_auc", "std_auc", "ci95",
-                 "confusion", "metrics", "per_alarm", "errors", "delong", "bootstrap"],
+                 "pooled_auc", "confusion", "metrics", "per_alarm", "errors",
+                 "delong", "bootstrap", "training"],
     "properties": {
         "run_id": {"type": "string"},
         "config": {"type": "object"},
@@ -445,13 +446,30 @@ REPORT_SCHEMA: dict = {
         },
         "delong": {
             "type": ["object", "null"],
-            "required": ["z", "p"],
-            "properties": {"z": {"type": "number"}, "p": {"type": "number"}},
+            "required": ["z", "p", "auc_a", "auc_b", "order"],
+            "properties": {**{k: {"type": "number"} for k in ("z", "p", "auc_a", "auc_b")},
+                           "order": {"type": "array", "items": {"type": "string"},
+                                     "minItems": 2, "maxItems": 2}},
         },
         "bootstrap": {
             "type": ["object", "null"],
-            "required": ["lo", "hi"],
-            "properties": {"lo": {"type": "number"}, "hi": {"type": "number"}},
+            "required": ["lo", "hi", "n_iter", "diff"],
+            "properties": {"lo": {"type": "number"}, "hi": {"type": "number"},
+                           "n_iter": {"type": "integer"}, "diff": {"type": "string"}},
+        },
+        "training": {  # one entry per fold of a trained network; empty otherwise
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["fold", "epochs", "best_epoch", "stop_reason",
+                             "train_loss", "val_auc"],
+                "properties": {
+                    **{k: {"type": "integer"} for k in ("fold", "epochs", "best_epoch")},
+                    "stop_reason": {"type": "string"},
+                    **{k: {"type": "array", "items": {"type": "number"}}
+                       for k in ("train_loss", "val_auc")},
+                },
+            },
         },
     },
 }

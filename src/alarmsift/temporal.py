@@ -11,11 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .records import Channel, Record
-from .scalogram import (SCALOGRAM_COLS, MorletParams, cwt, fft_length, log_scales,
-                        to_scalogram)
-
-SCALES = log_scales()
-MORLET = MorletParams()
+from .scalogram import MORLET, SCALES, SCALOGRAM_COLS, cwt, fft_length, to_scalogram
 
 
 def check_chunk_count(record: Record, n_chunks: int) -> None:

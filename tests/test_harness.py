@@ -138,6 +138,30 @@ class TestRunExperiment:
         assert report["bootstrap"] is not None
         assert report["delong"]["order"] == ["features", "temporal"]
 
+    def test_report_blocks_are_the_schema(self, data_dir, tmp_path):
+        """A features-only and a temporal-vs-features report carry exactly
+        the schema's top-level blocks, each one required; the comparison
+        blocks and each fold's training entry carry exactly their required
+        keys."""
+        def required(*path):
+            node = REPORT_SCHEMA
+            for key in path:
+                node = node["properties"][key]
+            return set(node.get("items", node)["required"])
+
+        top = set(REPORT_SCHEMA["properties"])
+        assert set(REPORT_SCHEMA["required"]) == top
+        for cfg in (tiny_config(data_dir, tmp_path / "f", experiment="features"),
+                    tiny_config(data_dir, tmp_path / "t", compare_with="features")):
+            report = json.loads((run_experiment(cfg) / "report.json").read_text())
+            jsonschema.validate(report, REPORT_SCHEMA)
+            assert set(report) == top
+        assert set(report["delong"]) == required("delong")
+        assert set(report["bootstrap"]) == required("bootstrap")
+        assert len(report["training"]) == 2
+        for entry in report["training"]:
+            assert set(entry) == required("training")
+
     def test_features_extracted_once_per_record(self, data_dir, tmp_path,
                                                 monkeypatch):
         """per_alarm compared with features shares one feature matrix: each
@@ -203,6 +227,29 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(experiment="temporal", data_dir=str(data_dir),
                              **overrides)
+
+    @pytest.mark.parametrize("experiment, compare_with", [
+        ("features", None), ("per_alarm", None), ("temporal", "features"),
+        ("static", "per_alarm"), ("per_alarm", "features")])
+    def test_feature_runs_refuse_a_channel_subset(self, experiment, compare_with):
+        """Feature extraction reads all four channels, so a subset would be
+        reported but not used; all four in any order are admitted."""
+        with pytest.raises(ValueError, match=r"^channels must be all four of \[.*\] "
+                                             r"for .*, which read every channel; "
+                                             r"got \['ECG_II', 'PLETH'\]$"):
+            ExperimentConfig(experiment, "d", channels=("ECG_II", "PLETH"),
+                             compare_with=compare_with)
+        shuffled = ("RESP", "PLETH", "ECG_V", "ECG_II")
+        cfg = ExperimentConfig(experiment, "d", channels=shuffled,
+                               compare_with=compare_with)
+        assert cfg.channels == shuffled
+
+    @pytest.mark.parametrize("experiment, compare_with", [
+        ("temporal", None), ("static", None), ("temporal", "static")])
+    def test_scalogram_runs_keep_channel_subsets(self, experiment, compare_with):
+        cfg = ExperimentConfig(experiment, "d", channels=("ECG_II",),
+                               compare_with=compare_with)
+        assert cfg.channel_subset() == (Channel.ECG_II,)
 
 
 # Values a JSON or Python spec may put in a number field.

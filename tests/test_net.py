@@ -294,10 +294,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^seed must be >= 0, got {seed}$"):
             ModelConfig(seed=seed)
 
+    @pytest.mark.parametrize("field, value, bound", [
+        *[(f, v, f">= 1, got {v}") for f in ("lstm_hidden", "head_hidden", "patience",
+                                              "max_epochs", "batch_size", "n_chunks")
+          for v in (0, -1)],
+        *[(f, v, f"> 0, got {float(v)}") for f in ("learning_rate", "clip_norm")
+          for v in (0, -1)],
+        ("lstm_layers", -1, ">= 0, got -1"),
+    ])
+    def test_each_bound_refused_by_field_name(self, field, value, bound):
+        with pytest.raises(ValueError, match=rf"^{field} must be {re.escape(bound)}$"):
+            ModelConfig(**{field: value})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ModelConfig(dropout=1.0)
-        with pytest.raises(ValueError, match=r"lstm_layers >= 0"):
+        with pytest.raises(ValueError, match=r"^lstm_layers must be >= 0, got -1$"):
             ModelConfig(lstm_layers=-1)
         with pytest.raises(ValueError, match=r"lstm_layers == 0 .* requires "
                                              r"n_chunks == 1, got n_chunks=6"):

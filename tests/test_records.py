@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alarmsift.records import (AlarmType, CHANNEL_ORDER, WINDOW_SECONDS, Channel,
-                               RecordError, SynthSpec, class_weights,
+from alarmsift.records import (ANOMALY_ENERGY, ANOMALY_FREQ_HZ, N_CODING_CHUNKS,
+                               NOISE_STD, AlarmType, CHANNEL_ORDER, WINDOW_SECONDS,
+                               Channel, RecordError, SynthSpec, class_weights,
                                filter_four_channel, load_record, synth_dataset,
                                synthetic_ecg, tail_window, write_record)
 from conftest import make_record
@@ -178,7 +180,7 @@ class TestClassWeights:
                             rel_tol=1e-12)
 
 
-def _ref_synthetic_ecg(duration_s, fs, bpm, rng, noise_std=0.0):
+def _ref_synthetic_ecg(duration_s, fs, bpm, rng):
     """The seed's formulation: every beat evaluated over the whole window."""
     n = int(round(duration_s * fs))
     t = np.arange(n) / fs
@@ -190,8 +192,6 @@ def _ref_synthetic_ecg(duration_s, fs, bpm, rng, noise_std=0.0):
         u = (t - beat_t) / width
         x += np.exp(-0.5 * u * u) - 0.3 * np.exp(-0.5 * ((u - 2.0) ** 2))
         beat_t += period * (1.0 + 0.02 * rng.standard_normal())
-    if noise_std > 0:
-        x += noise_std * rng.standard_normal(n)
     return x
 
 
@@ -199,16 +199,14 @@ class TestSyntheticEcg:
     @given(duration_s=st.floats(0.05, 6.0), fs=st.sampled_from([100.0, 250.0, 500.0]),
            bpm=st.one_of(st.sampled_from([20.0, 40.0, 180.0, 300.0]),
                          st.floats(20.0, 300.0)),
-           noise_std=st.sampled_from([0.0, 0.05]), seed=st.integers(0, 2 ** 32 - 1))
+           seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=150, deadline=None)
-    def test_local_window_matches_full_length_bit_for_bit(
-            self, duration_s, fs, bpm, noise_std, seed):
+    def test_local_window_matches_full_length_bit_for_bit(self, duration_s, fs, bpm, seed):
         """Short windows put beats within 40 QRS widths of both ends, so the
         clipped evaluation windows are exercised; bytes compare sign bits
         too."""
-        got = synthetic_ecg(duration_s, fs, bpm, np.random.default_rng(seed), noise_std)
-        want = _ref_synthetic_ecg(duration_s, fs, bpm, np.random.default_rng(seed),
-                                  noise_std)
+        got = synthetic_ecg(duration_s, fs, bpm, np.random.default_rng(seed))
+        want = _ref_synthetic_ecg(duration_s, fs, bpm, np.random.default_rng(seed))
         assert got.tobytes() == want.tobytes()
 
 
@@ -238,8 +236,7 @@ class TestSynthDataset:
         # band energy around the anomaly frequency, per 10-second chunk
         from scipy.signal import butter, filtfilt
 
-        spec = SynthSpec(n=1, true_ratio=0.5)
-        b, a = butter(2, [spec.anomaly_freq_hz - 2, spec.anomaly_freq_hz + 2],
+        b, a = butter(2, [ANOMALY_FREQ_HZ - 2, ANOMALY_FREQ_HZ + 2],
                       btype="bandpass", fs=250.0)
         for r in small_synth:
             if not r.label:
@@ -262,23 +259,28 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             synth_dataset(SynthSpec(n=4, true_ratio=1.5), 0)
 
-    @pytest.mark.parametrize("kwargs, samples, chunks", [
-        ({"duration_s": 1.0, "n_coding_chunks": 300}, 250, 300),
-        ({"duration_s": 0.001}, 0, 6),
-        ({"n_coding_chunks": 20000}, 15000, 20000),
-    ], ids=["1s-300-chunks", "1ms", "20000-chunks"])
-    def test_window_shorter_than_its_chunks_refused(self, kwargs, samples, chunks):
+    @pytest.mark.parametrize("kwargs, samples", [
+        ({"duration_s": 1.0, "fs": 5.0}, 5),
+        ({"duration_s": 0.001}, 0),
+    ], ids=["1s-at-5Hz", "1ms"])
+    def test_window_shorter_than_its_chunks_refused(self, kwargs, samples):
         """A window with fewer samples than coding chunks would leave a burst
         envelope of zeros; it is refused on construction, naming the fields."""
         with pytest.raises(ValueError, match=rf"^duration_s \* fs gives {samples} "
-                                             rf"samples, fewer than "
-                                             rf"n_coding_chunks={chunks}$"):
+                                             rf"samples, fewer than the 6 coding "
+                                             rf"chunks$"):
             SynthSpec(n=2, **kwargs)
 
+    def test_one_burst_of_fixed_constants(self):
+        """The burst is module constants, not spec fields."""
+        assert [f.name for f in dataclasses.fields(SynthSpec)] == [
+            "n", "true_ratio", "fs", "duration_s"]
+        assert (N_CODING_CHUNKS, ANOMALY_FREQ_HZ, ANOMALY_ENERGY, NOISE_STD) == (
+            6, 8.0, 900.0, 0.05)
 
-_SYNTH_INT_FIELDS = ("n", "n_coding_chunks")
-_SYNTH_FLOAT_FIELDS = ("true_ratio", "fs", "duration_s", "anomaly_freq_hz",
-                       "anomaly_energy", "noise_std")
+
+_SYNTH_INT_FIELDS = ("n",)
+_SYNTH_FLOAT_FIELDS = ("true_ratio", "fs", "duration_s")
 
 
 class TestSynthSpecNumbers:
@@ -302,19 +304,29 @@ class TestSynthSpecNumbers:
                                              rf"number, got {re.escape(repr(value))}$"):
             SynthSpec(**{"n": 4, field: value})
 
-    @given(n=st.integers(-2, 3), chunks=st.integers(-1, 3),
-           ratio=st.floats(-0.5, 1.5), fs=st.sampled_from([-1.0, 0.0, 1e-3, 250]))
-    def test_range_boundaries(self, n, chunks, ratio, fs):
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 0, "n must be >= 1, got 0"), ("n", -1, "n must be >= 1, got -1"),
+        ("fs", 0, "fs must be > 0, got 0.0"), ("fs", -1, "fs must be > 0, got -1.0"),
+        ("duration_s", 0, "duration_s must be > 0, got 0.0"),
+        ("duration_s", -1, "duration_s must be > 0, got -1.0"),
+    ])
+    def test_each_bound_refused_by_field_name(self, field, value, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            SynthSpec(**{"n": 4, field: value})
+
+    @given(n=st.integers(-2, 3), ratio=st.floats(-0.5, 1.5),
+           fs=st.sampled_from([-1.0, 0.0, 1e-3, 0.09, 0.1, 250]))
+    def test_range_boundaries(self, n, ratio, fs):
         """Admitted specs hold plain ``int`` and ``float`` values; anything
         past a range boundary, or a window of fewer samples than coding
-        chunks (``fs`` 1e-3 gives 0), is refused on construction."""
-        kwargs = dict(n=np.int64(n), n_coding_chunks=chunks, true_ratio=ratio, fs=fs)
-        if (n >= 1 and chunks >= 2 and 0.0 < ratio < 1.0 and fs > 0
-                and round(WINDOW_SECONDS * fs) >= chunks):
+        chunks (``fs`` 1e-3 gives 0 and 0.09 gives 5; 0.1 gives 6), is
+        refused on construction."""
+        kwargs = dict(n=np.int64(n), true_ratio=ratio, fs=fs)
+        if (n >= 1 and 0.0 < ratio < 1.0 and fs > 0
+                and round(WINDOW_SECONDS * fs) >= N_CODING_CHUNKS):
             spec = SynthSpec(**kwargs)
             assert type(spec.n) is int and type(spec.fs) is float
-            assert spec == SynthSpec(n=n, n_coding_chunks=chunks, true_ratio=ratio,
-                                     fs=float(fs))
+            assert spec == SynthSpec(n=n, true_ratio=ratio, fs=float(fs))
         else:
             with pytest.raises(ValueError):
                 SynthSpec(**kwargs)

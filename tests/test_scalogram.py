@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from alarmsift.scalogram import (FLAT_EPS, MorletParams, cwt, fft_length,
-                                 log_scales, pool_columns, to_scalogram)
+from alarmsift.records import ANOMALY_FREQ_HZ, FS_DEFAULT
+from alarmsift.scalogram import (FLAT_EPS, MORLET, SCALES, SCALOGRAM_COLS,
+                                 MorletParams, cwt, fft_length, pool_columns,
+                                 to_scalogram)
 
 OMEGA0 = 6.0
 
@@ -25,28 +27,25 @@ def direct_cwt(signal, scale, omega0=OMEGA0):
 
 
 class TestLogScales:
-    def test_default_endpoints(self):
-        grid = log_scales(64, 1.0, 128.0)
-        assert grid[0] == 1.0
-        assert grid[-1] == 128.0
-        assert grid.size == 64 and not grid.flags.writeable
+    """``SCALES``, the one log-spaced scale grid."""
 
-    def test_two_point_grid(self):
-        grid = log_scales(2, 1.0, 128.0)
-        np.testing.assert_allclose(grid, [1.0, 128.0])
+    def test_default_endpoints(self):
+        assert SCALES[0] == 1.0
+        assert SCALES[-1] == 128.0
+        assert SCALES.size == 64 and not SCALES.flags.writeable
 
     def test_constant_ratio(self):
-        grid = log_scales(64, 1.0, 128.0)
-        ratios = grid[1:] / grid[:-1]
+        ratios = SCALES[1:] / SCALES[:-1]
         np.testing.assert_allclose(ratios, 2.0 ** (7.0 / 63.0), rtol=1e-12)
 
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            log_scales(1, 1.0, 128.0)
-        with pytest.raises(ValueError):
-            log_scales(64, 128.0, 1.0)
-        with pytest.raises(ValueError):
-            log_scales(64, 0.0, 128.0)
+    def test_bits_of_the_grid_formula(self):
+        """s_min * (s_max / s_min) ** (i / (n - 1)) with n = 64 from 1 to 128
+        samples, endpoints pinned: the grid every scalogram has used."""
+        i = np.arange(64)
+        values = 1.0 * (128.0 / 1.0) ** (i / (64 - 1))
+        values[0], values[-1] = 1.0, 128.0
+        assert SCALES.dtype == np.float64
+        assert SCALES.tobytes() == values.tobytes()
 
 
 class TestMorletParams:
@@ -60,14 +59,16 @@ class TestMorletParams:
             MorletParams(omega0=4.0)
 
     def test_scale_frequency_map(self):
-        p = MorletParams()
-        a = p.scale_for_freq(10.0, 250.0)
-        np.testing.assert_allclose(p.freq_for_scale(a, 250.0), 10.0)
+        """Scale a has pseudo-frequency fc * fs / a: at 250 Hz the grid spans
+        1.87..238.7 Hz, and the synthetic burst's frequency lies inside."""
+        freqs = MORLET.fc * FS_DEFAULT / SCALES
+        np.testing.assert_allclose([freqs[-1], freqs[0]], [1.8651, 238.73], rtol=1e-4)
+        assert freqs[-1] < ANOMALY_FREQ_HZ < freqs[0]
 
 
 class TestCwt:
     def test_zero_signal_zero_coefficients(self):
-        grid = log_scales(8, 1.0, 32.0)
+        grid = np.geomspace(1.0, 32.0, 8)
         coeffs = cwt(np.zeros(500), grid)
         assert coeffs.shape == (8, 500)
         np.testing.assert_array_equal(np.abs(coeffs), 0.0)
@@ -75,13 +76,13 @@ class TestCwt:
     def test_linearity(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(800)
-        grid = log_scales(6, 2.0, 64.0)
+        grid = np.geomspace(2.0, 64.0, 6)
         a = cwt(x, grid)
         b = cwt(3.7 * x, grid)
         np.testing.assert_allclose(b, 3.7 * a, rtol=1e-9)
 
     def test_rejects_bad_input(self):
-        grid = log_scales(4, 1.0, 8.0)
+        grid = np.geomspace(1.0, 8.0, 4)
         with pytest.raises(ValueError):
             cwt(np.array([1.0]), grid)
         with pytest.raises(ValueError):
@@ -91,7 +92,7 @@ class TestCwt:
         fs, f = 250.0, 10.0
         t = np.arange(2500) / fs
         x = np.sin(2 * np.pi * f * t)
-        grid = log_scales(64, 1.0, 128.0)
+        grid = SCALES
         params = MorletParams()
         energy = np.sum(np.abs(cwt(x, grid, params)) ** 2, axis=1)
         peak_idx = int(np.argmax(energy))
@@ -103,10 +104,10 @@ class TestCwt:
         fs, f = 250.0, 10.0
         t = np.arange(2500) / fs
         x = np.sin(2 * np.pi * f * t)
-        grid = log_scales(64, 1.0, 128.0)
+        grid = SCALES
         energy = np.sum(np.abs(cwt(x, grid)) ** 2, axis=1)
         coarse_peak = grid[int(np.argmax(energy))]
-        dense = log_scales(512, 1.0, 128.0)
+        dense = np.geomspace(1.0, 128.0, 512)
         dense_energy = np.sum(np.abs(cwt(x, dense)) ** 2, axis=1)
         dense_peak = dense[int(np.argmax(dense_energy))]
         step = np.log(grid[1] / grid[0])
@@ -131,7 +132,7 @@ class TestCwt:
         n, scale = 2560, 128.0
         assert fft_length(n, scale) == n + 4 * int(scale)
         x = np.random.default_rng(2560).standard_normal(n)
-        fft_path = cwt(x, log_scales(64, 1.0, scale))[-1]
+        fft_path = cwt(x, SCALES)[-1]
         direct = direct_cwt(x, scale)
         err = np.max(np.abs(fft_path - direct)) / np.max(np.abs(direct))
         assert err < 1e-6, f"err={err}"
@@ -140,7 +141,7 @@ class TestCwt:
            ratio=st.floats(1.01, 400.0), n_scales=st.integers(2, 64))
     @settings(max_examples=200, deadline=None)
     def test_fft_length_leaves_no_wrap(self, n, s_min, ratio, n_scales):
-        grid = log_scales(n_scales, s_min, s_min * ratio)
+        grid = np.geomspace(s_min, s_min * ratio, n_scales)
         half = math.ceil(4.0 * grid.max())
         nfft = fft_length(n, grid.max())
         assert nfft >= n + half
@@ -152,7 +153,7 @@ class TestCwt:
         """With ``out`` the coefficients are a view into it and equal the
         fresh-array result, whatever the buffer held before."""
         rng = np.random.default_rng(seed)
-        scales = log_scales()
+        scales = SCALES
         buf = np.full((64, fft_length(n, 128.0)), np.nan, dtype=np.complex128)
         for x in (rng.standard_normal(n), rng.standard_normal(n)):
             got = cwt(x, scales, out=buf)
@@ -165,9 +166,9 @@ class TestCwt:
         for bad in (np.empty((64, nfft + 1), complex), np.empty((63, nfft), complex),
                     np.empty((64, nfft)), np.empty((64, nfft), np.complex64)):
             with pytest.raises(ValueError, match="out must be a complex128 array"):
-                cwt(x, log_scales(), out=bad)
+                cwt(x, SCALES, out=bad)
         with pytest.raises(ValueError, match="out must be a complex64 array"):
-            cwt(x.astype(np.float32), log_scales(),
+            cwt(x.astype(np.float32), SCALES,
                 out=np.empty((64, nfft), complex))
 
     def test_cached_kernel_spectra_are_read_only(self):
@@ -176,7 +177,7 @@ class TestCwt:
         transforms."""
         from alarmsift.scalogram import _kernel_spectra
 
-        key = (log_scales().tobytes(), 6.0, fft_length(100, 128.0))
+        key = (SCALES.tobytes(), 6.0, fft_length(100, 128.0))
         for dtype in (np.complex64, np.complex128):
             spectra = _kernel_spectra(*key, np.dtype(dtype))
             assert spectra.dtype == dtype
@@ -209,7 +210,7 @@ class TestFloat32Path:
 
     def test_dtype_follows_input(self):
         x = np.random.default_rng(1).standard_normal(700)
-        grid = log_scales()
+        grid = SCALES
         assert cwt(x.astype(np.float32), grid).dtype == np.complex64
         assert cwt(x, grid).dtype == np.complex128
         assert cwt(x.astype(np.float16), grid).dtype == np.complex128
@@ -225,30 +226,30 @@ class TestFloat32Path:
         t = np.arange(n) / 250.0
         x = (offset + np.sin(2 * np.pi * 7.0 * t)
              + 0.3 * rng.standard_normal(n)).astype(np.float32)
-        single = cwt(x, log_scales())
-        double = cwt(x.astype(np.float64), log_scales())
+        single = cwt(x, SCALES)
+        double = cwt(x.astype(np.float64), SCALES)
         err = np.max(np.abs(single - double)) / np.max(np.abs(double))
         assert err < 1e-5, f"err={err}"
 
     def test_out_buffer_gives_the_same_coefficients(self):
         x = np.random.default_rng(2).standard_normal(900).astype(np.float32)
         buf = np.full((64, fft_length(900, 128.0)), np.nan, dtype=np.complex64)
-        got = cwt(x, log_scales(), out=buf)
+        got = cwt(x, SCALES, out=buf)
         assert np.shares_memory(got, buf)
-        assert np.array_equal(got, cwt(x, log_scales()))
+        assert np.array_equal(got, cwt(x, SCALES))
 
 
 class TestToScalogram:
     def test_shape_and_range(self):
         rng = np.random.default_rng(3)
-        coeffs = cwt(rng.standard_normal(2500), log_scales(64, 1.0, 128.0))
+        coeffs = cwt(rng.standard_normal(2500), SCALES)
         s = to_scalogram(coeffs)
         assert s.shape == (64, 64)
         assert s.min() == 0.0
         assert s.max() == 1.0
 
     def test_flatline_is_all_zero(self):
-        coeffs = cwt(np.zeros(2500), log_scales(64, 1.0, 128.0))
+        coeffs = cwt(np.zeros(2500), SCALES)
         s = to_scalogram(coeffs)
         np.testing.assert_array_equal(s, 0.0)
 
@@ -256,16 +257,15 @@ class TestToScalogram:
                np.complex128,
                st.tuples(st.integers(1, 8), st.integers(1, 200)),
                elements=st.complex_numbers(max_magnitude=1e30, allow_nan=False,
-                                           allow_infinity=False)),
-           target_cols=st.integers(1, 64))
+                                           allow_infinity=False)))
     @settings(max_examples=200, deadline=None)
-    def test_values_span_unit_interval(self, coeffs, target_cols):
+    def test_values_span_unit_interval(self, coeffs):
         """Every value lies in [0, 1]; min is 0 and max is 1 unless the pooled
         magnitude is flat, which maps to all zeros.  Magnitudes stay far below
         overflow, as the CWT of float32 samples does."""
-        s = to_scalogram(coeffs, target_cols)
-        assert s.shape == (coeffs.shape[0], target_cols)
-        pooled = pool_columns(np.abs(coeffs), target_cols)
+        s = to_scalogram(coeffs)
+        assert s.shape == (coeffs.shape[0], SCALOGRAM_COLS)
+        pooled = pool_columns(np.abs(coeffs), SCALOGRAM_COLS)
         if pooled.max() - pooled.min() < FLAT_EPS:
             assert not s.any()
             return
@@ -287,13 +287,13 @@ class TestToScalogram:
 
     def test_normalization_idempotent_power_of_two_scale(self):
         rng = np.random.default_rng(4)
-        s = to_scalogram(cwt(rng.standard_normal(640), log_scales(16, 1.0, 32.0)))
+        s = to_scalogram(cwt(rng.standard_normal(640), np.geomspace(1.0, 32.0, 16)))
         again = to_scalogram(2.0 * s)
         np.testing.assert_array_equal(again, s)
 
     def test_normalization_idempotent_any_positive_scale(self):
         rng = np.random.default_rng(4)
-        s = to_scalogram(cwt(rng.standard_normal(640), log_scales(16, 1.0, 32.0)))
+        s = to_scalogram(cwt(rng.standard_normal(640), np.geomspace(1.0, 32.0, 16)))
         again = to_scalogram(3.7 * s)
         np.testing.assert_allclose(again, s, atol=1e-14)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alarmsift.records import CHANNEL_ORDER, Channel
-from alarmsift.scalogram import MorletParams, cwt, log_scales, to_scalogram
+from alarmsift.scalogram import MORLET, SCALES, cwt, to_scalogram
 from alarmsift.temporal import build_sequence
 from conftest import make_record
 
@@ -13,7 +13,7 @@ def chunk_scalogram(samples):
     """Reference: the scalogram of one chunk, computed on its own in the
     dtype of ``samples`` and stored in it."""
     samples = np.asarray(samples)
-    return to_scalogram(cwt(samples, log_scales(), MorletParams())).astype(samples.dtype)
+    return to_scalogram(cwt(samples, SCALES, MORLET)).astype(samples.dtype)
 
 
 class TestSplitChunks:
@@ -49,7 +49,7 @@ class TestSplitChunks:
         for k in range(n_chunks):
             for c in range(4):
                 part = r.samples[c, width * k:width * (k + 1)].astype(np.float64)
-                ref = to_scalogram(cwt(part, log_scales(), MorletParams()))
+                ref = to_scalogram(cwt(part, SCALES, MORLET))
                 np.testing.assert_allclose(seq[k, c], ref, rtol=0, atol=2e-6)
 
     def test_non_divisible_errors(self):
