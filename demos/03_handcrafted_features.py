@@ -12,11 +12,11 @@ from alarmsift import (FEATURE_NAMES, SynthSpec, auc, extract_features,
                        stratified_kfold, synth_dataset)
 
 records = synth_dataset(SynthSpec(n=60, true_ratio=0.5), seed=3)
-features = np.stack([extract_features(r).values for r in records])
+features = np.stack([extract_features(r) for r in records])
 labels = np.array([r.label for r in records])
 print(f"feature matrix: {features.shape}, registry holds {len(FEATURE_NAMES)} names")
 
-fv = extract_features(records[0]).as_dict()
+fv = dict(zip(FEATURE_NAMES, extract_features(records[0])))
 for name in ("ecg_ii_dominant_freq", "ecg_ii_spectral_entropy",
              "ecg_ii_energy_drift_slope", "corr_ecg_ii_ecg_v",
              "rms_ratio_last_first_chunk"):

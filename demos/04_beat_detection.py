@@ -17,14 +17,14 @@ for bpm in (60, 90, 120):
     ecg = synthetic_ecg(60.0, FS, bpm, rng)
     ecg += 0.05 * rng.standard_normal(ecg.size)  # white noise, std 0.05
     beats = detect_beats(ecg, FS)
-    bf = dict(zip(BEAT_FEATURE_NAMES, beat_features(ecg, beats)))
-    print(f"{bpm:3d} bpm: detected {beats.n_beats:3d} beats, "
+    bf = dict(zip(BEAT_FEATURE_NAMES, beat_features(ecg, beats, FS)))
+    print(f"{bpm:3d} bpm: detected {beats.size:3d} beats, "
           f"mean RR {bf['rr_mean']:.3f}s, est. rate {60 / bf['rr_mean']:.1f} bpm")
 
-print("\nflatline:", detect_beats(np.zeros(int(60 * FS)), FS).n_beats, "beats")
+print("\nflatline:", detect_beats(np.zeros(int(60 * FS)), FS).size, "beats")
 
 # refractory demonstration: two impulses 100 ms apart yield one detection
 x = np.zeros(int(4 * FS))
 x[500] = 1.0
 x[525] = 1.0
-print("impulses 100 ms apart ->", detect_beats(x, FS).n_beats, "detection")
+print("impulses 100 ms apart ->", detect_beats(x, FS).size, "detection")

@@ -12,9 +12,9 @@ from .records import (AlarmType, CHANNEL_ORDER, Channel, ClassWeights,
                       write_dataset, write_record)
 from .scalogram import MorletParams, cwt, morlet_wavelet, to_scalogram
 from .temporal import build_sequence
-from .features import (BeatAnnotations, FEATURE_NAMES, FeatureVector,
-                       beat_features, detect_beats, extract_features,
-                       linear_classifier_fit, linear_classifier_predict)
+from .features import (FEATURE_NAMES, beat_features, detect_beats,
+                       extract_features, linear_classifier_fit,
+                       linear_classifier_predict)
 from .net import (ModelConfig, ModelParams, TrainHistory, finite_diff_check,
                   init_params, load_checkpoint, predict, save_checkpoint,
                   train)

@@ -7,6 +7,8 @@ pairwise cross-channel correlations, and one global first-vs-last-chunk
 RMS ratio.  Degenerate inputs follow fixed conventions (zero-power spectrum
 => spectral entropy, centroid, rolloff and dominant frequency all 0;
 zero-variance channels => correlation 0) so every output is always finite.
+Every function returns a fresh ndarray that its caller owns, and checks
+each input, refusing it by name, where it reads it.
 """
 
 from __future__ import annotations
@@ -61,25 +63,6 @@ def _build_registry() -> tuple[str, ...]:
 #: Stable registry of the 103 feature identifiers, in extraction order.
 FEATURE_NAMES: tuple[str, ...] = _build_registry()
 assert len(FEATURE_NAMES) == 103
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Exactly 103 finite values, ordered as :data:`FEATURE_NAMES`."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.shape != (len(FEATURE_NAMES),):
-            raise ValueError(f"expected {len(FEATURE_NAMES)} features, got {values.shape}")
-        if not np.isfinite(values).all():
-            raise ValueError("non-finite feature value")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(FEATURE_NAMES, self.values.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +149,13 @@ def _channel_features(x: np.ndarray, fs: float, chan: Channel) -> list[float]:
             *bands, snr_db, line_length, mobility, complexity, drift, lag1]
 
 
-def extract_features(record: Record) -> FeatureVector:
-    """Extract the 103-feature catalogue from a 4-channel record.
+def extract_features(record: Record) -> np.ndarray:
+    """The 103 float64 features of a 4-channel record, ordered as
+    :data:`FEATURE_NAMES`.
 
     A record without the four canonical channels, or with fewer than
-    ``_N_CHUNKS`` samples per channel, raises ValueError naming the record.
+    ``_N_CHUNKS`` samples per channel, raises ValueError naming the record;
+    so does a non-finite feature, which the error also names.
     """
     if set(record.channels) != set(CHANNEL_ORDER):
         raise ValueError(
@@ -199,14 +184,19 @@ def extract_features(record: Record) -> FeatureVector:
     rms_first = math.sqrt(float(np.mean(chunks[0] ** 2)))
     rms_last = math.sqrt(float(np.mean(chunks[-1] ** 2)))
     values.append(rms_last / rms_first if rms_first > _EPS else 0.0)
-    return FeatureVector(np.array(values))
+    out = np.array(values)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ValueError(f"record {record.record_id} has a non-finite feature "
+                         f"{FEATURE_NAMES[bad[0]]} = {out[bad[0]]}")
+    return out
 
 
 def export_features_csv(records: list[Record], path) -> None:
     """Write one row per record: id, alarm type, label, then the 103 features."""
     write_csv(path, ["record_id", "alarm_type", "label", *FEATURE_NAMES],
               ([r.record_id, r.alarm_type.value, int(r.label),
-                *extract_features(r).values.tolist()] for r in records))
+                *extract_features(r).tolist()] for r in records))
 
 
 # ---------------------------------------------------------------------------
@@ -225,29 +215,6 @@ _SEARCHBACK_FRACTION = 0.5
 _SEARCHBACK_RR_FACTOR = 1.66
 
 
-@dataclass(frozen=True)
-class BeatAnnotations:
-    """Detected beat sample indices (strictly increasing) and RR intervals."""
-
-    indices: np.ndarray
-    rr: np.ndarray  # seconds
-    fs: float
-
-    def __post_init__(self):
-        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        if indices.size > 1 and not (np.diff(indices) > 0).all():
-            raise ValueError("beat indices must be strictly increasing")
-        rr = np.ascontiguousarray(self.rr, dtype=np.float64)
-        indices.setflags(write=False)
-        rr.setflags(write=False)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "rr", rr)
-
-    @property
-    def n_beats(self) -> int:
-        return self.indices.size
-
-
 @functools.lru_cache(maxsize=8)
 def _bandpass(fs: float) -> tuple[np.ndarray, np.ndarray]:
     """Second-order Butterworth (b, a) of the ``_BAND_HZ`` bandpass at ``fs``.
@@ -261,21 +228,26 @@ def _bandpass(fs: float) -> tuple[np.ndarray, np.ndarray]:
     return b, a
 
 
-def detect_beats(signal, fs: float = 250.0) -> BeatAnnotations:
-    """Pan-Tompkins cascade: bandpass, derivative, squaring, moving-window
+def detect_beats(signal, fs: float = 250.0) -> np.ndarray:
+    """Strictly increasing int64 sample indices of the beats found by the
+    Pan-Tompkins cascade: bandpass, derivative, squaring, moving-window
     integration, then adaptive dual-threshold peak picking with a 200 ms
     refractory and a search-back pass at half threshold.
 
-    An ``fs`` whose Nyquist frequency is not above the upper band edge
-    raises ValueError naming ``fs``.
+    A non-finite ``fs``, or one whose Nyquist frequency is not above the
+    upper band edge, raises ValueError naming ``fs``; so does a signal
+    shorter than 2 seconds or holding a NaN or inf.
     """
-    if not fs / 2 > _BAND_HZ[1]:
-        raise ValueError(f"detect_beats needs fs above {2 * _BAND_HZ[1]} Hz, so "
-                         f"that its {_BAND_HZ[1]} Hz band edge lies below "
+    if not (math.isfinite(fs) and fs / 2 > _BAND_HZ[1]):
+        raise ValueError(f"detect_beats needs a finite fs above {2 * _BAND_HZ[1]} "
+                         f"Hz, so that its {_BAND_HZ[1]} Hz band edge lies below "
                          f"Nyquist; got fs={fs}")
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size < int(2 * fs):
         raise ValueError("detect_beats needs at least 2 seconds of signal")
+    if not np.isfinite(x).all():
+        bad = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise ValueError(f"detect_beats needs a finite signal; sample {bad} is {x[bad]}")
 
     bp = filtfilt(*_bandpass(fs), x)
     deriv = np.convolve(bp, _DERIVATIVE_KERNEL, mode="same")
@@ -323,9 +295,7 @@ def detect_beats(signal, fs: float = 250.0) -> BeatAnnotations:
         j = lo + int(np.argmax(np.abs(bp[lo:idx + 1])))
         if not refined or j - refined[-1] > refractory:
             refined.append(j)
-    indices = np.asarray(refined, dtype=np.int64)
-    rr = np.diff(indices) / fs if indices.size > 1 else np.empty(0)
-    return BeatAnnotations(indices=indices, rr=rr, fs=fs)
+    return np.asarray(refined, dtype=np.int64)
 
 
 BEAT_FEATURE_NAMES: tuple[str, ...] = (
@@ -334,28 +304,41 @@ BEAT_FEATURE_NAMES: tuple[str, ...] = (
 )
 
 
-def beat_features(signal, beats: BeatAnnotations) -> np.ndarray:
-    """Beat-morphology summary: RR statistics, count, amplitude, and mean
+def beat_features(signal, indices, fs: float) -> np.ndarray:
+    """Beat-morphology summary of the beats at sample ``indices`` of a
+    signal sampled at ``fs``: RR statistics, count, amplitude, and mean
     width at half amplitude.  With fewer than 2 beats the RR features are 0
     by convention; the count always passes through.
 
-    Each beat's window is the samples within 0.1 s of it, clipped to the
-    signal; its amplitude is the largest deviation from the window's median,
-    and its width the run of samples around that peak deviating by at least
-    half of it (0 for an amplitude <= 1e-12).  A beat index outside the
-    signal raises ValueError.
+    RR is ``np.diff(indices) / fs``.  Each beat's window is the samples
+    within 0.1 s of it, clipped to the signal; its amplitude is the largest
+    deviation from the window's median, and its width the run of samples
+    around that peak deviating by at least half of it (0 for an amplitude
+    <= 1e-12).  ValueError names an ``fs`` not finite and > 0, and indices
+    that are not a 1-D strictly increasing integer vector inside the signal.
     """
+    if not (math.isfinite(fs) and fs > 0):
+        raise ValueError(f"beat_features needs a finite fs > 0, got fs={fs}")
     x = np.asarray(signal, dtype=np.float64)
-    idx = beats.indices
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"beat_features needs a 1-D integer vector of beat "
+                         f"indices, got {idx.dtype} of shape {idx.shape}")
+    idx = idx.astype(np.int64)
+    gaps = np.diff(idx)
+    if not (gaps > 0).all():
+        raise ValueError("beat_features needs strictly increasing beat indices")
     if idx.size and (idx[0] < 0 or idx[-1] >= x.size):
         raise ValueError(f"beat indices {idx[0]}..{idx[-1]} do not lie in the "
                          f"signal's {x.size} samples")
-    if beats.n_beats >= 2:
-        rr_stats = [float(beats.rr.mean()), float(beats.rr.std()),
-                    float(beats.rr.min()), float(beats.rr.max())]
+    if idx.size >= 2:
+        rr = gaps / fs
+        rr_stats = [float(rr.mean()), float(rr.std()),
+                    float(rr.min()), float(rr.max())]
     else:
         rr_stats = [0.0, 0.0, 0.0, 0.0]
-    half_win = max(1, int(0.1 * beats.fs))
+    # columns beyond the signal's size would all be outside: a huge fs allocates nothing
+    half_win = max(1, min(int(0.1 * fs), x.size))
     # one row per beat; the columns of a window clipped by either end of the
     # signal are marked outside and sort last as +inf
     cols = np.arange(2 * half_win + 1)
@@ -377,13 +360,13 @@ def beat_features(signal, beats: BeatAnnotations) -> np.ndarray:
     below = ~(dev >= 0.5 * amps[:, None])
     left = np.where(below & (cols < center), cols, -1).max(axis=1) + 1
     right = np.where(below & (cols > center), cols, cols.size).min(axis=1) - 1
-    widths = np.where(amps > _EPS, (right - left + 1) / beats.fs, 0.0)
+    widths = np.where(amps > _EPS, (right - left + 1) / fs, 0.0)
     if idx.size:
         amp_mean, amp_std, width_mean = (float(amps.mean()), float(amps.std()),
                                          float(widths.mean()))
     else:
         amp_mean = amp_std = width_mean = 0.0
-    return np.array([*rr_stats, float(beats.n_beats), amp_mean, amp_std, width_mean])
+    return np.array([*rr_stats, float(idx.size), amp_mean, amp_std, width_mean])
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +391,33 @@ _LR = 0.05
 _N_ITER = 800
 
 
+def _feature_matrix(features, caller: str) -> np.ndarray:
+    """``features`` as a float64 matrix; ValueError, naming ``caller``, for
+    anything but a non-empty, finite 2-D matrix."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.size == 0:
+        raise ValueError(f"{caller} needs a non-empty (N, F) feature matrix, "
+                         f"got shape {x.shape}")
+    if not np.isfinite(x).all():
+        row, col = np.argwhere(~np.isfinite(x))[0]
+        raise ValueError(f"{caller} needs finite features; row {row}, column "
+                         f"{col} is {x[row, col]}")
+    return x
+
+
 def linear_classifier_fit(features, labels, seed: int = 0) -> LinearModel:
     """Class-weighted logistic regression by ``_N_ITER`` full-batch gradient
     descent steps of rate ``_LR`` on an (N, F) feature matrix.
 
     Features are standardized internally (training mean / std); class
     weights follow w_c = N / (2 * N_c).  Deterministic under ``seed``.
+    ValueError unless the matrix is finite with one label per row.
     """
-    x = np.asarray(features, dtype=np.float64)
+    x = _feature_matrix(features, "linear_classifier_fit")
     y = np.asarray(labels, dtype=bool)
+    if y.shape != x.shape[:1]:
+        raise ValueError(f"linear_classifier_fit needs one label per row: "
+                         f"{x.shape[0]} rows, labels of shape {y.shape}")
     cw = class_weights(y)  # raises on single-class input
     mu = x.mean(axis=0)
     sigma = x.std(axis=0)
@@ -454,7 +455,11 @@ def linear_classifier_fit(features, labels, seed: int = 0) -> LinearModel:
 
 
 def linear_classifier_predict(model: LinearModel, features) -> np.ndarray:
-    """Probability of the true-alarm class, in [0, 1]."""
-    x = np.asarray(features, dtype=np.float64)
+    """Probability of the true-alarm class, in [0, 1], for each row of a
+    non-empty, finite (N, F) matrix with the model's F; else ValueError."""
+    x = _feature_matrix(features, "linear_classifier_predict")
+    if x.shape[1] != model.weights.size:
+        raise ValueError(f"linear_classifier_predict needs the model's "
+                         f"{model.weights.size} feature columns, got {x.shape[1]}")
     z = (x - model.mu) / model.sigma
     return 1.0 / (1.0 + np.exp(-(z @ model.weights + model.bias)))

@@ -178,7 +178,7 @@ def build_sequences(records, n_chunks, channel_subset) -> np.ndarray:
 
 def _beat_matrix(records) -> np.ndarray:
     ecgs = ((r.channel(Channel.ECG_II).astype(np.float64), r.fs) for r in records)
-    return np.stack([feats.beat_features(ecg, feats.detect_beats(ecg, fs))
+    return np.stack([feats.beat_features(ecg, feats.detect_beats(ecg, fs), fs)
                      for ecg, fs in ecgs])
 
 
@@ -248,7 +248,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 
     # built on first use and shared, so features and per_alarm extract once
     record_features = functools.cache(
-        lambda: np.stack([feats.extract_features(r).values for r in records]))
+        lambda: np.stack([feats.extract_features(r) for r in records]))
 
     def model_input(experiment) -> np.ndarray:
         if experiment in ("temporal", "static"):

@@ -156,7 +156,6 @@ def confusion_metrics(c: Confusion) -> MetricsReport:
 class FoldAssignment:
     fold_of: np.ndarray
     k: int
-    seed: int
 
     def __post_init__(self):
         fold_of = np.ascontiguousarray(self.fold_of, dtype=np.int64)
@@ -188,7 +187,7 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldAssignment:
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
         fold_of[idx] = np.arange(idx.size) % k
-    return FoldAssignment(fold_of=fold_of, k=k, seed=seed)
+    return FoldAssignment(fold_of=fold_of, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +251,6 @@ class BootstrapCI:
     lower: float
     upper: float
     n_iter: int
-    seed: int
 
 
 def bootstrap_auc_diff(scores_a, scores_b, labels, n_iter: int = 1000,
@@ -276,7 +274,7 @@ def bootstrap_auc_diff(scores_a, scores_b, labels, n_iter: int = 1000,
                 break
         diffs[i] = _auc(scores_a[idx], y) - _auc(scores_b[idx], y)
     lo, hi = np.percentile(diffs, [2.5, 97.5])
-    return BootstrapCI(float(lo), float(hi), n_iter, seed)
+    return BootstrapCI(float(lo), float(hi), n_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +295,6 @@ class ErrorReport:
     fn_ids: tuple[str, ...]
     fp_ids: tuple[str, ...]
     high_confidence_ids: tuple[str, ...]
-
-    @property
-    def n_errors(self) -> int:
-        return len(self.fn_ids) + len(self.fp_ids)
 
 
 def per_alarm_report(p_true, records: list[Record]) -> list[PerAlarmRow]:

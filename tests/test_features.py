@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import re
 import subprocess
@@ -12,8 +13,7 @@ from hypothesis import strategies as st
 
 import alarmsift.features as features
 from alarmsift.features import (BEAT_FEATURE_NAMES, FEATURE_NAMES,
-                                BeatAnnotations, FeatureVector, LinearModel,
-                                beat_features, detect_beats,
+                                LinearModel, beat_features, detect_beats,
                                 export_features_csv, extract_features,
                                 linear_classifier_fit,
                                 linear_classifier_predict)
@@ -22,6 +22,7 @@ from alarmsift.stats import auc, stratified_kfold
 from conftest import make_record
 
 FS = 250.0
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _record_with(ecg_ii=None, n=15000, rng=None, **kwargs):
@@ -30,6 +31,11 @@ def _record_with(ecg_ii=None, n=15000, rng=None, **kwargs):
     if ecg_ii is not None:
         samples[0] = ecg_ii
     return make_record(n=n, samples=samples, **kwargs)
+
+
+def _named(record):
+    """The record's features keyed by name."""
+    return dict(zip(FEATURE_NAMES, extract_features(record)))
 
 
 class TestFeatureRegistry:
@@ -43,18 +49,46 @@ class TestFeatureRegistry:
             "corr_ecg_v_pleth", "corr_ecg_v_resp", "corr_pleth_resp"]
         assert FEATURE_NAMES.index("corr_ecg_ii_ecg_v") == 96
 
-    def test_vector_length_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureVector(np.zeros(10))
-        with pytest.raises(ValueError):
-            FeatureVector(np.full(103, np.nan))
-
 
 class TestExtractFeatures:
     def test_exactly_103_finite_values(self, small_synth):
-        fv = extract_features(small_synth[0])
-        assert fv.values.shape == (103,)
-        assert np.isfinite(fv.values).all()
+        values = extract_features(small_synth[0])
+        assert values.shape == (103,) and values.dtype == np.float64
+        assert np.isfinite(values).all()
+
+    @given(data=st.data(), n=st.integers(6, 400), scale=st.one_of(
+        st.sampled_from([0.0, 1e-30, 1e-6, 1.0, 1e6, 1e20, 1e37, _F32_MAX]),
+        st.floats(0.0, _F32_MAX)))
+    @settings(max_examples=150, deadline=None)
+    def test_any_finite_float32_record_gives_103_finite_values(self, data, n, scale):
+        """The invariant the deleted wrapper type asserted, as a property:
+        channels of noise at any float32 magnitude, or constant."""
+        rows = []
+        for _ in CHANNEL_ORDER:
+            if data.draw(st.booleans(), label="constant"):
+                level = data.draw(st.floats(-_F32_MAX, _F32_MAX, width=32),
+                                  label="level")
+                rows.append(np.full(n, level))
+            else:
+                seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+                rows.append(scale * np.random.default_rng(seed).uniform(-1.0, 1.0, n))
+        record = make_record(n=n, samples=np.stack(rows).astype(np.float32))
+        values = extract_features(record)
+        assert values.shape == (103,) and np.isfinite(values).all()
+
+    def test_non_finite_feature_refused_with_record_and_name(self, monkeypatch):
+        real = features._channel_features
+
+        def pleth_std_nan(x, fs, chan):
+            values = real(x, fs, chan)
+            if chan is Channel.PLETH:
+                values[1] = np.nan
+            return values
+
+        monkeypatch.setattr(features, "_channel_features", pleth_std_nan)
+        with pytest.raises(ValueError,
+                           match=r"record rec-nan has a non-finite feature pleth_std = nan"):
+            extract_features(make_record("rec-nan", n=600))
 
     def test_wrong_channel_count_errors(self):
         r = make_record(channels=(Channel.ECG_II, Channel.ECG_V),
@@ -73,7 +107,7 @@ class TestExtractFeatures:
         rng = np.random.default_rng(10)
         row = rng.standard_normal(6000)
         r = make_record(n=6000, samples=np.tile(row, (4, 1)))
-        fv = extract_features(r).as_dict()
+        fv = _named(r)
         corr = [v for k, v in fv.items() if k.startswith("corr_")]
         assert len(corr) == 6
         np.testing.assert_allclose(corr, 1.0, atol=1e-9)
@@ -82,12 +116,12 @@ class TestExtractFeatures:
         n = 15000
         t = np.arange(n) / FS
         r = _record_with(ecg_ii=np.sin(2 * np.pi * 10.0 * t), n=n)
-        fv = extract_features(r).as_dict()
+        fv = _named(r)
         assert abs(fv["ecg_ii_dominant_freq"] - 10.0) <= FS / n  # one FFT bin
 
     def test_flatline_conventions(self):
         r = make_record(n=6000, samples=np.zeros((4, 6000)))
-        fv = extract_features(r).as_dict()
+        fv = _named(r)
         for chan in ("ecg_ii", "ecg_v", "pleth", "resp"):
             assert fv[f"{chan}_zcr"] == 0.0
             assert fv[f"{chan}_spectral_entropy"] == 0.0
@@ -99,8 +133,8 @@ class TestExtractFeatures:
     def test_scale_invariant_features(self):
         rng = np.random.default_rng(21)
         samples = rng.standard_normal((4, 6000))
-        a = extract_features(make_record(n=6000, samples=samples)).as_dict()
-        b = extract_features(make_record(n=6000, samples=2.0 * samples)).as_dict()
+        a = _named(make_record(n=6000, samples=samples))
+        b = _named(make_record(n=6000, samples=2.0 * samples))
         invariant = ("zcr", "dominant_freq", "spectral_entropy",
                      "spectral_centroid", "rolloff_85", "hjorth_mobility",
                      "hjorth_complexity", "lag1_autocorr")
@@ -122,7 +156,7 @@ class TestExtractFeatures:
                                match=rf"at least 6 samples .* record rec-short has {n}$"):
                 extract_features(r)
         else:
-            values = extract_features(r).values
+            values = extract_features(r)
             assert values.shape == (103,) and np.isfinite(values).all()
 
     @pytest.mark.parametrize("n", [600, 15000])
@@ -135,7 +169,7 @@ class TestExtractFeatures:
         offsets = (0.0, 1.0, 100.0, 1e4)
         record = make_record(n=n, samples=np.stack([shape * (1 + i) + dc
                                                     for i, dc in enumerate(offsets)]))
-        fv = extract_features(record).as_dict()
+        fv = _named(record)
         for chan, dc in zip(CHANNEL_ORDER, offsets):
             x = record.channel(chan).astype(np.float64)
             z = (x - x.mean()) / x.std()
@@ -177,30 +211,31 @@ class TestDetectBeats:
     def test_beat_count_within_two(self, bpm):
         x, truth = synthetic_ecg_train(bpm, snr_db=20.0, seed=bpm)
         beats = detect_beats(x, FS)
-        assert abs(beats.n_beats - truth) <= 2, (bpm, beats.n_beats, truth)
+        assert beats.dtype == np.int64
+        assert abs(beats.size - truth) <= 2, (bpm, beats.size, truth)
 
     def test_flatline_no_beats(self):
         beats = detect_beats(np.zeros(int(60 * FS)), FS)
-        assert beats.n_beats == 0
+        assert beats.size == 0 and beats.dtype == np.int64
 
     def test_refractory_merges_close_impulses(self):
         x = np.zeros(int(4 * FS))
         x[500] = 1.0
         x[500 + int(0.1 * FS)] = 1.0  # 100 ms later, inside refractory
         beats = detect_beats(x, FS)
-        assert beats.n_beats == 1
+        assert beats.size == 1
 
     def test_two_beats_outside_refractory(self):
         x = np.zeros(int(4 * FS))
         x[400] = 1.0
         x[400 + int(0.8 * FS)] = 1.0
         beats = detect_beats(x, FS)
-        assert beats.n_beats == 2
+        assert beats.size == 2
 
     def test_gaps_exceed_refractory(self):
         x, _ = synthetic_ecg_train(120, snr_db=15.0, seed=5)
         beats = detect_beats(x, FS)
-        assert (np.diff(beats.indices) > int(0.2 * FS)).all()
+        assert (np.diff(beats) > int(0.2 * FS)).all()
 
     def test_too_short_errors(self):
         with pytest.raises(ValueError, match="2 seconds"):
@@ -211,13 +246,24 @@ class TestDetectBeats:
         with pytest.raises(ValueError, match=r"fs=25\.0"):
             detect_beats(np.zeros(5000), 25.0)
 
+    def test_infinite_rate_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"finite fs .* got fs=inf"):
+            detect_beats(np.zeros(5000), math.inf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_refused(self, bad):
+        x, _ = synthetic_ecg_train(60, seed=1)
+        x[1234] = bad
+        with pytest.raises(ValueError, match=rf"finite signal; sample 1234 is {bad}"):
+            detect_beats(x, FS)
+
     def test_bandpass_designed_once_per_rate(self, tmp_path):
         """250, 500 then 250 Hz in one process give the beats that a fresh
         process gives at each rate, and design two filters."""
         signals = {fs: synthetic_ecg_train(75, duration=12.0, fs=fs, seed=int(fs))[0]
                    for fs in (250.0, 500.0)}
         features._bandpass.cache_clear()
-        in_process = [(fs, detect_beats(signals[fs], fs).indices)
+        in_process = [(fs, detect_beats(signals[fs], fs))
                       for fs in (250.0, 500.0, 250.0)]
         info = features._bandpass.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
@@ -225,7 +271,7 @@ class TestDetectBeats:
         env = dict(os.environ, PYTHONPATH=str(Path(features.__file__).parents[1]))
         code = ("import sys, numpy as np; from alarmsift.features import detect_beats; "
                 "np.save(sys.argv[2], detect_beats(np.load(sys.argv[1]), "
-                "float(sys.argv[3])).indices)")
+                "float(sys.argv[3])))")
         fresh = {}
         for fs, x in signals.items():
             np.save(tmp_path / f"x{fs}.npy", x)
@@ -252,16 +298,17 @@ class TestDetectBeats:
 # The seed's per-beat loop and logistic loop, kept as references: the
 # vectorized beat windows and the buffered fit must reproduce them bit for bit.
 
-def _ref_beat_features(signal, beats):
+def _ref_beat_features(signal, indices, fs):
     x = np.asarray(signal, dtype=np.float64)
-    if beats.n_beats >= 2:
-        rr_stats = [float(beats.rr.mean()), float(beats.rr.std()),
-                    float(beats.rr.min()), float(beats.rr.max())]
+    if indices.size >= 2:
+        rr = np.diff(indices) / fs
+        rr_stats = [float(rr.mean()), float(rr.std()),
+                    float(rr.min()), float(rr.max())]
     else:
         rr_stats = [0.0, 0.0, 0.0, 0.0]
-    half_win = max(1, int(0.1 * beats.fs))
+    half_win = max(1, int(0.1 * fs))
     amps, widths = [], []
-    for idx in beats.indices:
+    for idx in indices:
         lo, hi = max(0, idx - half_win), min(x.size, idx + half_win + 1)
         seg = x[lo:hi]
         baseline = float(np.median(seg))
@@ -277,13 +324,13 @@ def _ref_beat_features(signal, beats):
             right = center
             while right < above.size - 1 and above[right + 1]:
                 right += 1
-            widths.append((right - left + 1) / beats.fs)
+            widths.append((right - left + 1) / fs)
         else:
             widths.append(0.0)
     amp_mean = float(np.mean(amps)) if amps else 0.0
     amp_std = float(np.std(amps)) if amps else 0.0
     width_mean = float(np.mean(widths)) if widths else 0.0
-    return np.array([*rr_stats, float(beats.n_beats), amp_mean, amp_std, width_mean])
+    return np.array([*rr_stats, float(indices.size), amp_mean, amp_std, width_mean])
 
 
 def _ref_linear_classifier_fit(features, labels, seed=0):
@@ -309,7 +356,7 @@ def _ref_linear_classifier_fit(features, labels, seed=0):
 
 @st.composite
 def _beat_cases(draw):
-    """A signal and strictly increasing beats on it, many of them within
+    """A signal, strictly increasing beat indices on it and its rate, many of them within
     0.1 s of an end (clipped, possibly even-length windows), on noise, a DC
     offset, tied (quantized) values, flat stretches, or a flat signal whose
     amplitude stays <= 1e-12."""
@@ -334,53 +381,56 @@ def _beat_cases(draw):
         x = draw(st.sampled_from([0.0, 1.0, -3.5])) + draw(
             st.sampled_from([0.0, 1e-14])) * x
     indices = np.array(sorted(indices), dtype=np.int64)
-    return x, BeatAnnotations(indices=indices, rr=np.diff(indices) / fs, fs=fs)
+    return x, indices, fs
 
 
 class TestBeatFeatures:
     @given(case=_beat_cases())
-    @example(case=(np.zeros(100), BeatAnnotations(
-        indices=np.empty(0, dtype=np.int64), rr=np.empty(0), fs=FS)))
-    @example(case=(np.r_[np.zeros(50), 1.0, np.zeros(49)], BeatAnnotations(
-        indices=np.array([50]), rr=np.empty(0), fs=FS)))
-    @example(case=(np.r_[1.0, np.zeros(98), 1.0], BeatAnnotations(
-        indices=np.array([0, 99]), rr=np.array([99 / FS]), fs=FS)))
+    @example(case=(np.zeros(100), np.empty(0, dtype=np.int64), FS))
+    @example(case=(np.r_[np.zeros(50), 1.0, np.zeros(49)], np.array([50]), FS))
+    @example(case=(np.r_[1.0, np.zeros(98), 1.0], np.array([0, 99]), FS))
     @example(case=(2.0 + 1e-14 * np.random.default_rng(1).standard_normal(500),
-                   BeatAnnotations(indices=np.array([3, 250, 497]),
-                                   rr=np.array([247, 247]) / FS, fs=FS)))
+                   np.array([3, 250, 497]), FS))
+    @example(case=(np.r_[0.0, 1.0, 3.0, 1.0, np.zeros(96)], np.array([2, 60]), 1e4))
     @settings(max_examples=300, deadline=None)
     def test_matches_the_per_beat_reference(self, case):
-        x, beats = case
-        assert np.array_equal(beat_features(x, beats), _ref_beat_features(x, beats))
+        x, indices, fs = case
+        assert np.array_equal(beat_features(x, indices, fs),
+                              _ref_beat_features(x, indices, fs))
 
     @pytest.mark.parametrize("index", [-1, 100])
     def test_beat_outside_the_signal_refused(self, index):
-        beats = BeatAnnotations(indices=np.array([index]), rr=np.empty(0), fs=FS)
         with pytest.raises(ValueError, match=r"beat indices .* signal's 100 samples"):
-            beat_features(np.zeros(100), beats)
+            beat_features(np.zeros(100), np.array([index]), FS)
 
     def test_metronomic_60_bpm_constructed(self):
         x, _ = synthetic_ecg_train(60, snr_db=40.0, seed=3)
         indices = np.arange(125, x.size, int(FS))  # exactly one beat per second
-        beats = BeatAnnotations(indices=indices, rr=np.diff(indices) / FS, fs=FS)
-        v = dict(zip(BEAT_FEATURE_NAMES, beat_features(x, beats)))
+        v = dict(zip(BEAT_FEATURE_NAMES, beat_features(x, indices, FS)))
         assert v["rr_mean"] == 1.0
         assert v["rr_std"] == 0.0
-        assert v["beat_count"] == beats.n_beats
+        assert v["beat_count"] == indices.size
+
+    def test_rr_comes_from_the_indices_and_rate(self):
+        """Three beats 1 s apart at 250 Hz give RR 1 s, and the same indices
+        read at 125 Hz give 2 s: no stored RR can disagree with them."""
+        x = np.zeros(1000)
+        indices = np.array([100, 350, 600])
+        assert beat_features(x, indices, FS)[:4].tolist() == [1.0, 0.0, 1.0, 1.0]
+        assert beat_features(x, indices, FS / 2)[:4].tolist() == [2.0, 0.0, 2.0, 2.0]
 
     def test_detected_beats_near_metronomic(self):
         x, _ = synthetic_ecg_train(60, snr_db=40.0, seed=3)
         beats = detect_beats(x, FS)
-        v = dict(zip(BEAT_FEATURE_NAMES, beat_features(x, beats)))
+        v = dict(zip(BEAT_FEATURE_NAMES, beat_features(x, beats, FS)))
         assert abs(v["rr_mean"] - 1.0) < 0.02
         assert v["rr_std"] < 0.06  # lobe-picking jitter stays below ~1 sample pair
-        assert v["beat_count"] == beats.n_beats
+        assert v["beat_count"] == beats.size
 
     def test_fewer_than_two_beats_convention(self):
         x = np.zeros(1000)
         x[300:310] = 1.0
-        beats = BeatAnnotations(indices=np.array([305]), rr=np.empty(0), fs=FS)
-        v = dict(zip(BEAT_FEATURE_NAMES, beat_features(x, beats)))
+        v = dict(zip(BEAT_FEATURE_NAMES, beat_features(x, np.array([305]), FS)))
         assert v["rr_mean"] == 0.0 and v["rr_max"] == 0.0
         assert v["beat_count"] == 1.0
         assert v["amp_mean"] > 0.0
@@ -388,16 +438,37 @@ class TestBeatFeatures:
     def test_amplitude_homogeneity(self):
         x, _ = synthetic_ecg_train(75, snr_db=30.0, seed=9)
         beats = detect_beats(x, FS)
-        a = dict(zip(BEAT_FEATURE_NAMES, beat_features(x, beats)))
-        b = dict(zip(BEAT_FEATURE_NAMES, beat_features(2.0 * x, beats)))
+        a = dict(zip(BEAT_FEATURE_NAMES, beat_features(x, beats, FS)))
+        b = dict(zip(BEAT_FEATURE_NAMES, beat_features(2.0 * x, beats, FS)))
         np.testing.assert_allclose(b["amp_mean"], 2 * a["amp_mean"], rtol=1e-9)
         np.testing.assert_allclose(b["amp_std"], 2 * a["amp_std"], rtol=1e-9)
         assert b["rr_mean"] == a["rr_mean"]
         assert b["width_mean"] == a["width_mean"]
 
+    def test_window_wider_than_any_signal(self):
+        """At fs = 1e300 each beat's window is the whole signal, as at 1e4;
+        the window was sized from fs alone and failed to allocate."""
+        x = np.r_[0.0, 1.0, 3.0, 1.0, np.zeros(96)]
+        wide = beat_features(x, np.array([2, 60]), 1e4)
+        huge = beat_features(x, np.array([2, 60]), 1e300)
+        assert np.isfinite(huge).all()
+        assert huge[4:7].tolist() == wide[4:7].tolist() == [2.0, 3.0, 0.0]
+
     def test_strictly_increasing_enforced(self):
-        with pytest.raises(ValueError):
-            BeatAnnotations(indices=np.array([10, 10]), rr=np.empty(0), fs=FS)
+        for indices in ([10, 10], [10, 20, 15]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                beat_features(np.zeros(100), np.array(indices), FS)
+
+    @pytest.mark.parametrize("indices", [np.array([[10, 20]]), np.array(5),
+                                         np.array([10.0, 20.0]), np.array([True])])
+    def test_indices_not_an_integer_vector_refused(self, indices):
+        with pytest.raises(ValueError, match="1-D integer vector of beat indices"):
+            beat_features(np.zeros(100), indices, FS)
+
+    @pytest.mark.parametrize("fs", [0.0, -250.0, math.nan, math.inf])
+    def test_bad_rate_refused_by_name(self, fs):
+        with pytest.raises(ValueError, match=re.escape(f"finite fs > 0, got fs={fs}")):
+            beat_features(np.zeros(100), np.array([10, 60]), fs)
 
 
 class TestLinearClassifier:
@@ -457,8 +528,36 @@ class TestLinearClassifier:
             linear_classifier_fit(np.zeros((4, 2)), [True] * 4)
 
     def test_scores_in_unit_interval(self, small_synth):
-        feats = np.stack([extract_features(r).values for r in small_synth])
+        feats = np.stack([extract_features(r) for r in small_synth])
         labels = np.array([r.label for r in small_synth])
         model = linear_classifier_fit(feats, labels)
         scores = linear_classifier_predict(model, feats)
         assert scores.min() >= 0.0 and scores.max() <= 1.0
+
+    def test_one_label_per_row_required(self):
+        with pytest.raises(ValueError, match=r"one label per row: 10 rows, "
+                                             r"labels of shape \(8,\)"):
+            linear_classifier_fit(np.zeros((10, 3)), np.arange(8) % 2 == 0)
+
+    @pytest.mark.parametrize("x", [np.zeros(10), np.zeros((0, 3)), np.zeros((10, 0))])
+    def test_fit_needs_a_non_empty_matrix(self, x):
+        with pytest.raises(ValueError, match=r"linear_classifier_fit needs a "
+                                             r"non-empty \(N, F\) feature matrix"):
+            linear_classifier_fit(x, np.arange(x.shape[0]) % 2 == 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feature_refused(self, bad):
+        x = np.random.default_rng(2).standard_normal((10, 3))
+        x[4, 1] = bad
+        with pytest.raises(ValueError, match=rf"finite features; row 4, column 1 is {bad}"):
+            linear_classifier_fit(x, np.arange(10) % 2 == 0)
+
+    def test_predict_needs_the_model_width(self):
+        rng = np.random.default_rng(3)
+        model = linear_classifier_fit(rng.standard_normal((10, 3)), np.arange(10) % 2 == 0)
+        with pytest.raises(ValueError, match="model's 3 feature columns, got 2"):
+            linear_classifier_predict(model, rng.standard_normal((10, 2)))
+        x = rng.standard_normal((10, 3))
+        x[0, 0] = np.nan
+        with pytest.raises(ValueError, match="linear_classifier_predict needs finite"):
+            linear_classifier_predict(model, x)

@@ -350,11 +350,12 @@ class TestReports:
         rep = error_report(p, y, ["a", "b", "c", "d"])
         assert rep.fn_ids == ("b",)
         assert rep.fp_ids == ("d",)
-        assert rep.n_errors == 2
+        assert len(rep.fn_ids) + len(rep.fp_ids) == 2
 
     def test_perfect_predictions_empty(self):
         rep = error_report([0.9, 0.1], [True, False])
-        assert rep.n_errors == 0 and rep.high_confidence_ids == ()
+        assert len(rep.fn_ids) + len(rep.fp_ids) == 0
+        assert rep.high_confidence_ids == ()
 
     def test_high_confidence_threshold(self):
         rep = error_report([0.99, 0.9, 0.1], [False, True, False], ["a", "b", "c"])
