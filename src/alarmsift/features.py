@@ -405,53 +405,84 @@ def _feature_matrix(features, caller: str) -> np.ndarray:
     return x
 
 
-def linear_classifier_fit(features, labels, seed: int = 0) -> LinearModel:
-    """Class-weighted logistic regression by ``_N_ITER`` full-batch gradient
-    descent steps of rate ``_LR`` on an (N, F) feature matrix.
+def linear_classifier_fit(problems) -> list[LinearModel]:
+    """One class-weighted logistic regression per ``(features, labels, seed)``
+    problem, in order: ``_N_ITER`` full-batch gradient descent steps of rate
+    ``_LR`` on each (N, F) feature matrix, all problems in one loop.
 
-    Features are standardized internally (training mean / std); class
-    weights follow w_c = N / (2 * N_c).  Deterministic under ``seed``.
-    ValueError unless the matrix is finite with one label per row.
+    Each problem's features are standardized internally (its training mean
+    / std); class weights follow w_c = N / (2 * N_c); its initial weights
+    are drawn from its ``seed``.  A model's bits do not depend on the other
+    problems of the batch.  ValueError, naming the problem's index, unless
+    every matrix is finite with one label per row, both classes and the
+    same F.  An empty batch gives ``[]``.
     """
-    x = _feature_matrix(features, "linear_classifier_fit")
-    y = np.asarray(labels, dtype=bool)
-    if y.shape != x.shape[:1]:
-        raise ValueError(f"linear_classifier_fit needs one label per row: "
-                         f"{x.shape[0]} rows, labels of shape {y.shape}")
-    cw = class_weights(y)  # raises on single-class input
-    mu = x.mean(axis=0)
-    sigma = x.std(axis=0)
-    sigma = np.where(sigma > _EPS, sigma, 1.0)
-    z = (x - mu) / sigma
-    sample_w = np.where(y, cw.w_true, cw.w_false)
-    rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, 1e-3, size=z.shape[1])
-    b = 0.0
-    t = y.astype(np.float64)
+    zs, sample_w, t, w0, scaling = [], [], [], [], []  # one entry per problem
+    for i, problem in enumerate(problems):
+        try:
+            features, labels, seed = problem
+            x = _feature_matrix(features, "linear_classifier_fit")
+            y = np.asarray(labels, dtype=bool)
+            if y.shape != x.shape[:1]:
+                raise ValueError(f"linear_classifier_fit needs one label per row: "
+                                 f"{x.shape[0]} rows, labels of shape {y.shape}")
+            cw = class_weights(y)  # raises on single-class input
+        except ValueError as exc:
+            raise ValueError(f"{exc} (problem {i})") from None
+        if zs and x.shape[1] != zs[0].shape[1]:
+            raise ValueError(f"linear_classifier_fit needs one column count for "
+                             f"every problem: problem 0 has {zs[0].shape[1]}, "
+                             f"problem {i} has {x.shape[1]}")
+        mu = x.mean(axis=0)
+        sigma = x.std(axis=0)
+        sigma = np.where(sigma > _EPS, sigma, 1.0)
+        zs.append((x - mu) / sigma)
+        sample_w.append(np.where(y, cw.w_true, cw.w_false))
+        t.append(y.astype(np.float64))
+        w0.append(np.random.default_rng(seed).normal(0.0, 1e-3, size=x.shape[1]))
+        scaling.append((mu, sigma))
+    if not zs:
+        return []
     # Each step is p = 1 / (1 + exp(-(z @ w + b))), g = sample_w * (p - t) / N,
-    # w -= _LR * (z.T @ g), b -= _LR * sum(g): the same roundings in the same
-    # order, written into preallocated buffers.  With tens of rows a numpy
-    # call costs more in dispatch than in arithmetic, hence positional
-    # ``out`` and ``np.dot``, which reaches the same BLAS gemv as ``@``.
-    s = np.empty(y.size)
-    g = np.empty(y.size)
-    step = np.empty(z.shape[1])
-    zt = z.T
-    n = float(y.size)
+    # w -= _LR * (z.T @ g), b -= _LR * sum(g) for every problem: the same
+    # roundings in the same order as one problem alone.  With tens of rows a
+    # numpy call costs more in dispatch than in arithmetic, so the
+    # elementwise steps run once over the problems' concatenated rows, and
+    # only the two gemvs and the bias sum run per problem, on views of
+    # preallocated buffers: s and g are sliced from one (sum N,) buffer each,
+    # w and step are rows of one (problems, F) array.  ``np.add.reduceat``
+    # would sum the bias segments in another order and change the bits.
+    sizes = [z.shape[0] for z in zs]
+    sample_w, t = np.concatenate(sample_w), np.concatenate(t)
+    n = np.repeat(np.array(sizes, dtype=np.float64), sizes)
+    w = np.stack(w0)
+    step = np.empty_like(w)
+    s, g = np.empty(t.size), np.empty(t.size)
+    neg_b = np.zeros(t.size)  # each row's -b
+    b = [0.0] * len(zs)
+    ends = np.cumsum(sizes)
+    rows = [slice(end - size, end) for size, end in zip(sizes, ends)]
+    forward = [(z, w_i, s[r]) for z, w_i, r in zip(zs, w, rows)]
+    backward = [(z.T, g[r], step_i, neg_b[r])
+                for z, step_i, r in zip(zs, step, rows)]
     for _ in range(_N_ITER):
-        np.dot(z, w, s)
-        np.subtract(-b, s, s)  # -(z @ w + b), up to a zero's sign that exp drops
+        for z, w_i, s_i in forward:
+            np.dot(z, w_i, s_i)
+        np.subtract(neg_b, s, s)  # -(z @ w + b), up to a zero's sign that exp drops
         np.exp(s, s)
         np.add(s, 1.0, s)
         np.divide(1.0, s, s)
         np.subtract(s, t, s)
         np.multiply(sample_w, s, g)
         np.divide(g, n, g)
-        np.dot(zt, g, step)
+        for i, (zt, g_i, step_i, neg_b_i) in enumerate(backward):
+            np.dot(zt, g_i, step_i)
+            b[i] -= _LR * float(np.add.reduce(g_i))
+            neg_b_i.fill(-b[i])
         np.multiply(step, _LR, step)
         np.subtract(w, step, w)
-        b -= _LR * float(np.add.reduce(g))
-    return LinearModel(weights=w, bias=b, mu=mu, sigma=sigma)
+    return [LinearModel(weights=w_i.copy(), bias=b_i, mu=mu, sigma=sigma)
+            for w_i, b_i, (mu, sigma) in zip(w, b, scaling)]
 
 
 def linear_classifier_predict(model: LinearModel, features) -> np.ndarray:

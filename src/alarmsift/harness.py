@@ -21,9 +21,9 @@ import numpy as np
 
 from . import features as feats
 from .net import ModelConfig, predict, stack_sequences, train
-from .records import (CHANNEL_ORDER, WINDOW_SECONDS, Channel, Record,
-                      _checked_number, _store_number_fields, load_dataset,
-                      tail_window, write_csv, write_json)
+from .records import (CHANNEL_ORDER, WINDOW_SECONDS, AlarmType, Channel,
+                      Record, _checked_number, _store_number_fields,
+                      load_dataset, tail_window, write_csv, write_json)
 from .stats import (Confusion, FoldAssignment, auc, confusion_metrics,
                     bootstrap_auc_diff, delong_test, error_report,
                     fold_summary, per_alarm_report, stratified_kfold)
@@ -197,21 +197,28 @@ def _cross_validate(experiment: str, cfg: ExperimentConfig, x, records,
     """k-fold CV of ``experiment`` on input ``x`` (row i is ``records[i]``).
 
     temporal / static: the sequence model, trained with an inner stratified
-    early-stopping split.  features: one logistic model.  per_alarm: one per
-    alarm type; a type whose training part lacks a class scores 0.5.
+    early-stopping split.  features: one logistic model per fold.
+    per_alarm: one per alarm type and fold; a type whose training part lacks
+    a class scores 0.5.  The logistic models of all folds are fitted in one
+    ``linear_classifier_fit`` call.
     """
     labels = np.array([r.label for r in records], dtype=bool)
     ids = [r.record_id for r in records]
     model_cfg = cfg.resolved_model(experiment)
+    sequence_model = experiment in ("temporal", "static")
     per_type = experiment == "per_alarm"  # else one group of every record
     groups = np.array([r.alarm_type if per_type else None for r in records],
                       dtype=object)
+    # AlarmType order: a set of members would follow their name hashes,
+    # which change with PYTHONHASHSEED
+    group_order = list(AlarmType) if per_type else [None]
     oof = np.full(labels.size, np.nan)
-    fold_aucs, histories = [], []
+    test_folds, histories, problems, problem_tests = [], [], [], []
     for fold in range(assignment.k):
         tr, te = assignment.train_indices(fold), assignment.test_indices(fold)
         _assert_no_leakage(tr, te, ids)
-        if experiment in ("temporal", "static"):
+        test_folds.append(te)
+        if sequence_model:
             fit_rel, stop_rel = stratified_split(
                 labels[tr], [1.0 - cfg.val_fraction, cfg.val_fraction],
                 cfg.seed + 101 * fold)
@@ -219,15 +226,18 @@ def _cross_validate(experiment: str, cfg: ExperimentConfig, x, records,
                                     replace(model_cfg, seed=model_cfg.seed + fold))
             oof[te] = predict(x[te], params)
             histories.append(history)
-        else:
-            oof[te] = 0.5
-            for group in set(groups[te]):
-                tr_g, te_g = tr[groups[tr] == group], te[groups[te] == group]
-                if not per_type or labels[tr_g].any() and not labels[tr_g].all():
-                    model = feats.linear_classifier_fit(x[tr_g], labels[tr_g],
-                                                        seed=cfg.seed + fold)
-                    oof[te_g] = feats.linear_classifier_predict(model, x[te_g])
-        fold_aucs.append(auc(oof[te], labels[te]))
+            continue
+        oof[te] = 0.5
+        for group in group_order:
+            tr_g, te_g = tr[groups[tr] == group], te[groups[te] == group]
+            if te_g.size and (not per_type
+                              or labels[tr_g].any() and not labels[tr_g].all()):
+                problems.append((x[tr_g], labels[tr_g], cfg.seed + fold))
+                problem_tests.append(te_g)
+    if not sequence_model:
+        for model, te_g in zip(feats.linear_classifier_fit(problems), problem_tests):
+            oof[te_g] = feats.linear_classifier_predict(model, x[te_g])
+    fold_aucs = [auc(oof[te], labels[te]) for te in test_folds]
     return _CrossValidation(oof, fold_aucs, histories)
 
 

@@ -88,8 +88,9 @@ class Record:
     """Immutable multi-channel waveform with alarm metadata.
 
     ``samples`` is a channels x N float32 matrix; rows follow ``channels``
-    order.  All samples must be finite and every channel row has the same
-    length.  Instances are safe to share across parallel workers.
+    order.  ``fs`` must be finite and positive, all samples finite, and
+    every channel row has the same length.  Instances are safe to share
+    across parallel workers.
     """
 
     record_id: str
@@ -100,8 +101,9 @@ class Record:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.fs <= 0:
-            raise RecordError(f"fs must be positive, got {self.fs}")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise RecordError(f"record {self.record_id}: fs must be finite and "
+                              f"positive, got {self.fs}")
         if len(set(self.channels)) != len(self.channels):
             raise RecordError("duplicate channel identifiers")
         samples = np.ascontiguousarray(self.samples, dtype=np.float32)

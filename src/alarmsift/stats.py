@@ -13,7 +13,7 @@ from scipy.stats import norm
 
 import numpy as np
 
-from .records import AlarmType, Record
+from .records import AlarmType, Record, _checked_number
 
 Z_95 = 1.96
 #: A record is predicted a true alarm when its p_true is at least this.
@@ -28,15 +28,22 @@ HIGH_CONFIDENCE = 0.8
 # ---------------------------------------------------------------------------
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based midranks; tied values share the mean of their positions."""
-    order = np.argsort(x, kind="mergesort")
-    z = x[order]
-    n = x.size
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(z) != 0) + 1))
-    ends = np.concatenate((starts[1:], [n]))
-    group_rank = 0.5 * (starts + ends - 1) + 1.0
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(group_rank, ends - starts)
+    """1-based midranks along the last axis; tied values share the mean of
+    their positions."""
+    order = np.argsort(x, axis=-1, kind="mergesort")
+    z = np.take_along_axis(x, order, axis=-1)
+    n = x.shape[-1]
+    pos = np.arange(n)
+    # tie group of each sorted position: its first position and one past its last
+    first = np.ones(x.shape, dtype=bool)
+    first[..., 1:] = z[..., 1:] != z[..., :-1]
+    last = np.ones(x.shape, dtype=bool)
+    last[..., :-1] = first[..., 1:]
+    starts = np.maximum.accumulate(np.where(first, pos, 0), axis=-1)
+    ends = np.minimum.accumulate(np.where(last, pos + 1, n)[..., ::-1],
+                                 axis=-1)[..., ::-1]
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, 0.5 * (starts + ends - 1) + 1.0, axis=-1)
     return ranks
 
 
@@ -59,12 +66,17 @@ def _scores_and_labels(scores, labels, caller: str, both_classes: bool = False):
     return scores, labels
 
 
-def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """``auc`` of input that ``_scores_and_labels`` has already checked."""
-    m = int(labels.sum())
-    n = labels.size - m
+def _auc(scores: np.ndarray, labels: np.ndarray):
+    """``auc`` of input that ``_scores_and_labels`` has already checked; of
+    each row, for (R, N) scores and labels with both classes in every row.
+
+    Midranks are half-integers, so their sum is exact in any order below
+    2**53: a row gives the bits of the same vector alone.
+    """
+    m = labels.sum(axis=-1)
+    n = labels.shape[-1] - m
     ranks = _midranks(scores)
-    return (ranks[labels].sum() - m * (m + 1) / 2.0) / (m * n)
+    return (np.where(labels, ranks, 0.0).sum(axis=-1) - m * (m + 1) / 2.0) / (m * n)
 
 
 def auc(scores, labels) -> float:
@@ -253,26 +265,40 @@ class BootstrapCI:
     n_iter: int
 
 
+#: Resamples scored together; bounds the index block to this many rows.
+_BOOTSTRAP_BLOCK = 128
+
+
 def bootstrap_auc_diff(scores_a, scores_b, labels, n_iter: int = 1000,
                        seed: int = 0) -> BootstrapCI:
-    """Percentile 95% CI of AUC_a - AUC_b over paired record resamples.
+    """Percentile 95% CI of AUC_a - AUC_b over ``n_iter`` paired record
+    resamples.
 
     Records are drawn with replacement; a resample missing one class is
-    redrawn.  Deterministic under ``seed``.  The input is checked once.
+    redrawn.  Deterministic under ``seed``.  The input is checked once;
+    ValueError unless ``n_iter`` is an integer >= 1.
     """
+    n_iter = _checked_number("n_iter", n_iter, "int")
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
     scores_a, labels = _scores_and_labels(scores_a, labels, "bootstrap_auc_diff",
                                           both_classes=True)
     scores_b, _ = _scores_and_labels(scores_b, labels, "bootstrap_auc_diff")
     n = labels.size
     rng = np.random.default_rng(seed)
     diffs = np.empty(n_iter)
-    for i in range(n_iter):
-        while True:
-            idx = rng.integers(0, n, size=n)
-            y = labels[idx]
-            if 0 < y.sum() < n:
-                break
-        diffs[i] = _auc(scores_a[idx], y) - _auc(scores_b[idx], y)
+    # one draw per resample: Generator.integers buffers 32-bit draws within
+    # a call, so drawing a block at once would change the stream
+    for start in range(0, n_iter, _BOOTSTRAP_BLOCK):
+        idx = np.empty((min(_BOOTSTRAP_BLOCK, n_iter - start), n), dtype=np.int64)
+        for row in idx:
+            while True:
+                row[:] = rng.integers(0, n, size=n)
+                if 0 < labels[row].sum() < n:
+                    break
+        y = labels[idx]
+        diffs[start:start + len(idx)] = (_auc(scores_a[idx], y)
+                                         - _auc(scores_b[idx], y))
     lo, hi = np.percentile(diffs, [2.5, 97.5])
     return BootstrapCI(float(lo), float(hi), n_iter)
 

@@ -471,22 +471,77 @@ class TestBeatFeatures:
             beat_features(np.zeros(100), np.array([10, 60]), fs)
 
 
-class TestLinearClassifier:
-    @given(n=st.integers(2, 60), f=st.integers(1, 111),
-           seed=st.integers(0, 2**32 - 1), fit_seed=st.integers(0, 5),
-           constant_cols=st.integers(0, 3))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_the_allocating_reference(self, n, f, seed, fit_seed, constant_cols):
-        rng = np.random.default_rng(seed)
+def _fit_one(features, labels, seed=0):
+    (model,) = linear_classifier_fit([(features, labels, seed)])
+    return model
+
+
+@st.composite
+def _fit_batches(draw):
+    """1-8 problems of one width: 2-60 rows each, up to 3 constant columns,
+    columns at scales 1e-3 to 1e3, both classes, seeds 0-49."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = draw(st.integers(1, 111))
+    problems = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(2, 60))
         x = rng.standard_normal((n, f)) * rng.choice([1e-3, 1.0, 1e3], size=f)
-        x[:, :min(constant_cols, f)] = 7.0  # sigma 1 by convention
+        x[:, :min(draw(st.integers(0, 3)), f)] = 7.0  # sigma 1 by convention
         labels = rng.random(n) < 0.5
         labels[:2] = (True, False)
-        got = linear_classifier_fit(x, labels, seed=fit_seed)
-        ref = _ref_linear_classifier_fit(x, labels, seed=fit_seed)
-        for name in ("weights", "mu", "sigma"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-        assert got.bias == ref.bias
+        problems.append((x, labels, draw(st.integers(0, 49))))
+    return problems
+
+
+class TestLinearClassifier:
+    @given(problems=_fit_batches(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_allocating_reference(self, problems, data):
+        """Each model of a batch is the one its problem gets alone, bit for
+        bit, and a permuted batch gives the same models, permuted."""
+        models = linear_classifier_fit(problems)
+        assert len(models) == len(problems)
+        for got, (x, labels, fit_seed) in zip(models, problems):
+            ref = _ref_linear_classifier_fit(x, labels, seed=fit_seed)
+            for name in ("weights", "mu", "sigma"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+            assert got.bias == ref.bias
+        perm = data.draw(st.permutations(range(len(problems))))
+        permuted = linear_classifier_fit([problems[i] for i in perm])
+        for got, i in zip(permuted, perm):
+            assert np.array_equal(got.weights, models[i].weights)
+            assert got.bias == models[i].bias
+
+    def test_each_model_owns_its_weights(self):
+        rng = np.random.default_rng(6)
+        problems = [(rng.standard_normal((10, 3)), np.arange(10) % 2 == 0, s)
+                    for s in range(3)]
+        models = linear_classifier_fit(problems)
+        assert all(m.weights.base is None for m in models)
+
+    def test_empty_batch(self):
+        assert linear_classifier_fit([]) == []
+
+    def test_mixed_widths_refused_with_the_index(self):
+        rng = np.random.default_rng(7)
+        labels = np.arange(10) % 2 == 0
+        problems = [(rng.standard_normal((10, f)), labels, 0) for f in (3, 3, 4)]
+        with pytest.raises(ValueError, match=re.escape(
+                "one column count for every problem: problem 0 has 3, "
+                "problem 2 has 4")):
+            linear_classifier_fit(problems)
+
+    @pytest.mark.parametrize("bad, message", [
+        ((np.zeros((10, 3)), np.arange(8) % 2 == 0, 0), "one label per row: 10 rows"),
+        ((np.zeros((4, 3)), [True] * 4, 0), "both classes present"),
+        ((np.full((10, 3), np.nan), np.arange(10) % 2 == 0, 0), "needs finite features"),
+        ((np.zeros(10), np.arange(10) % 2 == 0, 0), "non-empty"),
+    ])
+    def test_bad_problem_refused_with_its_index(self, bad, message):
+        good = (np.random.default_rng(8).standard_normal((10, 3)),
+                np.arange(10) % 2 == 0, 0)
+        with pytest.raises(ValueError, match=rf"{message}.* \(problem 2\)$"):
+            linear_classifier_fit([good, good, bad, good])
 
     def test_separable_toy_perfect_training_auc(self):
         rng = np.random.default_rng(1)
@@ -494,7 +549,7 @@ class TestLinearClassifier:
         labels = np.arange(n) % 2 == 0
         x = np.column_stack([labels + 0.05 * rng.standard_normal(n),
                              rng.standard_normal(n)])
-        model = linear_classifier_fit(x, labels)
+        model = _fit_one(x, labels)
         scores = linear_classifier_predict(model, x)
         assert auc(scores, labels) == 1.0
 
@@ -507,7 +562,7 @@ class TestLinearClassifier:
         oof = np.empty(n)
         for f in range(4):
             tr, te = fa.train_indices(f), fa.test_indices(f)
-            model = linear_classifier_fit(x[tr], labels[tr])
+            model = _fit_one(x[tr], labels[tr])
             oof[te] = linear_classifier_predict(model, x[te])
         assert 0.35 <= auc(oof, labels) <= 0.65
 
@@ -517,44 +572,43 @@ class TestLinearClassifier:
         labels = rng.random(30) < 0.4
         if labels.all() or not labels.any():
             labels[0] = ~labels[0]
-        m1 = linear_classifier_fit(x, labels)
-        m2 = linear_classifier_fit(np.vstack([x, x]),
-                                   np.concatenate([labels, labels]))
+        m1 = _fit_one(x, labels)
+        m2 = _fit_one(np.vstack([x, x]), np.concatenate([labels, labels]))
         np.testing.assert_allclose(m1.weights, m2.weights, atol=1e-12)
         np.testing.assert_allclose(m1.bias, m2.bias, atol=1e-12)
 
     def test_single_class_errors(self):
         with pytest.raises(ValueError):
-            linear_classifier_fit(np.zeros((4, 2)), [True] * 4)
+            _fit_one(np.zeros((4, 2)), [True] * 4)
 
     def test_scores_in_unit_interval(self, small_synth):
         feats = np.stack([extract_features(r) for r in small_synth])
         labels = np.array([r.label for r in small_synth])
-        model = linear_classifier_fit(feats, labels)
+        model = _fit_one(feats, labels)
         scores = linear_classifier_predict(model, feats)
         assert scores.min() >= 0.0 and scores.max() <= 1.0
 
     def test_one_label_per_row_required(self):
         with pytest.raises(ValueError, match=r"one label per row: 10 rows, "
                                              r"labels of shape \(8,\)"):
-            linear_classifier_fit(np.zeros((10, 3)), np.arange(8) % 2 == 0)
+            _fit_one(np.zeros((10, 3)), np.arange(8) % 2 == 0)
 
     @pytest.mark.parametrize("x", [np.zeros(10), np.zeros((0, 3)), np.zeros((10, 0))])
     def test_fit_needs_a_non_empty_matrix(self, x):
         with pytest.raises(ValueError, match=r"linear_classifier_fit needs a "
                                              r"non-empty \(N, F\) feature matrix"):
-            linear_classifier_fit(x, np.arange(x.shape[0]) % 2 == 0)
+            _fit_one(x, np.arange(x.shape[0]) % 2 == 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_feature_refused(self, bad):
         x = np.random.default_rng(2).standard_normal((10, 3))
         x[4, 1] = bad
         with pytest.raises(ValueError, match=rf"finite features; row 4, column 1 is {bad}"):
-            linear_classifier_fit(x, np.arange(10) % 2 == 0)
+            _fit_one(x, np.arange(10) % 2 == 0)
 
     def test_predict_needs_the_model_width(self):
         rng = np.random.default_rng(3)
-        model = linear_classifier_fit(rng.standard_normal((10, 3)), np.arange(10) % 2 == 0)
+        model = _fit_one(rng.standard_normal((10, 3)), np.arange(10) % 2 == 0)
         with pytest.raises(ValueError, match="model's 3 feature columns, got 2"):
             linear_classifier_predict(model, rng.standard_normal((10, 2)))
         x = rng.standard_normal((10, 3))

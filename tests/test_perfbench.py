@@ -81,5 +81,27 @@ def test_run_experiment_traced_per_layer(monkeypatch, tmp_path):
     names = [span.name for span in tracer.spans]
     counts = {name: names.count(name) for name in (
         "net.train", "net.predict", "features.linear_classifier_fit", "stats.auc")}
+    # one linear_classifier_fit call fits the logistic models of both folds
     assert counts == {"net.train": 2, "net.predict": 2,
-                      "features.linear_classifier_fit": 2, "stats.auc": 5}
+                      "features.linear_classifier_fit": 1, "stats.auc": 5}
+
+
+def test_per_alarm_cross_validation_fits_in_one_call(monkeypatch, tmp_path):
+    """cv_features's pairing: each cross-validation, per_alarm's one model
+    per alarm type and fold included, is one traced fit."""
+    tracing = _load(monkeypatch, "tracing")
+    write_dataset(synth_dataset(SynthSpec(n=24, true_ratio=0.5), seed=42),
+                  tmp_path / "data")
+    cfg = ExperimentConfig(experiment="per_alarm", data_dir=str(tmp_path / "data"),
+                           folds=3, out_dir=str(tmp_path / "runs"),
+                           compare_with="features")
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer, alarmsift):
+        run_experiment(cfg)
+    names = [span.name for span in tracer.spans]
+    counts = {name: names.count(name) for name in (
+        "features.linear_classifier_fit", "stats.bootstrap_auc_diff",
+        "stats.delong_test", "stats.auc")}
+    assert counts == {"features.linear_classifier_fit": 2,
+                      "stats.bootstrap_auc_diff": 1, "stats.delong_test": 1,
+                      "stats.auc": 7}

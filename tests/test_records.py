@@ -20,6 +20,12 @@ class TestRecordInvariants:
         with pytest.raises(RecordError):
             make_record(fs=0.0)
 
+    @pytest.mark.parametrize("fs", [math.nan, math.inf])
+    def test_rejects_non_finite_fs_by_record(self, fs):
+        with pytest.raises(RecordError, match=re.escape(
+                f"record rec-0: fs must be finite and positive, got {fs}")):
+            make_record(fs=fs)
+
     def test_rejects_duplicate_channels(self):
         with pytest.raises(RecordError):
             make_record(channels=(Channel.ECG_II, Channel.ECG_II),
@@ -82,6 +88,19 @@ class TestRecordIO:
         data[7] = np.nan
         (rec_dir / "signal.f32").write_bytes(data.tobytes())
         with pytest.raises(RecordError, match="non-finite"):
+            load_record(rec_dir)
+
+    @pytest.mark.parametrize("fs, text", [(math.nan, "NaN"), (math.inf, "Infinity")])
+    def test_non_finite_fs_in_header_refused(self, tmp_path, fs, text):
+        import json
+
+        rec_dir = write_record(make_record("bad4", n=100), tmp_path)
+        header = json.loads((rec_dir / "header.json").read_text())
+        header["fs"] = fs
+        (rec_dir / "header.json").write_text(json.dumps(header))
+        assert f'"fs": {text}' in (rec_dir / "header.json").read_text()
+        with pytest.raises(RecordError, match=re.escape(
+                f"record bad4: fs must be finite and positive, got {fs}")):
             load_record(rec_dir)
 
     def test_missing_header(self, tmp_path):

@@ -1,11 +1,13 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from alarmsift import stats
 from alarmsift.records import AlarmType
 from alarmsift.stats import (Confusion, auc, bootstrap_auc_diff,
                              confusion_metrics, delong_test, error_report,
@@ -21,6 +23,35 @@ def pair_count_auc(scores, labels):
     wins = np.sum(pos[:, None] > neg[None, :])
     ties = np.sum(pos[:, None] == neg[None, :])
     return (wins + 0.5 * ties) / (pos.size * neg.size)
+
+
+def _ref_midranks(x):
+    """1-D midranks, sorted once and ranked tie group by tie group."""
+    order = np.argsort(x, kind="mergesort")
+    z = x[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(z) != 0) + 1))
+    ends = np.concatenate((starts[1:], [x.size]))
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
+    return ranks
+
+
+def _ref_bootstrap(a, b, labels, n_iter, seed):
+    """Percentile bounds from one resample, and one rank pass, at a time."""
+    def one_auc(scores, y):
+        m = int(y.sum())
+        return (_ref_midranks(scores)[y].sum() - m * (m + 1) / 2.0) / (m * (y.size - m))
+
+    rng, n = np.random.default_rng(seed), labels.size
+    diffs = np.empty(n_iter)
+    for i in range(n_iter):
+        while True:
+            idx = rng.integers(0, n, size=n)
+            y = labels[idx]
+            if 0 < y.sum() < n:
+                break
+        diffs[i] = one_auc(a[idx], y) - one_auc(b[idx], y)
+    return tuple(np.percentile(diffs, [2.5, 97.5]))
 
 
 class TestAuc:
@@ -244,28 +275,37 @@ class TestBootstrap:
         ci = bootstrap_auc_diff(strong, weak, labels, n_iter=500, seed=3)
         assert ci.lower > 0.0
 
-    def test_matches_reference_loop_bit_for_bit(self):
-        """The resamples skip the input check but keep ``auc``'s arithmetic:
-        bounds equal a loop over the public ``auc`` bit for bit, redraws of
-        one-class resamples included."""
-        def reference(a, b, labels, n_iter, seed):
-            rng, n = np.random.default_rng(seed), labels.size
-            diffs = np.empty(n_iter)
-            for i in range(n_iter):
-                while True:
-                    idx = rng.integers(0, n, size=n)
-                    y = labels[idx]
-                    if 0 < y.sum() < n:
-                        break
-                diffs[i] = auc(a[idx], y) - auc(b[idx], y)
-            return tuple(np.percentile(diffs, [2.5, 97.5]))
+    @given(n=st.integers(2, 60), n_pos=st.integers(1, 59),
+           data_seed=st.integers(0, 2**32 - 1), ties=st.booleans(),
+           n_iter=st.integers(1, 300), block=st.sampled_from((1, 3, 7, 128)),
+           seed=st.integers(0, 50))
+    @example(n=8, n_pos=1, data_seed=44, ties=True, n_iter=300, block=128, seed=8)
+    @example(n=30, n_pos=9, data_seed=44, ties=True, n_iter=300, block=128, seed=30)
+    @example(n=56, n_pos=20, data_seed=44, ties=True, n_iter=300, block=128, seed=56)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_loop_bit_for_bit(self, n, n_pos, data_seed, ties,
+                                                n_iter, block, seed):
+        """Blocks of resamples ranked row-wise give the bounds of a loop that
+        ranks one resample at a time, bit for bit: tied scores, redraws of
+        one-class resamples (one positive) and a last, partial block
+        included."""
+        n_pos = min(n_pos, n - 1)
+        labels = np.arange(n) < n_pos
+        rng = np.random.default_rng(data_seed)
+        a, b = rng.random(n), rng.random(n)
+        if ties:
+            a = np.round(a, 1)
+        with mock.patch.object(stats, "_BOOTSTRAP_BLOCK", block):
+            ci = bootstrap_auc_diff(a, b, labels, n_iter=n_iter, seed=seed)
+        assert (ci.lower, ci.upper) == _ref_bootstrap(a, b, labels, n_iter, seed)
+        assert ci.n_iter == n_iter
 
-        rng = np.random.default_rng(44)
-        for n, n_pos in ((8, 1), (30, 9), (56, 20)):
-            labels = np.arange(n) < n_pos
-            a, b = np.round(rng.random(n), 1), rng.random(n)  # a has ties
-            ci = bootstrap_auc_diff(a, b, labels, n_iter=300, seed=n)
-            assert (ci.lower, ci.upper) == reference(a, b, labels, 300, n)
+    @pytest.mark.parametrize("n_iter", [0, -3, 2.5, True])
+    def test_bad_n_iter_refused_by_name(self, n_iter):
+        labels = np.arange(6) % 2 == 0
+        with pytest.raises(ValueError, match=r"^n_iter must be "):
+            bootstrap_auc_diff(np.linspace(0.0, 1.0, 6), np.ones(6), labels,
+                               n_iter=n_iter)
 
     def test_agrees_with_delong_on_separated_pair(self):
         rng = np.random.default_rng(43)
