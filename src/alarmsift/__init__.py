@@ -16,8 +16,7 @@ from .features import (FEATURE_NAMES, beat_features, detect_beats,
                        extract_features, linear_classifier_fit,
                        linear_classifier_predict)
 from .net import (ModelConfig, ModelParams, TrainHistory, finite_diff_check,
-                  init_params, load_checkpoint, predict, save_checkpoint,
-                  train)
+                  init_params, predict, train)
 from .stats import (BootstrapCI, Confusion, DelongResult, ErrorReport,
                     FoldAssignment, MetricsReport, auc, bootstrap_auc_diff,
                     confusion_metrics, delong_test, error_report,

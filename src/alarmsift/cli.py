@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: synth, features, train, run, sweep, ablate, report.
+Subcommands: synth, features, run, sweep, ablate, report.
 On failure a machine-readable error JSON is printed to stderr and the exit
 code is nonzero.
 """
@@ -12,16 +12,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import features as feats
 from .harness import (AblationSpec, ExperimentConfig, SweepSpec, ablate,
-                      build_sequences, emit_comparison, emit_report,
-                      holdout_run, prepare_records, run_experiment, sweep,
-                      write_ablation, write_sweep)
-from .net import save_checkpoint
-from .records import (WINDOW_SECONDS, SynthSpec, synth_dataset, write_dataset,
-                      write_json)
+                      emit_comparison, emit_report, prepare_records,
+                      run_experiment, sweep, write_ablation, write_sweep)
+from .records import WINDOW_SECONDS, SynthSpec, synth_dataset, write_dataset
 
 
 class CliError(Exception):
@@ -43,11 +38,11 @@ def _load_json(path) -> dict:
 def _experiment_config(blob: dict, args) -> ExperimentConfig:
     """A parsed config file's experiment config, with the command line's overrides."""
     blob = {k: v for k, v in blob.items() if k not in ("sweep_spec", "ablation_spec")}
-    if getattr(args, "data", None):
+    if args.data:
         blob["data_dir"] = args.data
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         blob["seed"] = args.seed
-    if getattr(args, "out", None):
+    if args.out:
         blob["out_dir"] = args.out
     return ExperimentConfig.from_dict(blob)
 
@@ -63,23 +58,6 @@ def cmd_features(args) -> None:
     records = prepare_records(getattr(args, "in"), WINDOW_SECONDS)
     feats.export_features_csv(records, args.out)
     print(json.dumps({"records": len(records), "out": str(args.out)}))
-
-
-def cmd_train(args) -> None:
-    cfg = _experiment_config(_load_json(args.config), args)
-    model_cfg = cfg.resolved_model()
-    records = prepare_records(cfg.data_dir, cfg.window_s)
-    labels = np.array([r.label for r in records], dtype=bool)
-    x = build_sequences(records, model_cfg.n_chunks, cfg.channel_subset())
-    params, history, best_val, test_auc = holdout_run(x, labels, model_cfg, cfg.seed)
-    out = Path(args.out)
-    save_checkpoint(params, out / "checkpoint.npz")  # makes ``out``
-    write_json(out / "history.json", {
-        "train_loss": history.train_loss, "val_auc": history.val_auc,
-        "best_epoch": history.best_epoch, "stop_reason": history.stop_reason,
-        "best_val_auc": best_val, "test_auc": test_auc})
-    print(json.dumps({"out": str(out), "best_val_auc": best_val,
-                      "test_auc": test_auc, "epochs": history.epochs_run}))
 
 
 def cmd_run(args) -> None:
@@ -132,12 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("train", help="single holdout training run")
-    p.add_argument("--data", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
     for name, func in (("run", cmd_run), ("sweep", cmd_sweep), ("ablate", cmd_ablate)):
         p = sub.add_parser(name)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import butter, filtfilt, find_peaks
 
-from .records import CHANNEL_ORDER, Channel, Record, class_weights, write_csv
+from .records import (CHANNEL_ORDER, Channel, Record, _checked_seed,
+                      class_weights, write_csv)
 
 _EPS = 1e-12
 
@@ -414,13 +415,14 @@ def linear_classifier_fit(problems) -> list[LinearModel]:
     / std); class weights follow w_c = N / (2 * N_c); its initial weights
     are drawn from its ``seed``.  A model's bits do not depend on the other
     problems of the batch.  ValueError, naming the problem's index, unless
-    every matrix is finite with one label per row, both classes and the
-    same F.  An empty batch gives ``[]``.
+    every seed is an integer >= 0 and every matrix is finite with one label
+    per row, both classes and the same F.  An empty batch gives ``[]``.
     """
     zs, sample_w, t, w0, scaling = [], [], [], [], []  # one entry per problem
     for i, problem in enumerate(problems):
         try:
             features, labels, seed = problem
+            seed = _checked_seed(seed)
             x = _feature_matrix(features, "linear_classifier_fit")
             y = np.asarray(labels, dtype=bool)
             if y.shape != x.shape[:1]:

@@ -105,7 +105,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
         if "model" in d and isinstance(d["model"], dict):
-            d["model"] = ModelConfig.from_dict(d["model"])
+            d["model"] = ModelConfig(**d["model"])
         if "channels" in d:
             d["channels"] = tuple(d["channels"])
         return cls(**d)
@@ -338,31 +338,13 @@ def _training_curve(training) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Holdout training (`alarmsift train`; the sweep trains on the same split)
-# ---------------------------------------------------------------------------
-
-_HOLDOUT_FRACTIONS = (0.70, 0.15, 0.15)
-
-
-def holdout_run(x, labels, model_cfg: ModelConfig, split_seed: int):
-    """Single stratified 70/15/15 train/val/test run.
-
-    Returns (params, history, val_auc_at_best, test_auc).
-    """
-    tr, va, te = stratified_split(labels, _HOLDOUT_FRACTIONS, split_seed)
-    params, history = train(x, labels, tr, va, model_cfg)
-    best_val = max(history.val_auc)
-    test_auc = auc(predict(x[te], params), labels[te])
-    return params, history, best_val, test_auc
-
-
-# ---------------------------------------------------------------------------
 # Hyperparameter sweep (one parameter at a time)
 # ---------------------------------------------------------------------------
 
 # ModelConfig fields a sweep sets itself: the seed per repeat, and the chunk
 # count, which the one tensor that every run trains on fixes.
 _SWEEP_FIXED = ("seed", "n_chunks")
+_SWEEP_FRACTIONS = (0.70, 0.15, 0.15)  # train / val / an unscored test part
 
 
 @dataclass(frozen=True)
@@ -404,10 +386,10 @@ class SweepResult:
 
 def sweep(spec: SweepSpec, base: ExperimentConfig) -> SweepResult:
     """For each axis, vary only that parameter (others at their defaults),
-    train ``repeats`` times per value on the fixed 70/15/15 split of
-    ``holdout_run``, and pick the winner by mean validation AUC.  The test
-    part of the split is never scored.  Every run's config is built, and so
-    checked, before the first record is read."""
+    train ``repeats`` times per value on one fixed 70/15/15 split drawn from
+    the experiment ``seed``, and pick the winner by mean validation AUC.
+    The test part of the split is never scored.  Every run's config is
+    built, and so checked, before the first record is read."""
     model_base = base.resolved_model()
     configs = {axis: [[replace(model_base, **{axis: value}, seed=model_base.seed + r)
                        for r in range(spec.repeats)] for value in values]
@@ -415,7 +397,7 @@ def sweep(spec: SweepSpec, base: ExperimentConfig) -> SweepResult:
     records = prepare_records(base.data_dir, base.window_s)
     labels = np.array([r.label for r in records], dtype=bool)
     x = build_sequences(records, model_base.n_chunks, base.channel_subset())
-    tr, va, _ = stratified_split(labels, _HOLDOUT_FRACTIONS, base.seed)
+    tr, va, _ = stratified_split(labels, _SWEEP_FRACTIONS, base.seed)
 
     runs, rows = [], []
     for axis, values in spec.axes.items():

@@ -12,19 +12,16 @@ Class convention: logit/probability column 1 is the true-alarm class.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .records import ClassWeights, _store_number_fields, class_weights, write_json
+from .records import ClassWeights, _store_number_fields, class_weights
 from .stats import auc
 
 LOG_CLAMP = 1e-12
-CHECKPOINT_VERSION = 3
 _EVAL_BATCH = 16  # sequences per eval-mode forward pass
 _ENCODER_DTYPE = np.float32  # of the encoder pass in ``train`` and ``predict``
 
@@ -72,13 +69,6 @@ class ModelConfig:
         if self.lstm_layers == 0 and self.n_chunks != 1:
             raise ValueError(f"lstm_layers == 0 (the static model) requires "
                              f"n_chunks == 1, got n_chunks={self.n_chunks}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -697,36 +687,3 @@ def finite_diff_check(params: ModelParams, sample, label: bool,
         errors[name] = float(np.linalg.norm(ga - gn)) / denom
     return errors
 
-
-# ---------------------------------------------------------------------------
-# Checkpoints: versioned npz of all tensors + config JSON sidecar
-# ---------------------------------------------------------------------------
-
-def save_checkpoint(params: ModelParams, path: Path | str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, __version__=np.int64(CHECKPOINT_VERSION), **params.tensors)
-    write_json(path.with_suffix(".config.json"), params.config.to_dict())
-
-
-def load_checkpoint(path: Path | str) -> ModelParams:
-    path = Path(path)
-    with np.load(path) as blob:
-        version = int(blob["__version__"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        tensors = {k: blob[k] for k in blob.files if k != "__version__"}
-    conv1_w = tensors.get("conv1_w")
-    if conv1_w is None or conv1_w.ndim != 4 or conv1_w.shape[1] < 1:
-        raise ValueError(f"checkpoint {path}: no tensor 'conv1_w' of shape "
-                         f"(F, C >= 1, 3, 3) to read the input channel count from")
-    sidecar = path.with_suffix(".config.json")
-    cfg = ModelConfig.from_dict(json.loads(sidecar.read_text()))
-    built = init_params(cfg, conv1_w.shape[1], np.random.default_rng(0)).tensors
-    for name in [*built, *sorted(tensors.keys() - built.keys())]:
-        got = tensors[name].shape if name in tensors else None
-        want = built[name].shape if name in built else None
-        if got != want:
-            raise ValueError(f"checkpoint {path}: tensor {name!r} has shape {got}, "
-                             f"but {sidecar.name} builds {want}")
-    return ModelParams(config=cfg, tensors=tensors)

@@ -73,6 +73,15 @@ def _checked_number(name: str, value, kind: str):
     return number
 
 
+def _checked_seed(seed) -> int:
+    """``seed`` as a plain ``int`` >= 0, a seed ``np.random.default_rng``
+    takes; the error names ``seed``."""
+    seed = _checked_number("seed", seed, "int")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _store_number_fields(config) -> None:
     """Check every field of the frozen dataclass ``config`` annotated ``int``
     or ``float`` by ``_checked_number`` and store it as that plain type, so

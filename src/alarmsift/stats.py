@@ -13,7 +13,7 @@ from scipy.stats import norm
 
 import numpy as np
 
-from .records import AlarmType, Record, _checked_number
+from .records import AlarmType, Record, _checked_number, _checked_seed
 
 Z_95 = 1.96
 #: A record is predicted a true alarm when its p_true is at least this.
@@ -185,11 +185,14 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldAssignment:
     """Seeded shuffle within each class, then round-robin dealing to folds.
 
     Per-fold class counts differ by at most one.  Deterministic: the same
-    (labels, k, seed) always produce the same assignment.
+    (labels, k, seed) always produce the same assignment.  ValueError unless
+    ``k`` is an integer >= 2 and ``seed`` an integer >= 0.
     """
     labels = np.asarray(labels, dtype=bool)
+    k = _checked_number("k", k, "int")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    seed = _checked_seed(seed)
     for cls in (True, False):
         if int(np.sum(labels == cls)) < k:
             raise ValueError(f"class {cls} has fewer than k={k} members")
@@ -276,11 +279,13 @@ def bootstrap_auc_diff(scores_a, scores_b, labels, n_iter: int = 1000,
 
     Records are drawn with replacement; a resample missing one class is
     redrawn.  Deterministic under ``seed``.  The input is checked once;
-    ValueError unless ``n_iter`` is an integer >= 1.
+    ValueError unless ``n_iter`` is an integer >= 1 and ``seed`` an integer
+    >= 0.
     """
     n_iter = _checked_number("n_iter", n_iter, "int")
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter}")
+    seed = _checked_seed(seed)
     scores_a, labels = _scores_and_labels(scores_a, labels, "bootstrap_auc_diff",
                                           both_classes=True)
     scores_b, _ = _scores_and_labels(scores_b, labels, "bootstrap_auc_diff")

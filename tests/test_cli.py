@@ -53,53 +53,6 @@ class TestFeatures:
         assert lines[0].split(",")[:3] == ["record_id", "alarm_type", "label"]
 
 
-class TestTrain:
-    def test_holdout_checkpoint(self, cli_data, tmp_path, capsys):
-        cfg = write_config(tmp_path, data_dir=str(cli_data))
-        out = tmp_path / "run"
-        rc = main(["train", "--data", str(cli_data), "--config", str(cfg),
-                   "--out", str(out)])
-        assert rc == 0
-        assert (out / "checkpoint.npz").is_file()
-        assert (out / "checkpoint.config.json").is_file()
-        history = json.loads((out / "history.json").read_text())
-        assert history["stop_reason"] in ("patience", "max_epochs")
-
-    def test_split_drawn_from_experiment_seed(self, cli_data, tmp_path,
-                                              monkeypatch):
-        """The 70/15/15 split follows the experiment ``seed``, as in ``sweep``;
-        ``model.seed`` only seeds the network."""
-        from alarmsift import harness
-
-        seeds = []
-        real_split = harness.stratified_split
-
-        def spy(labels, fractions, seed):
-            seeds.append(seed)
-            return real_split(labels, fractions, seed)
-
-        monkeypatch.setattr(harness, "stratified_split", spy)
-        cfg = write_config(tmp_path, data_dir=str(cli_data), seed=5)
-        rc = main(["train", "--data", str(cli_data), "--config", str(cfg),
-                   "--out", str(tmp_path / "run")])
-        assert rc == 0
-        assert seeds == [5]
-
-
-    def test_bare_model_config_refused(self, cli_data, tmp_path, capsys):
-        """``train`` takes an experiment config, as ``run`` does, not the
-        ``model`` block on its own."""
-        cfg = tmp_path / "model.json"
-        cfg.write_text(json.dumps(TINY["model"]))
-        out = tmp_path / "run"
-        rc = main(["train", "--data", str(cli_data), "--config", str(cfg),
-                   "--out", str(out)])
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err)
-        assert "error" in err and "message" in err
-        assert not out.exists()
-
-
 class TestRunAndReport:
     def test_run_then_report(self, cli_data, tmp_path, capsys):
         cfg = write_config(tmp_path, data_dir=str(cli_data),
@@ -140,6 +93,26 @@ class TestSweepAblateCli:
         info = json.loads(capsys.readouterr().out)
         assert info["chunk_rows"] == 2 and info["channel_rows"] == 1
 
+    def test_sweep_split_drawn_from_experiment_seed(self, cli_data, tmp_path,
+                                                    monkeypatch):
+        """The sweep's 70/15/15 split follows the experiment ``seed``;
+        ``model.seed`` only seeds the network."""
+        from alarmsift import harness
+
+        seeds = []
+        real_split = harness.stratified_split
+
+        def spy(labels, fractions, seed):
+            seeds.append(seed)
+            return real_split(labels, fractions, seed)
+
+        monkeypatch.setattr(harness, "stratified_split", spy)
+        cfg = write_config(tmp_path, data_dir=str(cli_data), seed=5,
+                           sweep_spec={"axes": {"lstm_hidden": [4]}, "repeats": 1})
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")])
+        assert rc == 0
+        assert seeds == [5]
+
 
 class TestErrorContract:
     def test_missing_data_dir_error_json(self, tmp_path, capsys):
@@ -164,6 +137,30 @@ class TestErrorContract:
         assert err["error"] == "ValueError"
         assert "compare_with must differ from experiment" in err["message"]
         assert not (tmp_path / "runs").exists()
+
+    def test_train_subcommand_is_gone(self, cli_data, tmp_path, capsys):
+        """Cross-validation (``run``) is the one way a model is trained and
+        scored; there is no holdout ``train`` subcommand."""
+        cfg = write_config(tmp_path, data_dir=str(cli_data))
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(cli_data), "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
+        assert not out.exists()
+
+    def test_bare_model_config_refused(self, cli_data, tmp_path, capsys):
+        """``run`` takes an experiment config, not the ``model`` block on
+        its own."""
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(TINY["model"]))
+        out = tmp_path / "run"
+        rc = main(["run", "--data", str(cli_data), "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "error" in err and "message" in err
+        assert not out.exists()
 
     def test_bad_config_error_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -543,6 +543,21 @@ class TestLinearClassifier:
         with pytest.raises(ValueError, match=rf"{message}.* \(problem 2\)$"):
             linear_classifier_fit([good, good, bad, good])
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (2.5, "seed must be an integer, got 2.5"),
+        (True, "seed must be an integer, got True"),
+        (None, "seed must be an integer, got None"),
+    ])
+    def test_bad_seed_refused_with_its_index(self, seed, message):
+        """A seed numpy cannot take is refused by name before any fit,
+        with the index of its problem."""
+        rng = np.random.default_rng(9)
+        labels = np.arange(10) % 2 == 0
+        problems = [(rng.standard_normal((10, 3)), labels, s) for s in (0, seed)]
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)} \(problem 1\)$"):
+            linear_classifier_fit(problems)
+
     def test_separable_toy_perfect_training_auc(self):
         rng = np.random.default_rng(1)
         n = 40

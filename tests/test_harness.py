@@ -336,7 +336,7 @@ class TestSpecFields:
         """A config copied from an older report.json carries the input-shape
         keys ``ModelConfig`` no longer has; it is refused, naming the key."""
         blob = {"experiment": "temporal", "data_dir": "d",
-                "model": {**ModelConfig().to_dict(), key: value}}
+                "model": {**dataclasses.asdict(ModelConfig()), key: value}}
         with pytest.raises(TypeError, match=rf"unexpected keyword argument '{key}'"):
             ExperimentConfig.from_dict(blob)
 

@@ -1,7 +1,6 @@
-import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alarmsift.net import (ModelConfig, finite_diff_check, init_params,
-                           load_checkpoint, predict, save_checkpoint, train)
+                           predict, train)
 from alarmsift.records import ClassWeights
 
 REDUCED = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6, n_chunks=3,
@@ -268,8 +267,8 @@ class TestConfig:
         assert (cfg.dropout, cfg.learning_rate, cfg.clip_norm) == (0, 1, 2)
         assert all(type(v) is float for v in (cfg.dropout, cfg.learning_rate,
                                                 cfg.clip_norm))
-        assert cfg.to_dict() == ModelConfig(dropout=0.0, learning_rate=1.0,
-                                            clip_norm=2.0).to_dict()
+        assert asdict(cfg) == asdict(ModelConfig(dropout=0.0, learning_rate=1.0,
+                                                 clip_norm=2.0))
 
     def test_numpy_integers_are_plain_ints(self):
         cfg = ModelConfig(embed_dim=np.int64(16), seed=np.uint8(3))
@@ -841,97 +840,3 @@ class TestStaticVariant:
         sample = np.random.default_rng(7).random((1, 4, 8, 8))
         assert max(finite_diff_check(params, sample, False).values()) < 1e-4
 
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        params = reduced_params(13)
-        path = tmp_path / "model.npz"
-        save_checkpoint(params, path)
-        assert (tmp_path / "model.config.json").is_file()
-        loaded = load_checkpoint(path)
-        assert loaded.config == params.config
-        for k in params.tensors:
-            np.testing.assert_array_equal(loaded.tensors[k], params.tensors[k])
-
-    def test_predictions_survive_round_trip(self, tmp_path):
-        params = reduced_params(14)
-        seq = np.random.default_rng(1).random((3, 4, 8, 8))
-        before = predict(seq[None], params)
-        save_checkpoint(params, tmp_path / "m.npz")
-        after = predict(seq[None], load_checkpoint(tmp_path / "m.npz"))
-        assert before.tobytes() == after.tobytes()
-
-    def test_config_mismatch_names_the_tensor(self, tmp_path):
-        """A sidecar that disagrees with the tensors is refused on load,
-        naming the first tensor whose shape differs."""
-        save_checkpoint(reduced_params(15), tmp_path / "m.npz")
-        sidecar = tmp_path / "m.config.json"
-        blob = json.loads(sidecar.read_text())
-        sidecar.write_text(json.dumps({**blob, "embed_dim": 16}))
-        with pytest.raises(ValueError, match=r"tensor 'conv1_w' has shape "
-                                             r"\(2, 4, 3, 3\), but "
-                                             r"m.config.json builds \(4, 4, 3, 3\)"):
-            load_checkpoint(tmp_path / "m.npz")
-
-    def test_narrow_sidecar_refused_by_field(self, tmp_path):
-        """A sidecar with ``embed_dim`` < 8 is refused by ModelConfig, by
-        the field's name, before any tensor shape is compared."""
-        save_checkpoint(reduced_params(15), tmp_path / "m.npz")
-        sidecar = tmp_path / "m.config.json"
-        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "embed_dim": 4}))
-        with pytest.raises(ValueError, match=r"^embed_dim must be >= 8, got 4$"):
-            load_checkpoint(tmp_path / "m.npz")
-
-    def test_missing_tensor_named(self, tmp_path):
-        save_checkpoint(reduced_params(16), tmp_path / "m.npz")
-        sidecar = tmp_path / "m.config.json"
-        blob = json.loads(sidecar.read_text())
-        sidecar.write_text(json.dumps({**blob, "lstm_layers": 3}))
-        with pytest.raises(ValueError, match=r"tensor 'lstm2_wx' has shape None, "
-                                             r"but m.config.json builds \(16, 4\)"):
-            load_checkpoint(tmp_path / "m.npz")
-
-    def test_channel_count_read_from_conv1_w(self, tmp_path):
-        """The sidecar holds no input shape: a two-channel model round-trips,
-        and the loaded model refuses four-channel input by both counts."""
-        params = init_params(REDUCED, 2, np.random.default_rng(18))
-        save_checkpoint(params, tmp_path / "m.npz")
-        blob = json.loads((tmp_path / "m.config.json").read_text())
-        assert blob == REDUCED.to_dict()
-        loaded = load_checkpoint(tmp_path / "m.npz")
-        assert loaded.tensors["conv1_w"].shape == (2, 2, 3, 3)
-        x = np.random.default_rng(19).random((2, 3, 4, 8, 8))
-        with pytest.raises(ValueError, match=r"has 4 channels, but the model reads 2$"):
-            predict(x, loaded)
-        assert predict(x[:, :, :2], loaded).tobytes() == \
-            predict(x[:, :, :2], params).tobytes()
-
-    def test_missing_conv1_w_refused_by_name(self, tmp_path):
-        params = reduced_params(20)
-        save_checkpoint(params, tmp_path / "m.npz")
-        rest = {k: v for k, v in params.tensors.items() if k != "conv1_w"}
-        np.savez(tmp_path / "m.npz", __version__=np.int64(3), **rest)
-        with pytest.raises(ValueError, match=r"no tensor 'conv1_w' of shape "
-                                             r"\(F, C >= 1, 3, 3\)"):
-            load_checkpoint(tmp_path / "m.npz")
-
-    def test_version_2_checkpoint_refused(self, tmp_path):
-        """Version 2 sidecars hold the input shape ModelConfig no longer
-        has; such a checkpoint is refused by its version."""
-        params = reduced_params(17)
-        save_checkpoint(params, tmp_path / "m.npz")
-        sidecar = tmp_path / "m.config.json"
-        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
-                                       "in_channels": 4, "input_hw": 8}))
-        np.savez(tmp_path / "m.npz", __version__=np.int64(2), **params.tensors)
-        with pytest.raises(ValueError, match=r"^unsupported checkpoint version 2$"):
-            load_checkpoint(tmp_path / "m.npz")
-
-    def test_version_1_checkpoint_refused(self, tmp_path):
-        """Version 1 sidecars hold a model switch ModelConfig no longer has;
-        such a checkpoint is refused by its version, whatever its sidecar."""
-        params = reduced_params(17)
-        save_checkpoint(params, tmp_path / "m.npz")
-        np.savez(tmp_path / "m.npz", __version__=np.int64(1), **params.tensors)
-        with pytest.raises(ValueError, match=r"^unsupported checkpoint version 1$"):
-            load_checkpoint(tmp_path / "m.npz")

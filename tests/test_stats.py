@@ -54,6 +54,16 @@ def _ref_bootstrap(a, b, labels, n_iter, seed):
     return tuple(np.percentile(diffs, [2.5, 97.5]))
 
 
+# Seeds that are not an integer >= 0: ``np.random.default_rng`` refuses -1
+# and 2.5 without naming the argument, and takes None as fresh entropy.
+BAD_SEEDS = [
+    (-1, "seed must be >= 0, got -1"),
+    (2.5, "seed must be an integer, got 2.5"),
+    (True, "seed must be an integer, got True"),
+    (None, "seed must be an integer, got None"),
+]
+
+
 class TestAuc:
     def test_perfect_separation(self):
         assert auc([0.9, 0.8, 0.3, 0.2], [1, 1, 0, 0]) == 1.0
@@ -194,6 +204,26 @@ class TestStratifiedKfold:
         with pytest.raises(ValueError):
             stratified_kfold([True, False, False], k=2, seed=0)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3", None])
+    def test_non_integer_k_refused_by_name(self, k):
+        """A fold count is an integer: ``2.5`` would deal fold ids 0, 1
+        and 2 under ``k = 2.5``."""
+        with pytest.raises(ValueError, match=rf"^k must be an integer, got "
+                                             rf"{re.escape(repr(k))}$"):
+            stratified_kfold([True, False] * 6, k, seed=0)
+
+    @pytest.mark.parametrize("seed, message", BAD_SEEDS)
+    def test_bad_seed_refused_by_name(self, seed, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            stratified_kfold([True, False] * 6, 3, seed)
+
+    def test_numpy_integer_k_and_seed_give_the_int_assignment(self):
+        labels = np.arange(12) % 3 == 0
+        a = stratified_kfold(labels, np.int64(4), np.uint8(7))
+        b = stratified_kfold(labels, 4, 7)
+        assert type(a.k) is int and a.k == 4
+        np.testing.assert_array_equal(a.fold_of, b.fold_of)
+
 
 class TestDelong:
     def test_identical_scores(self):
@@ -306,6 +336,13 @@ class TestBootstrap:
         with pytest.raises(ValueError, match=r"^n_iter must be "):
             bootstrap_auc_diff(np.linspace(0.0, 1.0, 6), np.ones(6), labels,
                                n_iter=n_iter)
+
+    @pytest.mark.parametrize("seed, message", BAD_SEEDS)
+    def test_bad_seed_refused_by_name(self, seed, message):
+        labels = np.arange(6) % 2 == 0
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            bootstrap_auc_diff(np.linspace(0.0, 1.0, 6), np.ones(6), labels,
+                               n_iter=10, seed=seed)
 
     def test_agrees_with_delong_on_separated_pair(self):
         rng = np.random.default_rng(43)
