@@ -29,10 +29,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path) -> dict:
+    """The JSON object in config file ``path``; a usage error names the file
+    when it cannot be read, or holds no JSON object at its top level or at
+    its ``sweep_spec`` or ``ablation_spec`` key."""
     try:
-        return json.loads(Path(path).read_text())
+        blob = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(blob, dict):
+        raise CliError(f"config {path} must hold a JSON object, got {blob!r}")
+    for key in ("sweep_spec", "ablation_spec"):
+        if not isinstance(blob.get(key, {}), dict):
+            raise CliError(f"{key} in config {path} must be a JSON object, "
+                           f"got {blob[key]!r}")
+    return blob
 
 
 def _experiment_config(blob: dict, args) -> ExperimentConfig:

@@ -13,6 +13,7 @@ each input, refusing it by name, where it reads it.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -78,8 +79,25 @@ def _spectrum(x: np.ndarray, fs: float):
 
 
 def _band_power(freqs, power, lo, hi) -> float:
-    sel = (freqs >= lo) & (freqs < hi)
-    return float(power[sel].sum())
+    """Sum of ``power`` over ``lo <= freqs < hi``; ``freqs`` ascend, so the
+    band is one slice, summed in the order a boolean mask would take it."""
+    start, stop = np.searchsorted(freqs, (lo, hi))
+    return float(power[start:stop].sum())
+
+
+def _median(v: np.ndarray) -> float:
+    """``np.median`` of a finite 1-D array, bit for bit, from one partition.
+
+    ``np.median`` averages the middle one or two values with ``np.mean``,
+    whose sum starts from 0.0, so a -0.0 median reads +0.0; the leading
+    ``0.0 +`` keeps that.  Its extra partition for a NaN check is dropped:
+    records are finite.
+    """
+    k = v.size // 2
+    p = np.partition(v, k)
+    if v.size % 2:
+        return 0.0 + float(p[k])
+    return (0.0 + float(p[:k].max()) + float(p[k])) / 2
 
 
 def _channel_features(x: np.ndarray, fs: float, chan: Channel) -> list[float]:
@@ -98,8 +116,8 @@ def _channel_features(x: np.ndarray, fs: float, chan: Channel) -> list[float]:
         skew = kurt = 0.0
     rms = float(np.sqrt(np.mean(x * x)))
     rng_ = float(x.max() - x.min())
-    median = float(np.median(x))
-    mad = float(np.median(np.abs(x - median)))
+    median = _median(x)
+    mad = _median(np.abs(x - median))
     zcr = float(np.mean(np.signbit(x[:-1]) != np.signbit(x[1:])))
 
     freqs, power = _spectrum(x, fs)
@@ -229,6 +247,18 @@ def _bandpass(fs: float) -> tuple[np.ndarray, np.ndarray]:
     return b, a
 
 
+def _rr_mean(rr: list[float]) -> float:
+    """``np.mean`` of 1 to 8 RR intervals, bit for bit: numpy sums fewer
+    than 8 values left to right and 8 as a pairwise tree."""
+    if len(rr) == 8:
+        total = ((rr[0] + rr[1]) + (rr[2] + rr[3])) + ((rr[4] + rr[5]) + (rr[6] + rr[7]))
+    else:
+        total = 0.0
+        for value in rr:
+            total += value
+    return total / len(rr)
+
+
 def detect_beats(signal, fs: float = 250.0) -> np.ndarray:
     """Strictly increasing int64 sample indices of the beats found by the
     Pan-Tompkins cascade: bandpass, derivative, squaring, moving-window
@@ -270,30 +300,37 @@ def detect_beats(signal, fs: float = 250.0) -> np.ndarray:
             rr_hist.append((idx - accepted[-1]) / fs)
             del rr_hist[:-8]
 
-    for idx in candidates:
-        peak = mwi[idx]
+    # Python ints and floats: the same IEEE arithmetic as numpy scalars,
+    # without their dispatch on every candidate
+    for idx, peak in zip(candidates.tolist(), mwi[candidates].tolist()):
         thr1 = npki + _THRESHOLD_FRACTION * (spki - npki)
         if peak > thr1:
             note_rr(idx)
-            accepted.append(int(idx))
+            accepted.append(idx)
             spki = _PEAK_UPDATE * peak + (1 - _PEAK_UPDATE) * spki
         else:
             missed = (accepted and rr_hist
                       and (idx - accepted[-1]) / fs >
-                      _SEARCHBACK_RR_FACTOR * float(np.mean(rr_hist)))
+                      _SEARCHBACK_RR_FACTOR * _rr_mean(rr_hist))
             if missed and peak > _SEARCHBACK_FRACTION * thr1:
                 note_rr(idx)
-                accepted.append(int(idx))
+                accepted.append(idx)
                 spki = 0.25 * peak + 0.75 * spki
             else:
                 npki = _PEAK_UPDATE * peak + (1 - _PEAK_UPDATE) * npki
 
-    # refine each detection to the strongest bandpassed deflection just
-    # before the integration peak, then re-enforce the refractory gap
+    # refine each detection to the strongest bandpassed deflection in the
+    # window + 1 samples up to its integration peak, one argmax over the
+    # windows of all beats; a beat fewer than ``window`` samples from the
+    # start searches from sample 0.  Then re-enforce the refractory gap.
+    abs_bp = np.abs(bp)
+    n_early = bisect.bisect_left(accepted, window)
+    strongest = [int(np.argmax(abs_bp[:idx + 1])) for idx in accepted[:n_early]]
+    starts = np.array(accepted[n_early:], dtype=np.int64) - window
+    windows = np.lib.stride_tricks.sliding_window_view(abs_bp, window + 1)
+    strongest += (starts + windows[starts].argmax(axis=1)).tolist()
     refined: list[int] = []
-    for idx in accepted:
-        lo = max(0, idx - window)
-        j = lo + int(np.argmax(np.abs(bp[lo:idx + 1])))
+    for j in strongest:
         if not refined or j - refined[-1] > refractory:
             refined.append(j)
     return np.asarray(refined, dtype=np.int64)

@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -70,6 +71,13 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.window_s <= 0:
             raise ValueError(f"window_s must be > 0, got {self.window_s}")
+        if not isinstance(self.model, ModelConfig):
+            raise ValueError(f"model must be a ModelConfig, got {self.model!r}")
+        channels = self.channels
+        if isinstance(channels, (str, bytes)) or not hasattr(channels, "__iter__"):
+            raise ValueError(f"channels must be a sequence of channel names, "
+                             f"got {channels!r}")
+        object.__setattr__(self, "channels", tuple(channels))
         known = [c.value for c in Channel]
         unknown = [c for c in self.channels if c not in known]
         if unknown:
@@ -103,11 +111,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config of a ``to_dict`` mapping; ``model`` is a mapping of
+        ``ModelConfig`` fields, and anything else is refused by name."""
+        if not isinstance(d, Mapping):
+            raise ValueError(f"an experiment config must be a mapping, got {d!r}")
         d = dict(d)
-        if "model" in d and isinstance(d["model"], dict):
+        if "model" in d:
+            if not isinstance(d["model"], Mapping):
+                raise ValueError(f"model must be a mapping of ModelConfig fields, "
+                                 f"got {d['model']!r}")
             d["model"] = ModelConfig(**d["model"])
-        if "channels" in d:
-            d["channels"] = tuple(d["channels"])
         return cls(**d)
 
 
@@ -360,14 +373,23 @@ class SweepSpec:
         _store_number_fields(self)  # repeats
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if not isinstance(self.axes, Mapping):
+            raise ValueError(f"axes must be a mapping of ModelConfig field names "
+                             f"to values, got {self.axes!r}")
         tunable = [f.name for f in dataclasses.fields(ModelConfig)
                    if f.name not in _SWEEP_FIXED]
+        axes = {}
         for axis, values in self.axes.items():
             if axis not in tunable:
                 raise ValueError(f"sweep axis {axis!r} is not a ModelConfig field "
                                  f"a sweep can vary; those are {tunable}")
-            if len(values) == 0:
+            if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+                raise ValueError(f"sweep axis {axis!r} must be a sequence of values, "
+                                 f"got {values!r}")
+            axes[axis] = tuple(values)
+            if not axes[axis]:
                 raise ValueError(f"sweep axis {axis!r} has no values")
+        object.__setattr__(self, "axes", axes)
 
     @property
     def total_runs(self) -> int:

@@ -162,6 +162,32 @@ class TestErrorContract:
         assert "error" in err and "message" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
+    @pytest.mark.parametrize("blob", [[1, 2], "run", 5, None])
+    def test_config_that_is_not_an_object_is_a_usage_error(self, tmp_path, capsys,
+                                                           command, blob):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(blob))
+        rc = main([command, "--config", str(path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "usage", "message": f"config {path} must hold a "
+                                                    f"JSON object, got {blob!r}"}
+
+    @pytest.mark.parametrize("command, key", [("sweep", "sweep_spec"),
+                                              ("ablate", "ablation_spec")])
+    @pytest.mark.parametrize("spec", [[1, 2], "grid", 4])
+    def test_spec_that_is_not_an_object_is_a_usage_error(self, cli_data, tmp_path,
+                                                         capsys, command, key, spec):
+        path = write_config(tmp_path, data_dir=str(cli_data), **{key: spec})
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "usage", "message": f"{key} in config {path} must "
+                                                    f"be a JSON object, got {spec!r}"}
+        assert not out.exists()
+
     def test_bad_config_error_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import filtfilt, find_peaks
 
 import alarmsift.features as features
 from alarmsift.features import (BEAT_FEATURE_NAMES, FEATURE_NAMES,
@@ -189,6 +191,64 @@ class TestExtractFeatures:
         assert rows[1][0] == small_synth[0].record_id
 
 
+def _bits(value) -> bytes:
+    """A float's 8 bytes: equal bits, the sign of a zero included."""
+    return struct.pack("<d", float(value))
+
+
+_MEDIAN_VALUES = st.one_of(
+    st.floats(-1e300, 1e300),  # two middle values sum without overflow
+    st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5]),  # ties and signed zeros
+    st.integers(-3, 3).map(float))
+
+
+class TestChannelHelpers:
+    """The partition median, the slice band power and the RR mean reproduce
+    ``np.median``, the boolean-mask sum and ``np.mean`` bit for bit."""
+
+    @given(values=st.lists(_MEDIAN_VALUES, min_size=1, max_size=40))
+    @example(values=[-0.0])
+    @example(values=[-0.0, -0.0])
+    @example(values=[0.0, -0.0, 1.0])
+    @example(values=[_F32_MAX, _F32_MAX, -_F32_MAX])
+    @settings(max_examples=400, deadline=None)
+    def test_median_matches_numpy(self, values):
+        v = np.array(values)
+        assert _bits(features._median(v)) == _bits(np.median(v))
+
+    @pytest.mark.parametrize("n", [14999, 15000])
+    @pytest.mark.parametrize("kind", ["noise", "rounded", "abs-deviation"])
+    def test_median_matches_numpy_on_channel_sizes(self, n, kind):
+        x = np.random.default_rng(n).standard_normal(n)
+        if kind == "rounded":  # heavy ties
+            x = np.round(3 * x) / 3
+        elif kind == "abs-deviation":  # the MAD's input
+            x = np.abs(x - np.median(x))
+        assert _bits(features._median(x)) == _bits(np.median(x))
+
+    @given(n=st.integers(6, 3000), fs=st.floats(1.0, 1000.0),
+           band=st.tuples(st.floats(-1.0, 600.0), st.floats(-1.0, 600.0)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=15000, fs=250.0, band=(0.5, 4.0), seed=0)
+    @example(n=15000, fs=250.0, band=(40.0, 100.0), seed=1)
+    @example(n=15000, fs=250.0, band=(0.05, 1.0), seed=2)
+    @example(n=100, fs=100.0, band=(5.0, 5.0), seed=3)
+    @settings(max_examples=200, deadline=None)
+    def test_band_power_matches_the_mask_sum(self, n, fs, band, seed):
+        """Bands whose edges fall on a bin, between bins, outside the
+        spectrum or in reverse order all sum the masked bins' bits."""
+        x = np.random.default_rng(seed).standard_normal(n)
+        freqs, power = features._spectrum(x, fs)
+        lo, hi = band
+        expected = float(power[(freqs >= lo) & (freqs < hi)].sum())
+        assert _bits(features._band_power(freqs, power, lo, hi)) == _bits(expected)
+
+    @given(rr=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_rr_mean_matches_numpy(self, rr):
+        assert _bits(features._rr_mean(rr)) == _bits(np.mean(rr))
+
+
 def synthetic_ecg_train(bpm, duration=60.0, fs=FS, snr_db=20.0, seed=0):
     """Impulse-train ECG with known beat count and additive white noise."""
     rng = np.random.default_rng(seed)
@@ -206,6 +266,96 @@ def synthetic_ecg_train(bpm, duration=60.0, fs=FS, snr_db=20.0, seed=0):
     return x, len(beat_times)
 
 
+# The seed's candidate loop and per-beat refinement, kept as the reference
+# that detect_beats's Python-float loop and windowed argmax must reproduce
+# bit for bit.  ``rr_sizes`` collects the length of every RR list averaged.
+
+def _ref_detect_beats(signal, fs, rr_sizes=None):
+    x = np.asarray(signal, dtype=np.float64)
+    bp = filtfilt(*features._bandpass(fs), x)
+    deriv = np.convolve(bp, features._DERIVATIVE_KERNEL, mode="same")
+    squared = deriv * deriv
+    window = max(1, int(features._INTEGRATION_WINDOW_S * fs))
+    mwi = np.convolve(squared, np.ones(window) / window, mode="same")
+
+    refractory = int(features._REFRACTORY_S * fs)
+    candidates, _ = find_peaks(mwi, distance=refractory + 1)
+
+    warmup = mwi[: int(2 * fs)]
+    spki = 0.25 * float(warmup.max())
+    npki = 0.5 * float(warmup.mean())
+    accepted = []
+    rr_hist = []
+
+    def note_rr(idx):
+        if accepted:
+            rr_hist.append((idx - accepted[-1]) / fs)
+            del rr_hist[:-8]
+
+    def rr_mean():
+        if rr_sizes is not None:
+            rr_sizes.append(len(rr_hist))
+        return float(np.mean(rr_hist))
+
+    for idx in candidates:
+        peak = mwi[idx]
+        thr1 = npki + features._THRESHOLD_FRACTION * (spki - npki)
+        if peak > thr1:
+            note_rr(idx)
+            accepted.append(int(idx))
+            spki = features._PEAK_UPDATE * peak + (1 - features._PEAK_UPDATE) * spki
+        else:
+            missed = (accepted and rr_hist
+                      and (idx - accepted[-1]) / fs >
+                      features._SEARCHBACK_RR_FACTOR * rr_mean())
+            if missed and peak > features._SEARCHBACK_FRACTION * thr1:
+                note_rr(idx)
+                accepted.append(int(idx))
+                spki = 0.25 * peak + 0.75 * spki
+            else:
+                npki = features._PEAK_UPDATE * peak + (1 - features._PEAK_UPDATE) * npki
+
+    refined = []
+    for idx in accepted:
+        lo = max(0, idx - window)
+        j = lo + int(np.argmax(np.abs(bp[lo:idx + 1])))
+        if not refined or j - refined[-1] > refractory:
+            refined.append(j)
+    return np.asarray(refined, dtype=np.int64)
+
+
+@st.composite
+def _beat_signals(draw):
+    """A signal and its rate for detect_beats: 31-1000 Hz, 2-40 s, one of
+    noise over six decades of scale, integer-rounded plateaus, a flatline,
+    or an impulse-train ECG at 40-200 bpm."""
+    fs = draw(st.floats(31.0, 1000.0))
+    duration = draw(st.floats(2.0, 40.0))
+    n = int(duration * fs)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["noise", "plateaus", "flat", "ecg"]))
+    if kind == "noise":
+        x = 10.0 ** draw(st.floats(-3.0, 3.0)) * rng.standard_normal(n)
+    elif kind == "plateaus":
+        step = draw(st.integers(1, int(fs)))
+        x = np.repeat(np.round(5 * rng.standard_normal(n // step + 1)), step)[:n]
+    elif kind == "flat":
+        x = np.full(n, draw(st.sampled_from([0.0, 1.0, -3.5])))
+    else:
+        x, _ = synthetic_ecg_train(draw(st.floats(40.0, 200.0)), duration=duration,
+                                   fs=fs, snr_db=draw(st.floats(0.0, 30.0)), seed=seed)
+    return x, fs
+
+
+# ECG trains long enough that the search-back averages a full 8-interval RR list
+_EIGHT_RR_CASES = [(synthetic_ecg_train(bpm, duration=40.0, fs=fs, snr_db=snr,
+                                        seed=seed)[0], fs)
+                   for bpm, fs, snr, seed in ((45, 250.0, 10.0, 1),
+                                              (120, 1000.0, 5.0, 2),
+                                              (40, 100.0, 3.0, 3))]
+
+
 class TestDetectBeats:
     @pytest.mark.parametrize("bpm", [60, 90, 120])
     def test_beat_count_within_two(self, bpm):
@@ -213,6 +363,38 @@ class TestDetectBeats:
         beats = detect_beats(x, FS)
         assert beats.dtype == np.int64
         assert abs(beats.size - truth) <= 2, (bpm, beats.size, truth)
+
+    @given(case=_beat_signals())
+    @example(case=_EIGHT_RR_CASES[0])
+    @example(case=_EIGHT_RR_CASES[1])
+    @example(case=_EIGHT_RR_CASES[2])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_candidate_reference(self, case):
+        x, fs = case
+        beats = detect_beats(x, fs)
+        assert beats.dtype == np.int64
+        assert np.array_equal(beats, _ref_detect_beats(x, fs))
+
+    def test_reference_cases_average_eight_rr_intervals(self):
+        """The property's examples reach the 8-interval pairwise sum."""
+        for x, fs in _EIGHT_RR_CASES:
+            sizes = []
+            expected = _ref_detect_beats(x, fs, sizes)
+            assert 8 in sizes and max(sizes) == 8
+            assert np.array_equal(detect_beats(x, fs), expected)
+
+    @pytest.mark.parametrize("fs", [100.0, 250.0])
+    @pytest.mark.parametrize("shift", [-2, -1, 0, 1])
+    def test_beat_at_the_integration_window_matches_the_reference(self, fs, shift):
+        """An impulse puts the first integration peak at ``window + shift``:
+        before ``window`` the refinement searches from sample 0, from
+        ``window`` on it takes the window ending at the peak."""
+        window = int(features._INTEGRATION_WINDOW_S * fs)
+        x = np.zeros(int(4 * fs))
+        x[window + shift] = x[window + shift + int(fs)] = 1.0
+        beats = detect_beats(x, fs)
+        assert beats.size == 2
+        assert np.array_equal(beats, _ref_detect_beats(x, fs))
 
     def test_flatline_no_beats(self):
         beats = detect_beats(np.zeros(int(60 * FS)), FS)

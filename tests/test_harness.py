@@ -340,6 +340,45 @@ class TestSpecFields:
         with pytest.raises(TypeError, match=rf"unexpected keyword argument '{key}'"):
             ExperimentConfig.from_dict(blob)
 
+    @pytest.mark.parametrize("model", [5, None, "ModelConfig()", [8, 4],
+                                       {"embed_dim": 8}])
+    def test_model_that_is_not_a_model_config_refused(self, model):
+        """A non-``ModelConfig`` model is refused on construction, naming the
+        field, not after every record is loaded as an AttributeError."""
+        with pytest.raises(ValueError, match=r"^model must be a ModelConfig, got "):
+            ExperimentConfig("temporal", "d", model=model)
+
+    @pytest.mark.parametrize("model", [5, None, "embed_dim", [8, 4]])
+    def test_model_that_is_not_a_mapping_refused_from_dict(self, model):
+        with pytest.raises(ValueError, match=rf"^model must be a mapping of ModelConfig "
+                                             rf"fields, got {re.escape(repr(model))}$"):
+            ExperimentConfig.from_dict({"experiment": "temporal", "data_dir": "d",
+                                        "model": model})
+
+    @pytest.mark.parametrize("blob", [[("experiment", "temporal")], "temporal", None])
+    def test_config_that_is_not_a_mapping_refused_from_dict(self, blob):
+        with pytest.raises(ValueError, match=rf"^an experiment config must be a "
+                                             rf"mapping, got {re.escape(repr(blob))}$"):
+            ExperimentConfig.from_dict(blob)
+
+    @pytest.mark.parametrize("channels", ["ECG_II", b"ECG_II", 4, None])
+    def test_channels_that_are_not_a_sequence_refused(self, channels):
+        """A string would be split into characters and reported as unknown
+        channel names ``['E', 'C', 'G', ...]``; it is refused as a whole."""
+        message = (rf"^channels must be a sequence of channel names, "
+                   rf"got {re.escape(repr(channels))}$")
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig("temporal", "d", channels=channels)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict({"experiment": "temporal", "data_dir": "d",
+                                        "channels": channels})
+
+    def test_channel_list_stored_as_a_tuple(self):
+        cfg = ExperimentConfig.from_dict({"experiment": "temporal", "data_dir": "d",
+                                          "channels": ["ECG_II", "PLETH"]})
+        assert cfg.channels == ("ECG_II", "PLETH")
+        assert cfg == ExperimentConfig("temporal", "d", channels=("ECG_II", "PLETH"))
+
 
 class TestSweep:
     def test_counting_formula_48(self):
@@ -355,11 +394,21 @@ class TestSweep:
         ({"axes": {"n_chunks": (1, 2)}}, r"sweep axis 'n_chunks' is not"),
         ({"axes": {"in_channels": (1, 2)}}, r"sweep axis 'in_channels' is not"),
         ({"axes": {"input_hw": (8, 16)}}, r"sweep axis 'input_hw' is not"),
+        ({"axes": {"lstm_hidden": 64}},
+         r"^sweep axis 'lstm_hidden' must be a sequence of values, got 64$"),
+        ({"axes": {"dropout": "0.2"}},
+         r"^sweep axis 'dropout' must be a sequence of values, got '0.2'$"),
+        ({"axes": [("dropout", (0.2,))]}, r"^axes must be a mapping of ModelConfig"),
     ], ids=["repeats-0", "repeats-2.5", "empty-axis", "unknown-field", "seed", "n_chunks",
-            "in_channels", "input_hw"])
+            "in_channels", "input_hw", "scalar-axis", "string-axis", "axes-not-a-mapping"])
     def test_malformed_spec_refused_by_name(self, spec, message):
         with pytest.raises(ValueError, match=message):
             SweepSpec(**spec)
+
+    def test_axis_values_stored_as_tuples(self):
+        spec = SweepSpec(axes={"lstm_hidden": [4, 8], "dropout": iter((0.0, 0.2))})
+        assert spec.axes == {"lstm_hidden": (4, 8), "dropout": (0.0, 0.2)}
+        assert spec.total_runs == 16
 
     def test_every_model_field_but_seed_and_chunks_is_tunable(self):
         """The data fixes the input shape, so a sweep sets only the seed per
