@@ -52,12 +52,14 @@ _STD = _PER_CHANNEL.index("std")
 #: record needs one sample per chunk.
 _N_CHUNKS = 6
 
-_PAIRS = tuple(itertools.combinations(CHANNEL_ORDER, 2))
+#: Channel pairs of the correlations, as rows of CHANNEL_ORDER.
+_PAIRS = tuple(itertools.combinations(range(len(CHANNEL_ORDER)), 2))
 
 
 def _build_registry() -> tuple[str, ...]:
     names = [f"{c.value.lower()}_{f}" for c in CHANNEL_ORDER for f in _PER_CHANNEL]
-    names += [f"corr_{a.value.lower()}_{b.value.lower()}" for a, b in _PAIRS]
+    names += [f"corr_{CHANNEL_ORDER[a].value.lower()}_{CHANNEL_ORDER[b].value.lower()}"
+              for a, b in _PAIRS]
     names.append("rms_ratio_last_first_chunk")
     return tuple(names)
 
@@ -186,20 +188,22 @@ def extract_features(record: Record) -> np.ndarray:
             f"extract_features needs at least {_N_CHUNKS} samples per channel, "
             f"record {record.record_id} has {record.n_samples}"
         )
-    rows = {c: record.channel(c).astype(np.float64) for c in CHANNEL_ORDER}
+    stack = np.stack([record.channel(c) for c in CHANNEL_ORDER]).astype(np.float64)
     values: list[float] = []
-    std: dict[Channel, float] = {}
-    for chan in CHANNEL_ORDER:
-        channel_values = _channel_features(rows[chan], record.fs, chan)
-        std[chan] = channel_values[_STD]
+    std: list[float] = []
+    for chan, row in zip(CHANNEL_ORDER, stack):
+        channel_values = _channel_features(row, record.fs, chan)
+        std.append(channel_values[_STD])
         values.extend(channel_values)
+    # one call for every pair; a flat channel's row of NaN is not read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.corrcoef(stack)
     for a, b in _PAIRS:
         if std[a] > _EPS and std[b] > _EPS:
-            values.append(float(np.corrcoef(rows[a], rows[b])[0, 1]))
+            values.append(float(corr[a, b]))
         else:
             values.append(0.0)
-    stacked = np.concatenate([rows[c] for c in CHANNEL_ORDER])
-    chunks = np.array_split(stacked, _N_CHUNKS)
+    chunks = np.array_split(stack.reshape(-1), _N_CHUNKS)
     rms_first = math.sqrt(float(np.mean(chunks[0] ** 2)))
     rms_last = math.sqrt(float(np.mean(chunks[-1] ** 2)))
     values.append(rms_last / rms_first if rms_first > _EPS else 0.0)

@@ -10,7 +10,6 @@ byte-identical.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 from collections.abc import Mapping
@@ -23,14 +22,16 @@ import numpy as np
 from . import features as feats
 from .net import ModelConfig, predict, stack_sequences, train
 from .records import (CHANNEL_ORDER, WINDOW_SECONDS, AlarmType, Channel,
-                      Record, _checked_number, _store_number_fields,
-                      load_dataset, tail_window, write_csv, write_json)
+                      Record, _checked_number, _checked_seed,
+                      _store_number_fields, load_dataset, tail_window,
+                      write_csv, write_json)
 from .stats import (Confusion, FoldAssignment, auc, confusion_metrics,
                     bootstrap_auc_diff, delong_test, error_report,
                     fold_summary, per_alarm_report, stratified_kfold)
 from .temporal import build_sequence, check_chunk_count
 
 EXPERIMENTS = ("temporal", "static", "features", "per_alarm")
+_SEQUENCE_EXPERIMENTS = ("temporal", "static")  # the rest read a feature matrix
 
 # Columns of each plot-data block, so a CSV carries its header even when the
 # block has no rows (features and per_alarm runs have no training curve).
@@ -95,14 +96,14 @@ class ExperimentConfig:
     def channel_subset(self) -> tuple[Channel, ...]:
         return tuple(Channel(c) for c in self.channels)
 
-    def resolved_model(self, experiment: str | None = None) -> ModelConfig:
-        """Model config of one run of ``experiment`` (default: this config's).
+    def resolved_model(self) -> ModelConfig:
+        """Model config of this config's experiment.
 
         The one rule for every run: ``static`` is one chunk and zero LSTM
         layers, any other experiment keeps ``model``'s.  The input shape is
         the data's: ``train`` reads the channel count from its input.
         """
-        if (experiment or self.experiment) == "static":
+        if self.experiment == "static":
             return replace(self.model, n_chunks=1, lstm_layers=0)
         return self.model
 
@@ -134,12 +135,18 @@ def run_id_for(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def stratified_split(labels, fractions, seed: int) -> list[np.ndarray]:
-    """Disjoint index groups with per-class proportions ~= ``fractions``."""
+    """Disjoint index groups with per-class proportions ~= ``fractions``.
+
+    ValueError unless ``fractions`` are finite, positive and sum to 1 and
+    ``seed`` is an integer >= 0.
+    """
     labels = np.asarray(labels, dtype=bool)
     fracs = np.asarray(fractions, dtype=np.float64)
-    if abs(fracs.sum() - 1.0) > 1e-9 or (fracs <= 0).any():
-        raise ValueError("fractions must be positive and sum to 1")
-    rng = np.random.default_rng(seed)
+    if (not np.isfinite(fracs).all() or abs(fracs.sum() - 1.0) > 1e-9
+            or (fracs <= 0).any()):
+        raise ValueError(f"fractions must be finite, positive and sum to 1, "
+                         f"got {fracs.tolist()}")
+    rng = np.random.default_rng(_checked_seed(seed))
     groups: list[list[np.ndarray]] = [[] for _ in fracs]
     for cls in (True, False):
         idx = np.flatnonzero(labels == cls)
@@ -205,9 +212,9 @@ class _CrossValidation(NamedTuple):
     histories: list        # TrainHistory of each fold; empty for linear models
 
 
-def _cross_validate(experiment: str, cfg: ExperimentConfig, x, records,
+def _cross_validate(cfg: ExperimentConfig, x, records,
                     assignment: FoldAssignment) -> _CrossValidation:
-    """k-fold CV of ``experiment`` on input ``x`` (row i is ``records[i]``).
+    """k-fold CV of ``cfg.experiment`` on input ``x`` (row i is ``records[i]``).
 
     temporal / static: the sequence model, trained with an inner stratified
     early-stopping split.  features: one logistic model per fold.
@@ -217,9 +224,9 @@ def _cross_validate(experiment: str, cfg: ExperimentConfig, x, records,
     """
     labels = np.array([r.label for r in records], dtype=bool)
     ids = [r.record_id for r in records]
-    model_cfg = cfg.resolved_model(experiment)
-    sequence_model = experiment in ("temporal", "static")
-    per_type = experiment == "per_alarm"  # else one group of every record
+    model_cfg = cfg.resolved_model()
+    sequence_model = cfg.experiment in _SEQUENCE_EXPERIMENTS
+    per_type = cfg.experiment == "per_alarm"  # else one group of every record
     groups = np.array([r.alarm_type if per_type else None for r in records],
                       dtype=object)
     # AlarmType order: a set of members would follow their name hashes,
@@ -254,6 +261,54 @@ def _cross_validate(experiment: str, cfg: ExperimentConfig, x, records,
     return _CrossValidation(oof, fold_aucs, histories)
 
 
+def _cross_validate_each(cfgs, records,
+                         assignment: FoldAssignment) -> list[_CrossValidation]:
+    """``_cross_validate`` of every config in ``cfgs``, in order, on one
+    ``assignment``: the one place a model input is built.
+
+    Configs that name the same model (experiment, resolved model and
+    channels) are cross-validated once.  Every chunk count is checked
+    against the record length before any input is built; ``prepare_records``
+    gives every record the same length, so the first record stands for all.
+    Inputs are built in the order their first config comes, one at a time:
+    each chunk count's tensor is built once, over the widest channel tuple
+    of its configs, and freed before the next input is built.  The configs
+    that share a chunk count name prefixes of one channel tuple (a run's
+    two models name the same one, and ablation cells name prefixes of
+    ``base.channels``), and each takes its prefix of the tensor; every
+    (chunk, channel) scalogram is normalised on its own, so the slice
+    equals a tensor built narrower.  Each record's features are extracted
+    at most once; per_alarm adds the beat columns.
+    """
+    models = [(cfg.experiment, cfg.resolved_model(), cfg.channels) for cfg in cfgs]
+    inputs = {}  # chunk count or feature experiment -> {model: its first config}
+    for model, cfg in zip(models, cfgs):
+        sequence_model = cfg.experiment in _SEQUENCE_EXPERIMENTS
+        key = cfg.resolved_model().n_chunks if sequence_model else cfg.experiment
+        inputs.setdefault(key, {}).setdefault(model, cfg)
+    for key in inputs:
+        if not isinstance(key, str):
+            check_chunk_count(records[0], key)
+
+    results, record_features = {}, None
+    for key, readers in inputs.items():
+        if isinstance(key, str):  # features or per_alarm
+            if record_features is None:
+                record_features = np.stack([feats.extract_features(r) for r in records])
+            x = record_features if key == "features" else np.hstack(
+                [record_features, _beat_matrix(records)])
+            for model, cfg in readers.items():
+                results[model] = _cross_validate(cfg, x, records, assignment)
+            continue
+        widest = max((cfg.channels for cfg in readers.values()), key=len)
+        x = build_sequences(records, key, tuple(map(Channel, widest)))
+        for model, cfg in readers.items():
+            results[model] = _cross_validate(cfg, x[:, :, :len(cfg.channels)],
+                                             records, assignment)
+        del x  # nothing else holds the tensor, so this frees it
+    return [results[model] for model in models]
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 # ---------------------------------------------------------------------------
@@ -269,25 +324,14 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     labels = np.array([r.label for r in records], dtype=bool)
     assignment = stratified_kfold(labels, cfg.folds, cfg.seed)
 
-    # built on first use and shared, so features and per_alarm extract once
-    record_features = functools.cache(
-        lambda: np.stack([feats.extract_features(r) for r in records]))
-
-    def model_input(experiment) -> np.ndarray:
-        if experiment in ("temporal", "static"):
-            return build_sequences(records, cfg.resolved_model(experiment).n_chunks,
-                                   cfg.channel_subset())
-        if experiment == "features":
-            return record_features()
-        return np.hstack([record_features(), _beat_matrix(records)])  # per_alarm
-
-    # each input is a temporary, freed before the next one is built
-    oof, fold_aucs, histories = _cross_validate(
-        cfg.experiment, cfg, model_input(cfg.experiment), records, assignment)
-    delong_blob = bootstrap_blob = None
+    cfgs = [cfg]
     if cfg.compare_with is not None:
-        base_oof = _cross_validate(cfg.compare_with, cfg, model_input(cfg.compare_with),
-                                   records, assignment).oof
+        cfgs.append(replace(cfg, experiment=cfg.compare_with, compare_with=None))
+    (oof, fold_aucs, histories), *baseline = _cross_validate_each(
+        cfgs, records, assignment)
+    delong_blob = bootstrap_blob = None
+    if baseline:
+        base_oof = baseline[0].oof
         # baseline first so the z statistic is negative when the main model wins
         dl = delong_test(base_oof, oof, labels)
         ci = bootstrap_auc_diff(oof, base_oof, labels, seed=cfg.seed)
@@ -491,48 +535,32 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
     condition is the static (zero LSTM layers) model, and ``channels=c``
     uses the first ``c`` of ``base.channels``.
 
-    Every chunk count is checked against the record length, and every
-    channel count against ``base.channels``, before the first transform.
-    ``prepare_records`` gives every record the same length, so the first
-    record stands for all.
-    Conditions naming the same model, (n_chunks, n_channels), are trained
-    once.  Each chunk count's tensor is built once, over the widest channel
-    prefix its conditions use, and freed before the next one is built.  A
-    condition takes a channel slice of it; every (chunk, channel) scalogram
-    is normalised on its own, so the slice equals a tensor built narrower.
+    Every channel count is checked against ``base.channels`` before the
+    first record is read.  Each condition is one config of
+    ``_cross_validate_each``, so every chunk count is checked before the
+    first transform, conditions naming the same model are trained once, and
+    each chunk count's tensor is built once.
     """
-    subset = base.channel_subset()
-    too_wide = [c for c in spec.channel_grid if c > len(subset)]
+    too_wide = [c for c in spec.channel_grid if c > len(base.channels)]
     if too_wide:
-        raise ValueError(f"channel counts {too_wide} exceed the {len(subset)} "
+        raise ValueError(f"channel counts {too_wide} exceed the {len(base.channels)} "
                          f"configured channels {base.channels}")
-    records = prepare_records(base.data_dir, base.window_s)
-    conditions = ([(f"chunks={n}", n, len(subset)) for n in spec.chunk_grid]
+    conditions = ([(f"chunks={n}", n, len(base.channels)) for n in spec.chunk_grid]
                   + [(f"channels={c}", base.model.n_chunks, c)
                      for c in spec.channel_grid])
-    channel_counts = {}  # chunk count -> its distinct channel counts, in grid order
-    for _, n_chunks, n_channels in conditions:
-        channel_counts.setdefault(n_chunks, {})[n_channels] = None
-    for n_chunks in channel_counts:
-        check_chunk_count(records[0], n_chunks)
+    cfgs = [replace(base, experiment="static" if n_chunks == 1 else "temporal",
+                    model=replace(base.model, n_chunks=n_chunks),
+                    channels=base.channels[:n_channels], compare_with=None)
+            for _, n_chunks, n_channels in conditions]
+    records = prepare_records(base.data_dir, base.window_s)
     assignment = stratified_kfold([r.label for r in records], spec.folds, base.seed)
 
-    fold_aucs = {}
-    for n_chunks, widths in channel_counts.items():
-        x = build_sequences(records, n_chunks, subset[:max(widths)])
-        cfg = replace(base, model=replace(base.model, n_chunks=n_chunks))
-        for n_channels in widths:
-            fold_aucs[n_chunks, n_channels] = _cross_validate(
-                "static" if n_chunks == 1 else "temporal", cfg,
-                x[:, :, :n_channels], records, assignment).fold_aucs
-        del x  # nothing else holds the tensor, so this frees it
-
     rows = []
-    for name, n_chunks, n_channels in conditions:
-        aucs = fold_aucs[n_chunks, n_channels]
-        s = fold_summary(aucs)
+    for (name, _, _), cv in zip(conditions,
+                                _cross_validate_each(cfgs, records, assignment)):
+        s = fold_summary(cv.fold_aucs)
         rows.append({"condition": name, "mean_auc": s.mean, "std_auc": s.std,
-                     "fold_aucs": list(map(float, aucs))})
+                     "fold_aucs": list(map(float, cv.fold_aucs))})
     n_chunk_rows = len(spec.chunk_grid)
     return AblationResult(chunk_rows=rows[:n_chunk_rows],
                           channel_rows=rows[n_chunk_rows:])

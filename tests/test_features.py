@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import os
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.signal import filtfilt, find_peaks
 
 import alarmsift.features as features
@@ -113,6 +115,25 @@ class TestExtractFeatures:
         corr = [v for k, v in fv.items() if k.startswith("corr_")]
         assert len(corr) == 6
         np.testing.assert_allclose(corr, 1.0, atol=1e-9)
+
+    @given(samples=hnp.arrays(np.float32, st.tuples(st.just(4), st.integers(6, 400)),
+                              elements=st.floats(-1e3, 1e3, width=32)))
+    @example(samples=np.zeros((4, 6), dtype=np.float32))
+    @example(samples=np.arange(24, dtype=np.float32).reshape(4, 6) % 5)
+    @settings(max_examples=200, deadline=None)
+    def test_correlations_equal_pairwise_corrcoef(self, samples):
+        """The one 4-channel ``np.corrcoef`` call gives each pair the bits
+        of that pair's own call; a flat channel's pairs read 0.0."""
+        r = make_record(n=samples.shape[1], samples=samples)
+        fv = _named(r)
+        for a, b in itertools.combinations(CHANNEL_ORDER, 2):
+            name = f"corr_{a.value.lower()}_{b.value.lower()}"
+            if min(fv[f"{c.value.lower()}_std"] for c in (a, b)) > features._EPS:
+                rows = [r.channel(c).astype(np.float64) for c in (a, b)]
+                want = float(np.corrcoef(*rows)[0, 1])
+            else:
+                want = 0.0
+            assert np.float64(fv[name]).tobytes() == np.float64(want).tobytes(), name
 
     def test_dominant_frequency_of_sinusoid(self):
         n = 15000

@@ -62,6 +62,27 @@ class TestStratifiedSplit:
         with pytest.raises(ValueError):
             stratified_split([True, False], [0.5, 0.4], seed=0)
 
+    @pytest.mark.parametrize("fractions, seed, message", [
+        ([math.nan, math.nan], 0, "fractions must be finite, positive and sum to 1, "
+                                  "got [nan, nan]"),
+        ([0.5, math.nan], 0, "fractions must be finite"),
+        ([math.inf, 0.5], 0, "fractions must be finite"),
+        ([0.5, 0.5], None, "seed must be an integer, got None"),
+        ([0.5, 0.5], True, "seed must be an integer, got True"),
+        ([0.5, 0.5], 2.5, "seed must be an integer, got 2.5"),
+        ([0.5, 0.5], "3", "seed must be an integer, got '3'"),
+        ([0.5, 0.5], -1, "seed must be >= 0, got -1"),
+    ])
+    def test_malformed_input_refused_by_name(self, fractions, seed, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            stratified_split(np.arange(20) % 2 == 0, fractions, seed)
+
+    def test_numpy_integer_seed_gives_the_int_split(self):
+        labels = np.random.default_rng(0).random(50) < 0.4
+        for ga, gb in zip(stratified_split(labels, [0.7, 0.3], seed=np.int64(5)),
+                          stratified_split(labels, [0.7, 0.3], seed=5)):
+            np.testing.assert_array_equal(ga, gb)
+
 
 class TestRunExperiment:
     def test_temporal_report_structure(self, data_dir, tmp_path):
@@ -112,6 +133,54 @@ class TestRunExperiment:
                                              r"divisible by chunk count 7$"):
             run_experiment(cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("experiment", ["features", "static"])
+    def test_compared_chunk_count_refused_before_any_work(
+            self, data_dir, tmp_path, monkeypatch, experiment):
+        """A chunk count that fails the compared temporal model is refused
+        before the main model extracts a feature, trains or transforms."""
+        calls = []
+        for module, name in ((alarmsift.harness.feats, "extract_features"),
+                             (alarmsift.harness, "train"),
+                             (alarmsift.temporal, "cwt")):
+            def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        cfg = tiny_config(data_dir, tmp_path, experiment=experiment,
+                          compare_with="temporal", model={"n_chunks": 7})
+        with pytest.raises(ValueError, match=r"^record \S+: 15000 samples not "
+                                             r"divisible by chunk count 7$"):
+            run_experiment(cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("n_chunks, chunk_counts", [(6, (6, 1)), (1, (1,))])
+    def test_temporal_against_static_builds_each_input_once(
+            self, data_dir, tmp_path, monkeypatch, n_chunks, chunk_counts):
+        """Each record is transformed once per chunk count: twice when the
+        temporal model has 6 chunks, once when both models read 1 chunk.
+        Each side trains once per fold, the main model first."""
+        real_build, real_train = alarmsift.harness.build_sequence, alarmsift.harness.train
+        built, trained = [], []
+
+        def spy_build(record, n, *args, **kwargs):
+            built.append((record.record_id, n))
+            return real_build(record, n, *args, **kwargs)
+
+        def spy_train(x, labels, fit_idx, stop_idx, model_cfg):
+            trained.append((x.shape[1], model_cfg.lstm_layers > 0))
+            return real_train(x, labels, fit_idx, stop_idx, model_cfg)
+
+        monkeypatch.setattr(alarmsift.harness, "build_sequence", spy_build)
+        monkeypatch.setattr(alarmsift.harness, "train", spy_train)
+        cfg = tiny_config(data_dir, tmp_path, compare_with="static",
+                          model={"max_epochs": 1, "n_chunks": n_chunks})
+        report = json.loads((run_experiment(cfg) / "report.json").read_text())
+        ids = sorted({record_id for record_id, _ in built})
+        assert len(ids) == 20
+        assert sorted(built) == sorted((i, n) for i in ids for n in chunk_counts)
+        assert trained == [(n_chunks, True)] * 2 + [(1, False)] * 2
+        assert report["delong"]["order"] == ["static", "temporal"]
 
     def test_features_mode(self, data_dir, tmp_path):
         cfg = tiny_config(data_dir, tmp_path, experiment="features")
