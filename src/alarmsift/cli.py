@@ -16,7 +16,7 @@ from . import features as feats
 from .harness import (AblationSpec, ExperimentConfig, SweepSpec, ablate,
                       emit_comparison, emit_report, prepare_records,
                       run_experiment, sweep, write_ablation, write_sweep)
-from .records import WINDOW_SECONDS, SynthSpec, synth_dataset, write_dataset
+from .records import SynthSpec, synth_dataset, write_dataset
 
 
 class CliError(Exception):
@@ -65,7 +65,7 @@ def cmd_synth(args) -> None:
 
 
 def cmd_features(args) -> None:
-    records = prepare_records(getattr(args, "in"), WINDOW_SECONDS)
+    records = prepare_records(getattr(args, "in"))
     feats.export_features_csv(records, args.out)
     print(json.dumps({"records": len(records), "out": str(args.out)}))
 

@@ -3,10 +3,11 @@ logistic baseline classifier.
 
 The feature catalogue is fixed at 103 values per record: 24 statistical /
 spectral / temporal descriptors for each of the four channels, the 6
-pairwise cross-channel correlations, and one global first-vs-last-chunk
-RMS ratio.  Degenerate inputs follow fixed conventions (zero-power spectrum
-=> spectral entropy, centroid, rolloff and dominant frequency all 0;
-zero-variance channels => correlation 0) so every output is always finite.
+pairwise cross-channel correlations, and the RMS of all four channels over
+the last of 6 time chunks against that over the first.  Degenerate inputs
+follow fixed conventions (zero-power spectrum => spectral entropy,
+centroid, rolloff and dominant frequency all 0; zero-variance channels =>
+correlation 0) so every output is always finite.
 Every function returns a fresh ndarray that its caller owns, and checks
 each input, refusing it by name, where it reads it.
 """
@@ -47,10 +48,15 @@ _PER_CHANNEL = (
     "energy_drift_slope", "lag1_autocorr",
 )
 _STD = _PER_CHANNEL.index("std")
+_DRIFT = _PER_CHANNEL.index("energy_drift_slope")
 
-#: Chunks of the energy drift slope and of the first-vs-last RMS ratio; a
-#: record needs one sample per chunk.
+#: Time chunks of the energy drift slope and of the first-vs-last RMS ratio;
+#: a record needs one sample per chunk.
 _N_CHUNKS = 6
+#: Chunk positions about their mean, t - 2.5, and their sum of squares,
+#: 17.5: the least-squares slope of y over t is sum((t - 2.5) * y) / 17.5.
+_CHUNK_T = np.arange(_N_CHUNKS) - (_N_CHUNKS - 1) / 2
+_CHUNK_T_SS = float(np.sum(_CHUNK_T * _CHUNK_T))
 
 #: Channel pairs of the correlations, as rows of CHANNEL_ORDER.
 _PAIRS = tuple(itertools.combinations(range(len(CHANNEL_ORDER)), 2))
@@ -103,10 +109,13 @@ def _median(v: np.ndarray) -> float:
 
 
 def _channel_features(x: np.ndarray, fs: float, chan: Channel) -> list[float]:
+    """The per-channel descriptors but ``energy_drift_slope``, which
+    ``extract_features`` derives from its chunk table."""
     n = x.size
     mean = float(x.mean())
     centered = x - mean
-    var_x = float(np.mean(centered * centered))  # np.var(x), bit for bit
+    centered_sq = centered * centered
+    var_x = float(np.mean(centered_sq))  # np.var(x), bit for bit
     std = math.sqrt(var_x)
     if std > _EPS:
         # moments from products: libm pow on a float array is ~50x slower
@@ -155,19 +164,18 @@ def _channel_features(x: np.ndarray, fs: float, chan: Channel) -> list[float]:
     else:
         complexity = 0.0
 
-    chunk_rms = np.array([math.sqrt(float(np.mean(c * c)))
-                          for c in np.array_split(x, _N_CHUNKS)])
-    drift = float(np.polyfit(np.arange(_N_CHUNKS), chunk_rms, 1)[0])
-
     if var_x > _EPS:
-        lag1 = float(np.dot(centered[:-1], centered[1:]) /
-                     (np.linalg.norm(centered[:-1]) * np.linalg.norm(centered[1:]) + _EPS))
+        # numpy sums, not BLAS dot products, whose bits follow the BLAS
+        # thread count
+        lag1 = float((centered[:-1] * centered[1:]).sum()
+                     / (math.sqrt(centered_sq[:-1].sum())
+                        * math.sqrt(centered_sq[1:].sum()) + _EPS))
     else:
         lag1 = 0.0
 
     return [mean, std, skew, kurt, rms, rng_, median, mad, zcr,
             dom_freq, dom_peak, spec_entropy, centroid, rolloff,
-            *bands, snr_db, line_length, mobility, complexity, drift, lag1]
+            *bands, snr_db, line_length, mobility, complexity, lag1]
 
 
 def extract_features(record: Record) -> np.ndarray:
@@ -177,6 +185,13 @@ def extract_features(record: Record) -> np.ndarray:
     A record without the four canonical channels, or with fewer than
     ``_N_CHUNKS`` samples per channel, raises ValueError naming the record;
     so does a non-finite feature, which the error also names.
+
+    Each channel's sum of squares over ``_N_CHUNKS`` time chunks, at
+    ``np.array_split``'s boundaries, is computed once.  A channel's
+    ``energy_drift_slope`` is the least-squares slope of its chunk RMS over
+    the chunk index; ``rms_ratio_last_first_chunk`` is the RMS of every
+    channel's last chunk over that of every channel's first (0 when the
+    first is flat).
     """
     if set(record.channels) != set(CHANNEL_ORDER):
         raise ValueError(
@@ -189,10 +204,15 @@ def extract_features(record: Record) -> np.ndarray:
             f"record {record.record_id} has {record.n_samples}"
         )
     stack = np.stack([record.channel(c) for c in CHANNEL_ORDER]).astype(np.float64)
+    chunks = np.array_split(stack, _N_CHUNKS, axis=1)
+    chunk_ss = np.stack([np.add.reduce(c * c, axis=1) for c in chunks], axis=1)
+    chunk_n = np.array([c.shape[1] for c in chunks], dtype=np.float64)
+    drift = (np.sqrt(chunk_ss / chunk_n) * _CHUNK_T).sum(axis=1) / _CHUNK_T_SS
     values: list[float] = []
     std: list[float] = []
-    for chan, row in zip(CHANNEL_ORDER, stack):
+    for chan, row, slope in zip(CHANNEL_ORDER, stack, drift.tolist()):
         channel_values = _channel_features(row, record.fs, chan)
+        channel_values.insert(_DRIFT, slope)
         std.append(channel_values[_STD])
         values.extend(channel_values)
     # one call for every pair; a flat channel's row of NaN is not read
@@ -203,9 +223,8 @@ def extract_features(record: Record) -> np.ndarray:
             values.append(float(corr[a, b]))
         else:
             values.append(0.0)
-    chunks = np.array_split(stack.reshape(-1), _N_CHUNKS)
-    rms_first = math.sqrt(float(np.mean(chunks[0] ** 2)))
-    rms_last = math.sqrt(float(np.mean(chunks[-1] ** 2)))
+    rms_first, rms_last = np.sqrt(chunk_ss[:, [0, -1]].sum(axis=0)
+                                  / (len(stack) * chunk_n[[0, -1]])).tolist()
     values.append(rms_last / rms_first if rms_first > _EPS else 0.0)
     out = np.array(values)
     bad = np.flatnonzero(~np.isfinite(out))

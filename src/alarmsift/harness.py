@@ -21,8 +21,8 @@ import numpy as np
 
 from . import features as feats
 from .net import ModelConfig, predict, stack_sequences, train
-from .records import (CHANNEL_ORDER, WINDOW_SECONDS, AlarmType, Channel,
-                      Record, _checked_number, _checked_seed,
+from .records import (CHANNEL_ORDER, AlarmType, Channel, Record,
+                      _checked_number, _checked_seed, _checked_sequence,
                       _store_number_fields, load_dataset, tail_window,
                       write_csv, write_json)
 from .stats import (Confusion, FoldAssignment, auc, confusion_metrics,
@@ -51,13 +51,12 @@ class ExperimentConfig:
     folds: int = 5
     seed: int = 42
     out_dir: str = "runs"
-    window_s: float = WINDOW_SECONDS
-    channels: tuple[str, ...] = tuple(c.value for c in CHANNEL_ORDER)
+    channels: tuple[Channel, ...] = CHANNEL_ORDER  # members or their names
     val_fraction: float = 0.15  # inner early-stopping split within train folds
     compare_with: str | None = None
 
     def __post_init__(self):
-        _store_number_fields(self)  # folds, seed, window_s, val_fraction
+        _store_number_fields(self)  # folds, seed, val_fraction
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}")
         if self.compare_with is not None and self.compare_with not in EXPERIMENTS:
@@ -70,31 +69,24 @@ class ExperimentConfig:
             raise ValueError("folds must be >= 2")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be > 0, got {self.window_s}")
         if not isinstance(self.model, ModelConfig):
             raise ValueError(f"model must be a ModelConfig, got {self.model!r}")
-        channels = self.channels
-        if isinstance(channels, (str, bytes)) or not hasattr(channels, "__iter__"):
-            raise ValueError(f"channels must be a sequence of channel names, "
-                             f"got {channels!r}")
-        object.__setattr__(self, "channels", tuple(channels))
+        channels = _checked_sequence("channels", self.channels, "channel names")
         known = [c.value for c in Channel]
-        unknown = [c for c in self.channels if c not in known]
+        unknown = [c for c in channels if not isinstance(c, Channel) and c not in known]
         if unknown:
             raise ValueError(f"unknown channel names {unknown}; known: {known}")
+        object.__setattr__(self, "channels", tuple(map(Channel, channels)))
+        names = [c.value for c in self.channels]
         if len(set(self.channels)) != len(self.channels):
-            raise ValueError(f"channels {list(self.channels)} name a channel twice")
+            raise ValueError(f"channels {names} name a channel twice")
         feature_runs = {"features", "per_alarm"} & {self.experiment, self.compare_with}
-        if feature_runs and set(self.channels) != set(known):
+        if feature_runs and set(self.channels) != set(Channel):
             raise ValueError(f"channels must be all four of {known} for "
                              f"{' and '.join(sorted(feature_runs))}, which read every "
-                             f"channel; got {list(self.channels)}")
+                             f"channel; got {names}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
-
-    def channel_subset(self) -> tuple[Channel, ...]:
-        return tuple(Channel(c) for c in self.channels)
 
     def resolved_model(self) -> ModelConfig:
         """Model config of this config's experiment.
@@ -108,7 +100,8 @@ class ExperimentConfig:
         return self.model
 
     def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "channels": list(self.channels)}
+        return {**dataclasses.asdict(self),
+                "channels": [c.value for c in self.channels]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -171,8 +164,8 @@ def _assert_no_leakage(train_idx, eval_idx, ids):
 # Data preparation
 # ---------------------------------------------------------------------------
 
-def prepare_records(data_dir, window_s: float) -> list[Record]:
-    """Every record under ``data_dir``, cut to its final ``window_s``.
+def prepare_records(data_dir) -> list[Record]:
+    """Every record under ``data_dir``, cut to its final ``WINDOW_SECONDS``.
 
     A record shorter than the window is refused by name.  A dataset has one
     sampling rate: CWT scales are in samples, so records at other rates
@@ -188,12 +181,11 @@ def prepare_records(data_dir, window_s: float) -> list[Record]:
             raise ValueError(f"record {r.record_id} is sampled at {r.fs} Hz, but "
                              f"{first.record_id} at {first.fs} Hz; a dataset "
                              f"must have one sampling rate")
-    return [tail_window(r, window_s) for r in records]
+    return [tail_window(r) for r in records]
 
 
-def build_sequences(records, n_chunks, channel_subset) -> np.ndarray:
-    return stack_sequences(
-        [build_sequence(r, n_chunks, channel_subset) for r in records])
+def build_sequences(records, n_chunks, channels) -> np.ndarray:
+    return stack_sequences([build_sequence(r, n_chunks, channels) for r in records])
 
 
 def _beat_matrix(records) -> np.ndarray:
@@ -212,12 +204,40 @@ class _CrossValidation(NamedTuple):
     histories: list        # TrainHistory of each fold; empty for linear models
 
 
-def _cross_validate(cfg: ExperimentConfig, x, records,
-                    assignment: FoldAssignment) -> _CrossValidation:
+def _early_stopping_splits(cfg: ExperimentConfig, labels,
+                           assignment: FoldAssignment) -> list[tuple]:
+    """Each fold's inner (fit, stop) split of its training records, drawn
+    by ``stratified_split`` from ``cfg.seed + 101 * fold`` at
+    ``cfg.val_fraction``.  A part that lacks a class is refused, naming the
+    fold, the model, ``val_fraction`` and both parts' class counts.
+    """
+    splits = []
+    for fold in range(assignment.k):
+        tr = assignment.train_indices(fold)
+        fit_rel, stop_rel = stratified_split(
+            labels[tr], [1.0 - cfg.val_fraction, cfg.val_fraction], cfg.seed + 101 * fold)
+        fit, stop = tr[fit_rel], tr[stop_rel]
+        counts = [(int(labels[part].sum()), int((~labels[part]).sum()))
+                  for part in (fit, stop)]
+        if not all(n_true and n_false for n_true, n_false in counts):
+            raise ValueError(
+                f"fold {fold} of {cfg.experiment}, n_chunks "
+                f"{cfg.resolved_model().n_chunks} and {len(cfg.channels)} channels: "
+                f"the early-stopping split at val_fraction {cfg.val_fraction} gives "
+                f"(true, false) counts {counts[0]} to fit on and {counts[1]} to stop "
+                f"on; each part needs both classes")
+        splits.append((fit, stop))
+    return splits
+
+
+def _cross_validate(cfg: ExperimentConfig, x, records, assignment: FoldAssignment,
+                    splits) -> _CrossValidation:
     """k-fold CV of ``cfg.experiment`` on input ``x`` (row i is ``records[i]``).
 
-    temporal / static: the sequence model, trained with an inner stratified
-    early-stopping split.  features: one logistic model per fold.
+    temporal / static: the sequence model, trained on each fold's
+    ``splits`` entry from ``_early_stopping_splits``, fitting on the first
+    part and stopping early on the second (``splits`` is None for the
+    linear models).  features: one logistic model per fold.
     per_alarm: one per alarm type and fold; a type whose training part lacks
     a class scores 0.5.  The logistic models of all folds are fitted in one
     ``linear_classifier_fit`` call.
@@ -239,10 +259,7 @@ def _cross_validate(cfg: ExperimentConfig, x, records,
         _assert_no_leakage(tr, te, ids)
         test_folds.append(te)
         if sequence_model:
-            fit_rel, stop_rel = stratified_split(
-                labels[tr], [1.0 - cfg.val_fraction, cfg.val_fraction],
-                cfg.seed + 101 * fold)
-            params, history = train(x, labels, tr[fit_rel], tr[stop_rel],
+            params, history = train(x, labels, *splits[fold],
                                     replace(model_cfg, seed=model_cfg.seed + fold))
             oof[te] = predict(x[te], params)
             histories.append(history)
@@ -267,9 +284,11 @@ def _cross_validate_each(cfgs, records,
     ``assignment``: the one place a model input is built.
 
     Configs that name the same model (experiment, resolved model and
-    channels) are cross-validated once.  Every chunk count is checked
-    against the record length before any input is built; ``prepare_records``
-    gives every record the same length, so the first record stands for all.
+    channels) are cross-validated once.  Before any input is built, every
+    chunk count is checked against the record length (``prepare_records``
+    gives every record the same length, so the first record stands for
+    all), and every sequence model's early-stopping splits are drawn and
+    checked.
     Inputs are built in the order their first config comes, one at a time:
     each chunk count's tensor is built once, over the widest channel tuple
     of its configs, and freed before the next input is built.  The configs
@@ -289,6 +308,10 @@ def _cross_validate_each(cfgs, records,
     for key in inputs:
         if not isinstance(key, str):
             check_chunk_count(records[0], key)
+    labels = np.array([r.label for r in records], dtype=bool)
+    splits = {model: _early_stopping_splits(cfg, labels, assignment)
+              for readers in inputs.values() for model, cfg in readers.items()
+              if cfg.experiment in _SEQUENCE_EXPERIMENTS}
 
     results, record_features = {}, None
     for key, readers in inputs.items():
@@ -298,13 +321,13 @@ def _cross_validate_each(cfgs, records,
             x = record_features if key == "features" else np.hstack(
                 [record_features, _beat_matrix(records)])
             for model, cfg in readers.items():
-                results[model] = _cross_validate(cfg, x, records, assignment)
+                results[model] = _cross_validate(cfg, x, records, assignment, None)
             continue
         widest = max((cfg.channels for cfg in readers.values()), key=len)
-        x = build_sequences(records, key, tuple(map(Channel, widest)))
+        x = build_sequences(records, key, widest)
         for model, cfg in readers.items():
             results[model] = _cross_validate(cfg, x[:, :, :len(cfg.channels)],
-                                             records, assignment)
+                                             records, assignment, splits[model])
         del x  # nothing else holds the tensor, so this frees it
     return [results[model] for model in models]
 
@@ -320,7 +343,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     split for the sequence models), score the held-out fold.  Emits
     report.json, predictions.csv, and training_curves.csv.
     """
-    records = prepare_records(cfg.data_dir, cfg.window_s)
+    records = prepare_records(cfg.data_dir)
     labels = np.array([r.label for r in records], dtype=bool)
     assignment = stratified_kfold(labels, cfg.folds, cfg.seed)
 
@@ -427,10 +450,7 @@ class SweepSpec:
             if axis not in tunable:
                 raise ValueError(f"sweep axis {axis!r} is not a ModelConfig field "
                                  f"a sweep can vary; those are {tunable}")
-            if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
-                raise ValueError(f"sweep axis {axis!r} must be a sequence of values, "
-                                 f"got {values!r}")
-            axes[axis] = tuple(values)
+            axes[axis] = _checked_sequence(f"sweep axis {axis!r}", values, "values")
             if not axes[axis]:
                 raise ValueError(f"sweep axis {axis!r} has no values")
         object.__setattr__(self, "axes", axes)
@@ -460,9 +480,9 @@ def sweep(spec: SweepSpec, base: ExperimentConfig) -> SweepResult:
     configs = {axis: [[replace(model_base, **{axis: value}, seed=model_base.seed + r)
                        for r in range(spec.repeats)] for value in values]
                for axis, values in spec.axes.items()}
-    records = prepare_records(base.data_dir, base.window_s)
+    records = prepare_records(base.data_dir)
     labels = np.array([r.label for r in records], dtype=bool)
-    x = build_sequences(records, model_base.n_chunks, base.channel_subset())
+    x = build_sequences(records, model_base.n_chunks, base.channels)
     tr, va, _ = stratified_split(labels, _SWEEP_FRACTIONS, base.seed)
 
     runs, rows = [], []
@@ -508,9 +528,7 @@ class AblationSpec:
     def __post_init__(self):
         _store_number_fields(self)  # folds
         for name in ("chunk_grid", "channel_grid"):
-            grid = getattr(self, name)
-            if isinstance(grid, (str, bytes)) or not hasattr(grid, "__iter__"):
-                raise ValueError(f"{name} must be a sequence of integers, got {grid!r}")
+            grid = _checked_sequence(name, getattr(self, name), "integers")
             object.__setattr__(self, name, tuple(
                 _checked_number(f"{name} entry", v, "int") for v in grid))
         if self.folds < 2:
@@ -544,7 +562,7 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
     too_wide = [c for c in spec.channel_grid if c > len(base.channels)]
     if too_wide:
         raise ValueError(f"channel counts {too_wide} exceed the {len(base.channels)} "
-                         f"configured channels {base.channels}")
+                         f"configured channels {tuple(c.value for c in base.channels)}")
     conditions = ([(f"chunks={n}", n, len(base.channels)) for n in spec.chunk_grid]
                   + [(f"channels={c}", base.model.n_chunks, c)
                      for c in spec.channel_grid])
@@ -552,7 +570,7 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
                     model=replace(base.model, n_chunks=n_chunks),
                     channels=base.channels[:n_channels], compare_with=None)
             for _, n_chunks, n_channels in conditions]
-    records = prepare_records(base.data_dir, base.window_s)
+    records = prepare_records(base.data_dir)
     assignment = stratified_kfold([r.label for r in records], spec.folds, base.seed)
 
     rows = []

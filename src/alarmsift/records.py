@@ -73,6 +73,15 @@ def _checked_number(name: str, value, kind: str):
     return number
 
 
+def _checked_sequence(name: str, value, what: str) -> tuple:
+    """``value`` as a tuple; a string, bytes or a non-iterable is refused as
+    ``<name> must be a sequence of <what>``, so a string is never split
+    into characters."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+        raise ValueError(f"{name} must be a sequence of {what}, got {value!r}")
+    return tuple(value)
+
+
 def _checked_seed(seed) -> int:
     """``seed`` as a plain ``int`` >= 0, a seed ``np.random.default_rng``
     takes; the error names ``seed``."""
@@ -272,11 +281,16 @@ def write_csv(path: Path | str, header, rows) -> None:
 # Windowing / filtering
 # ---------------------------------------------------------------------------
 
-def tail_window(record: Record, seconds: float) -> Record:
-    """Return the final ``seconds`` of the record; metadata unchanged."""
-    n = int(round(seconds * record.fs))
-    if n <= 0:
-        raise ValueError(f"window must be positive, got {seconds} s")
+def tail_window(record: Record) -> Record:
+    """Return the final ``WINDOW_SECONDS`` of the record; metadata unchanged.
+
+    A record shorter than the window, or sampled too slowly for the window
+    to hold one sample, is refused by name.
+    """
+    n = int(round(WINDOW_SECONDS * record.fs))
+    if n < 1:
+        raise ValueError(f"record {record.record_id} at {record.fs} Hz has no "
+                         f"sample in the {WINDOW_SECONDS} s window")
     if record.n_samples < n:
         raise ValueError(
             f"record {record.record_id} has {record.n_samples} samples, "

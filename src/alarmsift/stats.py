@@ -66,17 +66,25 @@ def _scores_and_labels(scores, labels, caller: str, both_classes: bool = False):
     return scores, labels
 
 
+def _rank_auc(positive_rank_sum, m, n):
+    """The AUC of ``m`` positives and ``n`` negatives whose pooled midranks
+    sum to ``positive_rank_sum`` over the positives (Mann-Whitney U / mn).
+
+    Midranks are half-integers, so their sum is exact in any order below
+    2**53: every caller that sums the same ranks gets the same bits.
+    """
+    return (positive_rank_sum - m * (m + 1) / 2.0) / (m * n)
+
+
 def _auc(scores: np.ndarray, labels: np.ndarray):
     """``auc`` of input that ``_scores_and_labels`` has already checked; of
     each row, for (R, N) scores and labels with both classes in every row.
-
-    Midranks are half-integers, so their sum is exact in any order below
-    2**53: a row gives the bits of the same vector alone.
+    A row gives the bits of the same vector alone (see ``_rank_auc``).
     """
     m = labels.sum(axis=-1)
     n = labels.shape[-1] - m
     ranks = _midranks(scores)
-    return (np.where(labels, ranks, 0.0).sum(axis=-1) - m * (m + 1) / 2.0) / (m * n)
+    return _rank_auc(np.where(labels, ranks, 0.0).sum(axis=-1), m, n)
 
 
 def auc(scores, labels) -> float:
@@ -218,7 +226,11 @@ class DelongResult:
 
 
 def _structural_components(scores: np.ndarray, labels: np.ndarray):
-    """Per-positive (V10) and per-negative (V01) placement components."""
+    """The AUC, and the per-positive (V10) and per-negative (V01) placement
+    components, from one midrank pass over the pooled scores.
+
+    The AUC is ``_auc``'s, bit for bit: the same midranks, summed exactly.
+    """
     pos, neg = scores[labels], scores[~labels]
     m, n = pos.size, neg.size
     tx = _midranks(pos)
@@ -226,12 +238,13 @@ def _structural_components(scores: np.ndarray, labels: np.ndarray):
     tz = _midranks(np.concatenate([pos, neg]))
     v10 = (tz[:m] - tx) / n
     v01 = 1.0 - (tz[m:] - ty) / m
-    return v10, v01
+    return float(_rank_auc(tz[:m].sum(), m, n)), v10, v01
 
 
 def delong_test(scores_a, scores_b, labels) -> DelongResult:
     """Paired test of AUC equality for two models scored on the same records.
 
+    ``auc_a`` and ``auc_b`` are ``auc`` of each score vector, bit for bit.
     Uses the midrank structural-component estimator of the covariance of the
     paired AUCs; z carries the sign of auc_a - auc_b and p is two-sided
     normal.  Zero estimated variance (e.g. identical score vectors) yields
@@ -242,10 +255,8 @@ def delong_test(scores_a, scores_b, labels) -> DelongResult:
     scores_b, _ = _scores_and_labels(scores_b, labels, "delong_test")
     m = int(labels.sum())
     n = labels.size - m
-    v10_a, v01_a = _structural_components(scores_a, labels)
-    v10_b, v01_b = _structural_components(scores_b, labels)
-    auc_a = float(v10_a.mean())
-    auc_b = float(v10_b.mean())
+    auc_a, v10_a, v01_a = _structural_components(scores_a, labels)
+    auc_b, v10_b, v01_b = _structural_components(scores_b, labels)
     s10 = np.cov(np.stack([v10_a, v10_b]), ddof=1) if m > 1 else np.zeros((2, 2))
     s01 = np.cov(np.stack([v01_a, v01_b]), ddof=1) if n > 1 else np.zeros((2, 2))
     var = (s10[0, 0] + s10[1, 1] - 2 * s10[0, 1]) / m \

@@ -202,6 +202,51 @@ class TestExtractFeatures:
             np.testing.assert_allclose(fv[f"{name}_kurtosis"], np.mean(z ** 4) - 3.0,
                                        rtol=1e-12, atol=0, err_msg=f"dc={dc}")
 
+    def test_equal_first_and_last_chunks_give_ratio_one(self):
+        """The ratio compares time chunks across all four channels: equal
+        first and last 10 s on every channel give exactly 1.0, however the
+        channels' scales differ."""
+        rng = np.random.default_rng(31)
+        samples = rng.standard_normal((4, 15000)) * np.array([[1.0], [10.0], [0.1], [3.0]])
+        samples[:, -2500:] = samples[:, :2500]
+        assert _named(make_record(n=15000, samples=samples))[
+            "rms_ratio_last_first_chunk"] == 1.0
+
+    @pytest.mark.parametrize("n", [601, 15000, 15001])
+    def test_drift_slope_matches_polyfit(self, n):
+        """The closed-form slope over the 6 chunk RMS values, at
+        ``np.array_split``'s boundaries, is ``np.polyfit``'s to 1e-12."""
+        rng = np.random.default_rng(n)
+        ramp = np.linspace(0.5, 2.0, n) ** np.array([[1.0], [-1.0], [2.0], [0.5]])
+        record = make_record(n=n, samples=ramp * rng.standard_normal((4, n)))
+        fv = _named(record)
+        for chan in CHANNEL_ORDER:
+            x = record.channel(chan).astype(np.float64)
+            chunk_rms = [np.sqrt(np.mean(c * c)) for c in np.array_split(x, 6)]
+            want = np.polyfit(np.arange(6), chunk_rms, 1)[0]
+            np.testing.assert_allclose(fv[f"{chan.value.lower()}_energy_drift_slope"],
+                                       want, rtol=1e-12, atol=0)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="needs 2 usable CPUs for a 2-thread BLAS pool")
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        """Features of 40 synthetic records have the same bytes whether
+        OpenBLAS runs 1 or 2 threads."""
+        code = ("import hashlib, numpy as np; "
+                "from alarmsift.features import extract_features; "
+                "from alarmsift.records import SynthSpec, synth_dataset; "
+                "x = np.stack([extract_features(r) for r in "
+                "synth_dataset(SynthSpec(n=40), seed=3)]); "
+                "print(hashlib.sha256(x.tobytes()).hexdigest())")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(features.__file__).parents[1]))
+            proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True, timeout=300)
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
+
     def test_csv_export(self, small_synth, tmp_path):
         path = tmp_path / "features.csv"
         export_features_csv(small_synth[:3], path)

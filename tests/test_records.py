@@ -111,18 +111,18 @@ class TestRecordIO:
 class TestTailWindow:
     def test_five_minutes_to_final_minute(self):
         r = make_record(n=75000)  # 5 min at 250 Hz
-        tail = tail_window(r, 60.0)
+        tail = tail_window(r)
         assert tail.n_samples == 15000
         np.testing.assert_array_equal(tail.samples, r.samples[:, -15000:])
         assert tail.channels == r.channels and tail.fs == r.fs
 
     def test_exact_window_is_identity(self):
         r = make_record(n=15000)
-        np.testing.assert_array_equal(tail_window(r, 60.0).samples, r.samples)
+        np.testing.assert_array_equal(tail_window(r).samples, r.samples)
 
     def test_short_record_errors(self):
         with pytest.raises(ValueError, match="shorter"):
-            tail_window(make_record(n=10000), 60.0)
+            tail_window(make_record(n=10000))
 
 
 def _table1_fixture():

@@ -278,6 +278,21 @@ class TestDelong:
         with pytest.raises(ValueError):
             delong_test([0.1, 0.2], [0.1], [True, False])
 
+    @given(data=st.data(), n=st.integers(2, 80))
+    @settings(max_examples=300, deadline=None)
+    def test_aucs_are_auc_bit_for_bit(self, data, n):
+        """auc_a and auc_b are ``auc`` of each score vector, ties included:
+        one Mann-Whitney definition, not a second from the mean of V10."""
+        labels = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        labels[:2] = (True, False)
+        levels = data.draw(st.integers(1, 2 * n))  # few levels: many ties
+        scores = [np.array(data.draw(st.lists(st.integers(0, levels), min_size=n,
+                                              max_size=n))) / levels
+                  for _ in range(2)]
+        res = delong_test(*scores, labels)
+        assert res.auc_a == auc(scores[0], labels)
+        assert res.auc_b == auc(scores[1], labels)
+
 
 class TestBootstrap:
     def test_identical_scores_zero_interval(self):
