@@ -19,9 +19,9 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import butter, filtfilt, find_peaks
 
 from .records import (CHANNEL_ORDER, Channel, Record, _checked_seed,
                       class_weights, write_csv)
@@ -257,17 +257,166 @@ _SEARCHBACK_FRACTION = 0.5
 _SEARCHBACK_RR_FACTOR = 1.66
 
 
+#: ``_lfilter``'s block length at a rate is the shortest power of two from
+#: ``_MIN_BLOCK`` over which the filter's free response decays to
+#: ``_CARRY_DECAY`` of a unit state: the state carried from block to block
+#: then does not grow, nor does its rounding.  The response lasts longer
+#: the higher the rate; at ``_MAX_FS`` it decays within ``_MAX_BLOCK``.
+_MIN_BLOCK, _MAX_BLOCK = 128, 2048
+_CARRY_DECAY = 1.0
+_MAX_FS = 2000.0
+#: A local maximum of the integrated signal at or below
+#: ``(_FLAT_FLOOR * max|x|) ** 2`` is filter rounding, not a beat.
+_FLAT_FLOOR = 1e-10
+
+
+class _Bandpass(NamedTuple):
+    """The ``_BAND_HZ`` bandpass at one rate and its block-filter plan.
+
+    ``b``, ``a`` and ``zi`` are scipy's ``butter(2, _BAND_HZ, "bandpass",
+    fs=fs)`` and ``lfilter_zi(b, a)``, bit for bit.  With the
+    direct-form-II-transposed state z (scipy's ``lfilter``), a block of
+    L inputs x starting in state z gives outputs
+    ``x @ zero_state + z @ zero_input`` and ends in state
+    ``step @ z + x @ carry``.
+    """
+    b: np.ndarray
+    a: np.ndarray
+    zi: np.ndarray
+    zero_state: np.ndarray  # (L, L): row j, the block's response to a unit input at j
+    zero_input: np.ndarray  # (4, L): row i, its response to the unit start state i
+    carry: np.ndarray       # (L, 4): row j, its end state after a unit input at j
+    step: np.ndarray        # (4, 4): column i, its end state from the unit start state i
+
+
 @functools.lru_cache(maxsize=8)
-def _bandpass(fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order Butterworth (b, a) of the ``_BAND_HZ`` bandpass at ``fs``.
+def _bandpass(fs: float) -> _Bandpass:
+    """The second-order Butterworth ``_BAND_HZ`` bandpass at ``fs``, designed
+    as scipy's ``iirfilter`` does it (``buttap``, ``lp2bp_zpk``,
+    ``bilinear_zpk``, ``zpk2tf``) with the same numpy operations, and its
+    block plan, whose size does not depend on the signal's.
 
     A run's records share one or a few rates, so each rate designs its
     filter once.  The arrays are read-only: every caller shares them.
     """
-    b, a = butter(2, _BAND_HZ, btype="bandpass", fs=fs)
-    b.setflags(write=False)
-    a.setflags(write=False)
-    return b, a
+    # digital band edges pre-warped to the analog prototype at fs = 2
+    warped = 4.0 * np.tan(np.pi * (np.array(_BAND_HZ) / (fs / 2)) / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    # the two Butterworth poles, doubled and shifted to +-wo
+    p_lp = -np.exp(1j * np.pi * np.array([-1.0, 1.0]) / 4) * bw / 2
+    root = np.sqrt(p_lp ** 2 - wo ** 2)
+    p_bp = np.concatenate((p_lp + root, p_lp - root))
+    # bilinear transform: the analog zeros at 0 go to 1, those at infinity to -1
+    poles = (4.0 + p_bp) / (4.0 - p_bp)
+    gain = bw ** 2 * np.real(np.prod(np.full(2, 4.0 + 0j)) / np.prod(4.0 - p_bp))
+    b = np.multiply(np.array([gain]), _poly(np.array([1, 1, -1, -1], dtype=complex)))
+    a = _poly(poles)
+
+    order = a.size - 1
+    # lfilter_zi: the state z with z = A z + B, A = companion(a).T
+    A = np.eye(order, k=1)
+    A[:, 0] = -a[1:]
+    B = b[1:] - a[1:] * b[0]
+    zi = np.linalg.solve(np.eye(order) - A, B)
+
+    # The free response, z -> A z, of each unit state and of B, the state
+    # after a unit impulse, one sample at a time: powers of A multiplied out
+    # by squaring would lose the digits that cancel in them.
+    states = [np.concatenate((np.eye(order), B[:, None]), axis=1)]
+    while True:
+        states.append(A @ states[-1])
+        n = len(states) - 1
+        if n >= _MIN_BLOCK and n & (n - 1) == 0 and (
+                n == _MAX_BLOCK or np.abs(states[-1][:, :order]).max() <= _CARRY_DECAY):
+            break
+    states = np.stack(states)
+    impulse = np.concatenate(([b[0]], states[:n - 1, 0, order]))
+    padded = np.concatenate((np.zeros(n - 1), impulse))
+    zero_state = np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1].T.copy()
+    plan = _Bandpass(b, a, zi, zero_state, states[:n, 0, :order].T.copy(),
+                     states[n - 1::-1, :, order].copy(), states[n, :, :order].copy())
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _poly(roots: np.ndarray) -> np.ndarray:
+    """The real monic polynomial with conjugate-paired ``roots``, multiplied
+    out one root at a time as scipy's ``zpk2tf`` does."""
+    coeffs = np.ones(1, dtype=complex)
+    for root in roots:
+        coeffs = np.convolve(coeffs, np.stack((np.ones_like(root), -root)))
+    return coeffs.real.copy()
+
+
+def _lfilter(f: _Bandpass, x: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """scipy's ``lfilter(f.b, f.a, x, zi=z0)[0]``, exact in arithmetic.
+
+    Each block's zero-state response is one GEMM against the impulse
+    response's Toeplitz matrix.  The block-start states solve
+    ``z[k + 1] = step @ z[k] + carried[k]``, as a prefix scan: after the
+    round with shift s, row k holds the sum over the 2s rows up to k, each
+    carried through the blocks between.
+    """
+    size = len(f.carry)
+    blocks = np.zeros((-(-x.size // size), size))
+    blocks.ravel()[:x.size] = x
+    starts = np.empty((len(blocks), z0.size))
+    starts[0] = z0
+    np.matmul(blocks[:-1], f.carry, out=starts[1:])
+    carry_t = f.step.T
+    shift = 1
+    while shift < len(starts):
+        starts[shift:] += starts[:-shift] @ carry_t
+        carry_t = carry_t @ carry_t
+        shift *= 2
+    return (blocks @ f.zero_state + starts @ f.zero_input).ravel()[:x.size]
+
+
+def _filtfilt(f: _Bandpass, x: np.ndarray) -> np.ndarray:
+    """scipy's ``filtfilt(f.b, f.a, x)``: 3 * 5 odd-extension samples at
+    each end, a forward and a backward pass each started in ``f.zi``'s
+    steady state, and the extension cut off again."""
+    pad = 3 * f.b.size
+    ext = np.concatenate((2 * x[0] - x[pad:0:-1], x, 2 * x[-1] - x[-2:-pad - 2:-1]))
+    y = _lfilter(f, ext, f.zi * ext[0])
+    y = _lfilter(f, y[::-1], f.zi * y[-1])
+    return y[::-1][pad:-pad]
+
+
+def _find_peaks(x: np.ndarray, distance: int, floor: float) -> np.ndarray:
+    """scipy's ``find_peaks(x, distance=distance)[0]``, less the peaks at or
+    below ``floor``.
+
+    A peak is the midpoint of a run of equal samples whose neighbours on
+    both sides are lower.  The peaks are then taken greedily in the order
+    ``np.argsort`` gives their heights, highest first, each removing the
+    remaining peaks fewer than ``distance`` samples from it; the ones at or
+    below ``floor`` are dropped from that order, which removes only lower
+    peaks, so the others keep scipy's ties.
+    """
+    run_starts = np.flatnonzero(x[1:] != x[:-1]) + 1
+    starts = np.concatenate(([0], run_starts))
+    ends = np.concatenate((run_starts - 1, [x.size - 1]))
+    level = x[starts]
+    inner = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks = (starts[inner] + ends[inner]) // 2
+    heights = x[peaks]
+    order = np.argsort(heights)
+    order = order[heights[order] > floor]
+    # the peaks within distance of peak j are peaks[lo[j]:hi[j]]
+    n = peaks.size
+    bounds = np.searchsorted(peaks, np.concatenate((peaks - (distance - 1),
+                                                    peaks + distance))).tolist()
+    lo, hi = bounds[:n], bounds[n:]
+    keep = bytearray(n)
+    removed = bytearray(n)
+    for j in order[::-1].tolist():
+        if not removed[j]:
+            keep[j] = 1
+            removed[lo[j]:hi[j]] = b"\x01" * (hi[j] - lo[j])
+    return peaks[np.frombuffer(keep, dtype=bool)]
 
 
 def _rr_mean(rr: list[float]) -> float:
@@ -288,14 +437,19 @@ def detect_beats(signal, fs: float = 250.0) -> np.ndarray:
     integration, then adaptive dual-threshold peak picking with a 200 ms
     refractory and a search-back pass at half threshold.
 
-    A non-finite ``fs``, or one whose Nyquist frequency is not above the
-    upper band edge, raises ValueError naming ``fs``; so does a signal
-    shorter than 2 seconds or holding a NaN or inf.
+    A non-finite ``fs``, one whose Nyquist frequency is not above the upper
+    band edge, or one above ``_MAX_FS``, raises ValueError naming ``fs``; so
+    does a signal shorter than 2 seconds or holding a NaN or inf.  A
+    constant signal, at any level, has no beats.
     """
     if not (math.isfinite(fs) and fs / 2 > _BAND_HZ[1]):
         raise ValueError(f"detect_beats needs a finite fs above {2 * _BAND_HZ[1]} "
                          f"Hz, so that its {_BAND_HZ[1]} Hz band edge lies below "
                          f"Nyquist; got fs={fs}")
+    if fs > _MAX_FS:
+        raise ValueError(f"detect_beats needs fs <= {_MAX_FS} Hz, the highest rate "
+                         f"at which its bandpass decays within one filter block "
+                         f"of {_MAX_BLOCK} samples; got fs={fs}")
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size < int(2 * fs):
         raise ValueError("detect_beats needs at least 2 seconds of signal")
@@ -303,14 +457,15 @@ def detect_beats(signal, fs: float = 250.0) -> np.ndarray:
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
         raise ValueError(f"detect_beats needs a finite signal; sample {bad} is {x[bad]}")
 
-    bp = filtfilt(*_bandpass(fs), x)
+    bp = _filtfilt(_bandpass(fs), x)
     deriv = np.convolve(bp, _DERIVATIVE_KERNEL, mode="same")
     squared = deriv * deriv
     window = max(1, int(_INTEGRATION_WINDOW_S * fs))
     mwi = np.convolve(squared, np.ones(window) / window, mode="same")
 
     refractory = int(_REFRACTORY_S * fs)
-    candidates, _ = find_peaks(mwi, distance=refractory + 1)
+    floor = (_FLAT_FLOOR * float(np.abs(x).max())) ** 2
+    candidates = _find_peaks(mwi, refractory + 1, floor)
 
     warmup = mwi[: int(2 * fs)]
     spki = 0.25 * float(warmup.max())

@@ -475,15 +475,26 @@ def sweep(spec: SweepSpec, base: ExperimentConfig) -> SweepResult:
     train ``repeats`` times per value on one fixed 70/15/15 split drawn from
     the experiment ``seed``, and pick the winner by mean validation AUC.
     The test part of the split is never scored.  Every run's config is
-    built, and so checked, before the first record is read."""
+    built, and so checked, before the first record is read; the split is
+    drawn and checked before any input is built: a train or validation
+    part that lacks a class is refused, naming the fractions and every
+    part's class counts."""
     model_base = base.resolved_model()
     configs = {axis: [[replace(model_base, **{axis: value}, seed=model_base.seed + r)
                        for r in range(spec.repeats)] for value in values]
                for axis, values in spec.axes.items()}
     records = prepare_records(base.data_dir)
     labels = np.array([r.label for r in records], dtype=bool)
+    tr, va, te = stratified_split(labels, _SWEEP_FRACTIONS, base.seed)
+    counts = [(int(labels[part].sum()), int((~labels[part]).sum()))
+              for part in (tr, va, te)]
+    if not all(n_true and n_false for n_true, n_false in counts[:2]):
+        raise ValueError(
+            f"the sweep split of {labels.size} records at fractions "
+            f"{_SWEEP_FRACTIONS} gives (true, false) counts {counts[0]} to train "
+            f"on, {counts[1]} to validate on and {counts[2]} unscored; the train "
+            f"and validation parts need both classes")
     x = build_sequences(records, model_base.n_chunks, base.channels)
-    tr, va, _ = stratified_split(labels, _SWEEP_FRACTIONS, base.seed)
 
     runs, rows = [], []
     for axis, values in spec.axes.items():

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 KERNEL_SUPPORT_SCALES = 4.0  # kernel truncated at +/- 4a samples
 FLAT_EPS = 1e-12
@@ -81,7 +80,22 @@ def fft_length(n: int, max_scale: float) -> int:
     ``max_scale``: the shortest fast length >= max(n + M, 2M + 1), with M
     the kernel half-width ceil(4 * max_scale)."""
     max_half = int(math.ceil(KERNEL_SUPPORT_SCALES * float(max_scale)))
-    return next_fast_len(max(n + max_half, 2 * max_half + 1))
+    return _next_fast_len(max(n + max_half, 2 * max_half + 1))
+
+
+def _next_fast_len(target: int) -> int:
+    """The least 11-smooth integer >= ``target`` >= 1, as
+    ``scipy.fft.next_fast_len(target)`` gives it: a length whose prime
+    factors are all at most 11."""
+    n = target
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 @functools.lru_cache(maxsize=8)

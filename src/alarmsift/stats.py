@@ -8,8 +8,8 @@ explicit seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from scipy.stats import norm
 
 import numpy as np
 
@@ -241,6 +241,19 @@ def _structural_components(scores: np.ndarray, labels: np.ndarray):
     return float(_rank_auc(tz[:m].sum(), m, n)), v10, v01
 
 
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _normal_cdf(x: float) -> float:
+    """The standard normal CDF in Cephes' ``ndtr`` form, which
+    ``scipy.special.ndtr`` also takes: ``erf`` near 0, ``erfc`` in the tails."""
+    t = x * _SQRT_HALF
+    if abs(t) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(t)
+    tail = 0.5 * math.erfc(abs(t))
+    return 1.0 - tail if t > 0 else tail
+
+
 def delong_test(scores_a, scores_b, labels) -> DelongResult:
     """Paired test of AUC equality for two models scored on the same records.
 
@@ -264,7 +277,7 @@ def delong_test(scores_a, scores_b, labels) -> DelongResult:
     if var <= 0 or not np.isfinite(var) or np.sqrt(var) < 1e-12:
         return DelongResult(auc_a, auc_b, 0.0, 1.0)
     z = (auc_a - auc_b) / np.sqrt(var)
-    p = 2.0 * float(norm.cdf(-abs(z)))
+    p = 2.0 * _normal_cdf(-abs(float(z)))
     return DelongResult(auc_a, auc_b, float(z), max(p, np.finfo(float).tiny))
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.signal import filtfilt, find_peaks
+from scipy.signal import butter, filtfilt, find_peaks, lfilter_zi
 
 import alarmsift.features as features
 from alarmsift.features import (BEAT_FEATURE_NAMES, FEATURE_NAMES,
@@ -230,14 +230,19 @@ class TestExtractFeatures:
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                         reason="needs 2 usable CPUs for a 2-thread BLAS pool")
     def test_same_bits_at_one_and_two_blas_threads(self):
-        """Features of 40 synthetic records have the same bytes whether
-        OpenBLAS runs 1 or 2 threads."""
+        """Features and Pan-Tompkins beats of 40 synthetic records have the
+        same bytes whether OpenBLAS runs 1 or 2 threads: the block filter
+        runs on BLAS."""
         code = ("import hashlib, numpy as np; "
-                "from alarmsift.features import extract_features; "
-                "from alarmsift.records import SynthSpec, synth_dataset; "
-                "x = np.stack([extract_features(r) for r in "
-                "synth_dataset(SynthSpec(n=40), seed=3)]); "
-                "print(hashlib.sha256(x.tobytes()).hexdigest())")
+                "from alarmsift.features import detect_beats, extract_features; "
+                "from alarmsift.records import Channel, SynthSpec, synth_dataset; "
+                "records = synth_dataset(SynthSpec(n=40), seed=3); "
+                "x = np.stack([extract_features(r) for r in records]); "
+                "beats = [detect_beats(r.channel(Channel.ECG_II), r.fs) "
+                "for r in records]; "
+                "print(hashlib.sha256(x.tobytes()).hexdigest(), "
+                "hashlib.sha256(np.concatenate(beats).tobytes()).hexdigest(), "
+                "sum(b.size for b in beats))")
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -246,6 +251,7 @@ class TestExtractFeatures:
                                   capture_output=True, text=True, timeout=300)
             digests.append(proc.stdout)
         assert digests[0] == digests[1]
+        assert int(digests[0].split()[2]) > 0
 
     def test_csv_export(self, small_synth, tmp_path):
         path = tmp_path / "features.csv"
@@ -332,13 +338,16 @@ def synthetic_ecg_train(bpm, duration=60.0, fs=FS, snr_db=20.0, seed=0):
     return x, len(beat_times)
 
 
-# The seed's candidate loop and per-beat refinement, kept as the reference
-# that detect_beats's Python-float loop and windowed argmax must reproduce
-# bit for bit.  ``rr_sizes`` collects the length of every RR list averaged.
+# The seed's candidate loop and per-beat refinement on scipy's find_peaks,
+# with the flat-signal floor, kept as the reference that detect_beats's peak
+# picking, Python-float loop and windowed argmax must reproduce.  ``bp`` is
+# the bandpassed signal, scipy's filtfilt unless given.  ``rr_sizes``
+# collects the length of every RR list averaged.
 
-def _ref_detect_beats(signal, fs, rr_sizes=None):
+def _ref_detect_beats(signal, fs, rr_sizes=None, bp=None):
     x = np.asarray(signal, dtype=np.float64)
-    bp = filtfilt(*features._bandpass(fs), x)
+    if bp is None:
+        bp = filtfilt(*features._bandpass(fs)[:2], x)
     deriv = np.convolve(bp, features._DERIVATIVE_KERNEL, mode="same")
     squared = deriv * deriv
     window = max(1, int(features._INTEGRATION_WINDOW_S * fs))
@@ -346,6 +355,8 @@ def _ref_detect_beats(signal, fs, rr_sizes=None):
 
     refractory = int(features._REFRACTORY_S * fs)
     candidates, _ = find_peaks(mwi, distance=refractory + 1)
+    floor = (features._FLAT_FLOOR * np.abs(x).max()) ** 2
+    candidates = candidates[mwi[candidates] > floor]
 
     warmup = mwi[: int(2 * fs)]
     spki = 0.25 * float(warmup.max())
@@ -436,10 +447,16 @@ class TestDetectBeats:
     @example(case=_EIGHT_RR_CASES[2])
     @settings(max_examples=150, deadline=None)
     def test_matches_the_per_candidate_reference(self, case):
+        """Bit for bit on detect_beats's own bandpassed signal, which the
+        TestBandpassOracle tests hold to scipy's filtfilt.  The reference
+        does not run on scipy's here: where two samples' magnitudes tie in
+        exact arithmetic, as 2-sample plateaus at 40 Hz make whole runs of
+        them do, each filter's last bit picks the beat."""
         x, fs = case
         beats = detect_beats(x, fs)
         assert beats.dtype == np.int64
-        assert np.array_equal(beats, _ref_detect_beats(x, fs))
+        bp = features._filtfilt(features._bandpass(fs), x)
+        assert np.array_equal(beats, _ref_detect_beats(x, fs, bp=bp))
 
     def test_reference_cases_average_eight_rr_intervals(self):
         """The property's examples reach the 8-interval pairwise sum."""
@@ -464,6 +481,14 @@ class TestDetectBeats:
 
     def test_flatline_no_beats(self):
         beats = detect_beats(np.zeros(int(60 * FS)), FS)
+        assert beats.size == 0 and beats.dtype == np.int64
+
+    @pytest.mark.parametrize("fs", [31.0, 100.0, 250.0, 360.0, 1000.0])
+    @pytest.mark.parametrize("level", [1.0, 0.5, -0.3, 1e-3, -7e4, 1e-300])
+    def test_constant_at_any_level_no_beats(self, fs, level):
+        """A lead-off or asystole flatline sits at a DC offset: its
+        bandpassed signal is rounding noise, and none of it is a beat."""
+        beats = detect_beats(np.full(int(60 * fs), level), fs)
         assert beats.size == 0 and beats.dtype == np.int64
 
     def test_refractory_merges_close_impulses(self):
@@ -531,6 +556,15 @@ class TestDetectBeats:
             assert indices.size > 0
             assert np.array_equal(indices, fresh[fs]), fs
 
+    @given(fs=st.floats(min_value=features._MAX_FS, exclude_min=True,
+                        allow_infinity=False))
+    @example(fs=features._MAX_FS * (1 + 1e-15))
+    @settings(max_examples=30, deadline=None)
+    def test_high_rate_refused_by_name(self, fs):
+        with pytest.raises(ValueError, match=re.escape(f"fs <= {features._MAX_FS} "
+                                                       f"Hz") + ".*" + re.escape(f"fs={fs}")):
+            detect_beats(np.zeros(5000), fs)
+
     @given(fs=st.floats(max_value=30.0))
     @example(fs=30.0)
     @example(fs=0.0)
@@ -541,6 +575,106 @@ class TestDetectBeats:
             detect_beats(np.zeros(5000), fs)
         after = features._bandpass.cache_info()
         assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
+# Rates from the lowest detect_beats takes to the highest, the common ECG
+# rates among them; at 40 Hz the band is centred on fs / 4.
+_RATES = [30.000001, 31.0, 33.3, 40.0, 62.5, 100.0, 125.0, 128.0, 200.0, 250.0,
+          256.0, 257.0, 300.0, 360.0, 500.0, 777.7, 1000.0, 1024.0, 1500.0, 2000.0]
+
+
+@st.composite
+def _plateau_arrays(draw):
+    """Short arrays of a few levels, each held for 1-3 samples: plateaus,
+    equal heights and ties everywhere."""
+    levels = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=60))
+    holds = draw(st.lists(st.integers(1, 3), min_size=len(levels),
+                          max_size=len(levels)))
+    return np.repeat(np.array(levels, dtype=np.float64), holds)
+
+
+def _long_double_filtfilt(f, x):
+    """scipy's filtfilt recurrence, sample by sample, in long double."""
+    b, a = f.b.astype(np.longdouble), f.a.astype(np.longdouble)
+
+    def lfilter(x, z):
+        y = np.empty(x.size, dtype=np.longdouble)
+        for n, xn in enumerate(x):
+            y[n] = yn = z[0] + b[0] * xn
+            z = np.append(z[1:], 0) + b[1:] * xn - a[1:] * yn
+        return y
+
+    pad = 3 * b.size
+    ext = np.concatenate((2 * x[0] - x[pad:0:-1], x, 2 * x[-1] - x[-2:-pad - 2:-1]))
+    ext = ext.astype(np.longdouble)
+    y = lfilter(ext, f.zi.astype(np.longdouble) * ext[0])
+    y = lfilter(y[::-1], f.zi.astype(np.longdouble) * y[-1])
+    return y[::-1][pad:-pad].astype(np.float64)
+
+
+class TestBandpassOracle:
+    """The numpy Pan-Tompkins filter and peak picking against scipy."""
+
+    @pytest.mark.parametrize("fs", _RATES)
+    def test_design_and_steady_state_match_scipy_bit_for_bit(self, fs):
+        f = features._bandpass(fs)
+        b, a = butter(2, features._BAND_HZ, btype="bandpass", fs=fs)
+        for ours, theirs in ((f.b, b), (f.a, a), (f.zi, lfilter_zi(b, a))):
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+    @staticmethod
+    def _signals(fs, seconds):
+        """ECG, noise, and a random walk whose drift the band removes."""
+        rng = np.random.default_rng(int(fs))
+        n = int(seconds * fs)
+        ecg, _ = synthetic_ecg_train(75, duration=seconds, fs=fs, seed=int(fs))
+        return (1.2 * ecg / np.abs(ecg).max(), rng.standard_normal(n),
+                np.cumsum(rng.standard_normal(n)))
+
+    @pytest.mark.parametrize("fs", [r for r in _RATES if r <= 500.0])
+    def test_filtfilt_within_1e_12_of_scipy(self, fs):
+        f = features._bandpass(fs)
+        for x in self._signals(fs, 20.0):
+            err = np.abs(features._filtfilt(f, x) - filtfilt(f.b, f.a, x)).max()
+            assert err <= 1e-12 * np.abs(x).max(), (fs, err)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="needs a long double wider than float64")
+    @pytest.mark.parametrize("fs", [r for r in _RATES if r > 500.0])
+    def test_filtfilt_rounds_no_worse_than_scipy(self, fs):
+        """Above 500 Hz the poles crowd towards 1, and scipy's own recurrence
+        drifts from the exact result by more than 1e-12 of the input.
+        Against a long double recurrence, the block filter's worst error
+        over the rate's signals stays within twice scipy's."""
+        f = features._bandpass(fs)
+        ours, theirs = [], []
+        for x in self._signals(fs, 5.0):
+            exact = _long_double_filtfilt(f, x)
+            ours.append(np.abs(features._filtfilt(f, x) - exact).max() / np.abs(x).max())
+            theirs.append(np.abs(filtfilt(f.b, f.a, x) - exact).max() / np.abs(x).max())
+        assert max(ours) <= 2 * max(theirs), (fs, ours, theirs)
+
+    @pytest.mark.parametrize("fs", [features._MAX_FS, 1999.0])
+    def test_highest_rate_decays_within_the_longest_block(self, fs):
+        f = features._bandpass(fs)
+        assert len(f.carry) <= features._MAX_BLOCK
+        assert np.abs(f.step).max() <= features._CARRY_DECAY
+
+    @given(x=_plateau_arrays(), distance=st.integers(1, 8),
+           floor=st.none() | st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]))
+    @example(x=np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]), distance=3, floor=None)
+    @example(x=np.zeros(1), distance=1, floor=None)
+    @settings(max_examples=2000, deadline=None)
+    def test_peaks_match_scipy_find_peaks(self, x, distance, floor):
+        """Flat-top midpoints, then greedy selection in np.argsort's
+        order, ties included; a floor drops the peaks at or below it."""
+        want, _ = find_peaks(x, distance=distance)
+        if floor is None:
+            got = features._find_peaks(x, distance, -math.inf)
+        else:
+            got = features._find_peaks(x, distance, floor)
+            want = want[x[want] > floor]
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 # The seed's per-beat loop and logistic loop, kept as references: the

@@ -534,6 +534,26 @@ class TestSweep:
             sweep(spec, tiny_config(data_dir, tmp_path))
         assert calls == []
 
+    def test_split_without_both_classes_refused_before_any_input(self, tmp_path,
+                                                                 monkeypatch):
+        """On 10 records, 5 of each class, the 15% validation part gets no
+        record: the split is refused by name before any tensor is built."""
+        write_dataset(synth_dataset(SynthSpec(n=10), seed=7), tmp_path / "data")
+        calls = []
+        for name in ("build_sequence", "train"):
+            def spy(*args, _real=getattr(alarmsift.harness, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(alarmsift.harness, name, spy)
+        cfg = ExperimentConfig("temporal", str(tmp_path / "data"),
+                               out_dir=str(tmp_path / "out"))
+        with pytest.raises(ValueError, match=re.escape(
+                "the sweep split of 10 records at fractions (0.7, 0.15, 0.15) gives "
+                "(true, false) counts (4, 4) to train on, (0, 0) to validate on and "
+                "(1, 1) unscored; the train and validation parts need both classes")):
+            sweep(SweepSpec(axes={"lstm_hidden": (4,)}, repeats=1), cfg)
+        assert calls == []
+
     def test_tiny_sweep_executes_and_reports(self, data_dir, tmp_path):
         spec = SweepSpec(axes={"lstm_hidden": (4, 8), "dropout": (0.0, 0.2)},
                          repeats=2)

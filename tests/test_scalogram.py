@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from alarmsift.records import ANOMALY_FREQ_HZ, FS_DEFAULT
 from alarmsift.scalogram import (FLAT_EPS, MORLET, SCALES, SCALOGRAM_COLS,
-                                 MorletParams, cwt, fft_length, pool_columns,
-                                 to_scalogram)
+                                 MorletParams, _next_fast_len, cwt, fft_length,
+                                 pool_columns, to_scalogram)
 
 OMEGA0 = 6.0
 
@@ -146,6 +146,13 @@ class TestCwt:
         nfft = fft_length(n, grid.max())
         assert nfft >= n + half
         assert nfft >= 2 * half + 1
+
+    def test_fast_length_is_scipys(self):
+        """The least 11-smooth length, as scipy.fft.next_fast_len gives it,
+        for every target from 1 to 65 536."""
+        from scipy.fft import next_fast_len
+        targets = range(1, 65537)
+        assert [_next_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
 
     @given(n=st.integers(2, 3000), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -1,3 +1,4 @@
+import math
 import re
 from unittest import mock
 
@@ -234,8 +235,32 @@ class TestDelong:
 
     def test_p_value_from_z(self):
         # 2 * Phi(-3.124) rounds to 0.0018 at 2 significant figures
-        p = 2.0 * float(norm.cdf(-3.124))
+        p = 2.0 * stats._normal_cdf(-3.124)
         assert float(f"{p:.2g}") == 0.0018
+
+    @given(z=st.floats(-5.0, 5.0))
+    @example(z=0.0)
+    @example(z=1.0)
+    @example(z=-1.0)
+    @example(z=math.nextafter(1.0, 0.0))
+    @example(z=5.0)
+    @settings(max_examples=2000, deadline=None)
+    def test_normal_tail_within_2e_15_of_scipy(self, z):
+        """Both sides of the erf/erfc switch at |z| = 1, out to |z| = 5."""
+        want = 2.0 * float(norm.cdf(-abs(z)))
+        assert abs(2.0 * stats._normal_cdf(-abs(z)) - want) <= 2e-15 * want
+        assert abs(stats._normal_cdf(z) - float(norm.cdf(z))) <= 2e-15 * float(norm.cdf(z))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_p_is_the_two_sided_normal_tail_of_z(self, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.arange(40) < 17)
+        signal = labels + rng.standard_normal(40)
+        res = delong_test(signal + rng.standard_normal(40),
+                          signal + 2 * rng.standard_normal(40), labels)
+        want = 2.0 * float(norm.cdf(-abs(res.z)))
+        assert abs(res.p - want) <= 2e-15 * want
 
     def test_clear_separation_significant(self):
         rng = np.random.default_rng(77)
