@@ -261,10 +261,16 @@ _SEARCHBACK_RR_FACTOR = 1.66
 #: ``_MIN_BLOCK`` over which the filter's free response decays to
 #: ``_CARRY_DECAY`` of a unit state: the state carried from block to block
 #: then does not grow, nor does its rounding.  The response lasts longer
-#: the higher the rate; at ``_MAX_FS`` it decays within ``_MAX_BLOCK``.
-_MIN_BLOCK, _MAX_BLOCK = 128, 2048
+#: the higher the rate: 2048 samples at 2000 Hz, 16 384 at 10 kHz.  Just
+#: above 30 Hz the upper band edge nears Nyquist, two poles near -1, and
+#: the response hardly decays, so the block stops growing at
+#: ``_MAX_TOEPLITZ`` samples or 2 seconds, the shortest signal
+#: detect_beats takes, whichever is longer.  Blocks up to
+#: ``_MAX_TOEPLITZ`` samples filter by a GEMM against an L x L Toeplitz
+#: matrix; longer ones convolve by FFT, whose cost grows as L log L, not
+#: L ** 2.
+_MIN_BLOCK, _MAX_TOEPLITZ = 128, 2048
 _CARRY_DECAY = 1.0
-_MAX_FS = 2000.0
 #: A local maximum of the integrated signal at or below
 #: ``(_FLAT_FLOOR * max|x|) ** 2`` is filter rounding, not a beat.
 _FLAT_FLOOR = 1e-10
@@ -278,18 +284,21 @@ class _Bandpass(NamedTuple):
     direct-form-II-transposed state z (scipy's ``lfilter``), a block of
     L inputs x starting in state z gives outputs
     ``x @ zero_state + z @ zero_input`` and ends in state
-    ``step @ z + x @ carry``.
+    ``step @ z + x @ carry``.  Above ``_MAX_TOEPLITZ`` samples there is
+    no ``zero_state``: the block's zero-state response is the convolution
+    of x with ``impulse``.
     """
     b: np.ndarray
     a: np.ndarray
     zi: np.ndarray
-    zero_state: np.ndarray  # (L, L): row j, the block's response to a unit input at j
+    impulse: np.ndarray     # (L,): the block's response to a unit input at 0
+    zero_state: np.ndarray | None  # (L, L): row j, its response to a unit input at j
     zero_input: np.ndarray  # (4, L): row i, its response to the unit start state i
     carry: np.ndarray       # (L, 4): row j, its end state after a unit input at j
     step: np.ndarray        # (4, 4): column i, its end state from the unit start state i
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2)
 def _bandpass(fs: float) -> _Bandpass:
     """The second-order Butterworth ``_BAND_HZ`` bandpass at ``fs``, designed
     as scipy's ``iirfilter`` does it (``buttap``, ``lp2bp_zpk``,
@@ -297,7 +306,9 @@ def _bandpass(fs: float) -> _Bandpass:
     block plan, whose size does not depend on the signal's.
 
     A run's records share one or a few rates, so each rate designs its
-    filter once.  The arrays are read-only: every caller shares them.
+    filter once; the two most recent rates are kept, each plan up to 32 MB
+    (the Toeplitz matrix at 2000 Hz).  The arrays are read-only: every
+    caller shares them.
     """
     # digital band edges pre-warped to the analog prototype at fs = 2
     warped = 4.0 * np.tan(np.pi * (np.array(_BAND_HZ) / (fs / 2)) / 2.0)
@@ -328,16 +339,20 @@ def _bandpass(fs: float) -> _Bandpass:
         states.append(A @ states[-1])
         n = len(states) - 1
         if n >= _MIN_BLOCK and n & (n - 1) == 0 and (
-                n == _MAX_BLOCK or np.abs(states[-1][:, :order]).max() <= _CARRY_DECAY):
+                n >= max(_MAX_TOEPLITZ, 2 * fs)
+                or np.abs(states[-1][:, :order]).max() <= _CARRY_DECAY):
             break
     states = np.stack(states)
     impulse = np.concatenate(([b[0]], states[:n - 1, 0, order]))
-    padded = np.concatenate((np.zeros(n - 1), impulse))
-    zero_state = np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1].T.copy()
-    plan = _Bandpass(b, a, zi, zero_state, states[:n, 0, :order].T.copy(),
+    zero_state = None
+    if n <= _MAX_TOEPLITZ:
+        padded = np.concatenate((np.zeros(n - 1), impulse))
+        zero_state = np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1].T.copy()
+    plan = _Bandpass(b, a, zi, impulse, zero_state, states[:n, 0, :order].T.copy(),
                      states[n - 1::-1, :, order].copy(), states[n, :, :order].copy())
     for arr in plan:
-        arr.setflags(write=False)
+        if arr is not None:
+            arr.setflags(write=False)
     return plan
 
 
@@ -354,7 +369,8 @@ def _lfilter(f: _Bandpass, x: np.ndarray, z0: np.ndarray) -> np.ndarray:
     """scipy's ``lfilter(f.b, f.a, x, zi=z0)[0]``, exact in arithmetic.
 
     Each block's zero-state response is one GEMM against the impulse
-    response's Toeplitz matrix.  The block-start states solve
+    response's Toeplitz matrix, or above ``_MAX_TOEPLITZ`` samples one FFT
+    convolution with the impulse response.  The block-start states solve
     ``z[k + 1] = step @ z[k] + carried[k]``, as a prefix scan: after the
     round with shift s, row k holds the sum over the 2s rows up to k, each
     carried through the blocks between.
@@ -371,7 +387,13 @@ def _lfilter(f: _Bandpass, x: np.ndarray, z0: np.ndarray) -> np.ndarray:
         starts[shift:] += starts[:-shift] @ carry_t
         carry_t = carry_t @ carry_t
         shift *= 2
-    return (blocks @ f.zero_state + starts @ f.zero_input).ravel()[:x.size]
+    if f.zero_state is None:
+        n_fft = 2 * size
+        zero_state = np.fft.irfft(np.fft.rfft(blocks, n_fft) * np.fft.rfft(f.impulse, n_fft),
+                                  n_fft)[:, :size]
+    else:
+        zero_state = blocks @ f.zero_state
+    return (zero_state + starts @ f.zero_input).ravel()[:x.size]
 
 
 def _filtfilt(f: _Bandpass, x: np.ndarray) -> np.ndarray:
@@ -385,16 +407,13 @@ def _filtfilt(f: _Bandpass, x: np.ndarray) -> np.ndarray:
     return y[::-1][pad:-pad]
 
 
-def _find_peaks(x: np.ndarray, distance: int, floor: float) -> np.ndarray:
-    """scipy's ``find_peaks(x, distance=distance)[0]``, less the peaks at or
-    below ``floor``.
+def _find_peaks(x: np.ndarray, distance: int) -> np.ndarray:
+    """scipy's ``find_peaks(x, distance=distance)[0]``.
 
     A peak is the midpoint of a run of equal samples whose neighbours on
     both sides are lower.  The peaks are then taken greedily in the order
     ``np.argsort`` gives their heights, highest first, each removing the
-    remaining peaks fewer than ``distance`` samples from it; the ones at or
-    below ``floor`` are dropped from that order, which removes only lower
-    peaks, so the others keep scipy's ties.
+    remaining peaks fewer than ``distance`` samples from it.
     """
     run_starts = np.flatnonzero(x[1:] != x[:-1]) + 1
     starts = np.concatenate(([0], run_starts))
@@ -404,7 +423,6 @@ def _find_peaks(x: np.ndarray, distance: int, floor: float) -> np.ndarray:
     peaks = (starts[inner] + ends[inner]) // 2
     heights = x[peaks]
     order = np.argsort(heights)
-    order = order[heights[order] > floor]
     # the peaks within distance of peak j are peaks[lo[j]:hi[j]]
     n = peaks.size
     bounds = np.searchsorted(peaks, np.concatenate((peaks - (distance - 1),
@@ -437,19 +455,15 @@ def detect_beats(signal, fs: float = 250.0) -> np.ndarray:
     integration, then adaptive dual-threshold peak picking with a 200 ms
     refractory and a search-back pass at half threshold.
 
-    A non-finite ``fs``, one whose Nyquist frequency is not above the upper
-    band edge, or one above ``_MAX_FS``, raises ValueError naming ``fs``; so
-    does a signal shorter than 2 seconds or holding a NaN or inf.  A
-    constant signal, at any level, has no beats.
+    A non-finite ``fs``, or one whose Nyquist frequency is not above the
+    upper band edge, raises ValueError naming ``fs``; so does a signal
+    shorter than 2 seconds or holding a NaN or inf.  A constant signal, at
+    any level, has no beats.
     """
     if not (math.isfinite(fs) and fs / 2 > _BAND_HZ[1]):
         raise ValueError(f"detect_beats needs a finite fs above {2 * _BAND_HZ[1]} "
                          f"Hz, so that its {_BAND_HZ[1]} Hz band edge lies below "
                          f"Nyquist; got fs={fs}")
-    if fs > _MAX_FS:
-        raise ValueError(f"detect_beats needs fs <= {_MAX_FS} Hz, the highest rate "
-                         f"at which its bandpass decays within one filter block "
-                         f"of {_MAX_BLOCK} samples; got fs={fs}")
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size < int(2 * fs):
         raise ValueError("detect_beats needs at least 2 seconds of signal")
@@ -465,7 +479,8 @@ def detect_beats(signal, fs: float = 250.0) -> np.ndarray:
 
     refractory = int(_REFRACTORY_S * fs)
     floor = (_FLAT_FLOOR * float(np.abs(x).max())) ** 2
-    candidates = _find_peaks(mwi, refractory + 1, floor)
+    candidates = _find_peaks(mwi, refractory + 1)
+    candidates = candidates[mwi[candidates] > floor]
 
     warmup = mwi[: int(2 * fs)]
     spki = 0.25 * float(warmup.max())

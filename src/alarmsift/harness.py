@@ -204,6 +204,17 @@ class _CrossValidation(NamedTuple):
     histories: list        # TrainHistory of each fold; empty for linear models
 
 
+def _check_both_classes(labels, parts: dict, what: str) -> None:
+    """Refuse ``parts`` (name -> record indices) if one lacks a class,
+    naming ``what`` and every part's (true, false) counts."""
+    counts = {name: (int(labels[idx].sum()), int((~labels[idx]).sum()))
+              for name, idx in parts.items()}
+    if not all(n_true and n_false for n_true, n_false in counts.values()):
+        listed = [f"{c} to {name}" for name, c in counts.items()]
+        raise ValueError(f"{what} gives (true, false) counts {', '.join(listed[:-1])} "
+                         f"and {listed[-1]}; each part needs both classes")
+
+
 def _early_stopping_splits(cfg: ExperimentConfig, labels,
                            assignment: FoldAssignment) -> list[tuple]:
     """Each fold's inner (fit, stop) split of its training records, drawn
@@ -217,15 +228,11 @@ def _early_stopping_splits(cfg: ExperimentConfig, labels,
         fit_rel, stop_rel = stratified_split(
             labels[tr], [1.0 - cfg.val_fraction, cfg.val_fraction], cfg.seed + 101 * fold)
         fit, stop = tr[fit_rel], tr[stop_rel]
-        counts = [(int(labels[part].sum()), int((~labels[part]).sum()))
-                  for part in (fit, stop)]
-        if not all(n_true and n_false for n_true, n_false in counts):
-            raise ValueError(
-                f"fold {fold} of {cfg.experiment}, n_chunks "
-                f"{cfg.resolved_model().n_chunks} and {len(cfg.channels)} channels: "
-                f"the early-stopping split at val_fraction {cfg.val_fraction} gives "
-                f"(true, false) counts {counts[0]} to fit on and {counts[1]} to stop "
-                f"on; each part needs both classes")
+        _check_both_classes(
+            labels, {"fit on": fit, "stop on": stop},
+            f"fold {fold} of {cfg.experiment}, n_chunks "
+            f"{cfg.resolved_model().n_chunks} and {len(cfg.channels)} channels: "
+            f"the early-stopping split at val_fraction {cfg.val_fraction}")
         splits.append((fit, stop))
     return splits
 
@@ -477,23 +484,18 @@ def sweep(spec: SweepSpec, base: ExperimentConfig) -> SweepResult:
     The test part of the split is never scored.  Every run's config is
     built, and so checked, before the first record is read; the split is
     drawn and checked before any input is built: a train or validation
-    part that lacks a class is refused, naming the fractions and every
-    part's class counts."""
+    part that lacks a class is refused, naming the fractions and both
+    parts' class counts."""
     model_base = base.resolved_model()
     configs = {axis: [[replace(model_base, **{axis: value}, seed=model_base.seed + r)
                        for r in range(spec.repeats)] for value in values]
                for axis, values in spec.axes.items()}
     records = prepare_records(base.data_dir)
     labels = np.array([r.label for r in records], dtype=bool)
-    tr, va, te = stratified_split(labels, _SWEEP_FRACTIONS, base.seed)
-    counts = [(int(labels[part].sum()), int((~labels[part]).sum()))
-              for part in (tr, va, te)]
-    if not all(n_true and n_false for n_true, n_false in counts[:2]):
-        raise ValueError(
-            f"the sweep split of {labels.size} records at fractions "
-            f"{_SWEEP_FRACTIONS} gives (true, false) counts {counts[0]} to train "
-            f"on, {counts[1]} to validate on and {counts[2]} unscored; the train "
-            f"and validation parts need both classes")
+    tr, va, _ = stratified_split(labels, _SWEEP_FRACTIONS, base.seed)
+    _check_both_classes(labels, {"train on": tr, "validate on": va},
+                        f"the sweep split of {labels.size} records at fractions "
+                        f"{_SWEEP_FRACTIONS}")
     x = build_sequences(records, model_base.n_chunks, base.channels)
 
     runs, rows = [], []

@@ -549,8 +549,8 @@ class TestSweep:
                                out_dir=str(tmp_path / "out"))
         with pytest.raises(ValueError, match=re.escape(
                 "the sweep split of 10 records at fractions (0.7, 0.15, 0.15) gives "
-                "(true, false) counts (4, 4) to train on, (0, 0) to validate on and "
-                "(1, 1) unscored; the train and validation parts need both classes")):
+                "(true, false) counts (4, 4) to train on and (0, 0) to validate on; "
+                "each part needs both classes")):
             sweep(SweepSpec(axes={"lstm_hidden": (4,)}, repeats=1), cfg)
         assert calls == []
 
