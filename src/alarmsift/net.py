@@ -24,6 +24,7 @@ from .stats import auc
 LOG_CLAMP = 1e-12
 _EVAL_BATCH = 16  # sequences per eval-mode forward pass
 _ENCODER_DTYPE = np.float32  # of the encoder pass in ``train`` and ``predict``
+_ENCODER_TILE = 8  # images per encoder tile (see ``_encoder_forward``)
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,10 @@ class _Workspace:
     A view holds whatever its last user left there, so a caller zeroes what
     it needs zeroed.  ``train``, ``predict`` and ``finite_diff_check`` each
     make their own: no buffer outlives the call, and no two threads share
-    one.
+    one.  Only the input batch and the encoder's per-layer pooled outputs
+    (``act*``) and ReLU masks (``mask*``) hold a whole batch; every other
+    buffer, the one column matrix ``cols`` of all three conv layers
+    included, holds one tile of ``_ENCODER_TILE`` images.
     """
 
     def __init__(self):
@@ -189,12 +193,12 @@ def _flat_weight(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0]))
 
 
-def _conv_forward(x, w, b, ws: _Workspace, layer: int):
-    """NHWC convolution in the dtype of ``x``; the column matrix of ``layer``
-    stays in the workspace for the backward pass."""
+def _conv_forward(x, w, b, ws: _Workspace):
+    """NHWC convolution in the dtype of ``x``; returns the output and the
+    column matrix, both views of workspace buffers that every layer shares."""
     bb, h, ww, c = x.shape
     f = w.shape[0]
-    cols = _im2col(x, ws, f"cols{layer}")
+    cols = _im2col(x, ws, "cols")
     out = np.matmul(cols, _flat_weight(w).astype(x.dtype, copy=False),
                     out=ws.get("z", (bb * h * ww, f), x.dtype))
     out += b.astype(x.dtype, copy=False)
@@ -289,35 +293,57 @@ def _dropout_mask(shape, rate, rng):
 def _encoder_forward(x, tensors, ws: _Workspace):
     """Shared per-chunk encoder: (N, C, H, W) -> (N, D) float64 embeddings.
 
-    It computes in the dtype of ``x``, and so does its backward pass.  The
-    cache holds views into ``ws``; they stay valid until the next forward
-    pass through the same workspace.
+    It takes the images through all three conv layers ``_ENCODER_TILE`` at a
+    time, so the column matrices, 9x the size of a layer's input, are one
+    tile's.  A tile is a row split of the whole batch's GEMMs: the
+    embeddings do not depend on the tile size, unless OpenBLAS sends one of
+    the two GEMMs, but not the other, to its kernel for at most 1e6
+    multiply-adds, whose sums can round otherwise.  The cache keeps each
+    layer's input and ReLU mask, and the pooled output, for the whole
+    batch; the backward pass rebuilds a tile's columns from that input.  It
+    computes in the dtype of ``x``, and so does its backward pass.  The
+    cache holds ``x`` and views into ``ws``; they stay valid until the next
+    forward pass through the same workspace.
     """
-    caches = []
-    out = np.transpose(x, (0, 2, 3, 1))  # NHWC internally; im2col copies it
+    n = x.shape[0]
+    inputs = [np.transpose(x, (0, 2, 3, 1))]  # NHWC internally; im2col copies it
+    masks = []
     for i in (1, 2, 3):
-        z, cols = _conv_forward(out, tensors[f"conv{i}_w"], tensors[f"conv{i}_b"],
-                                ws, i)
-        mask = np.greater(z, 0, out=ws.get(f"mask{i}", z.shape, bool))
-        z *= mask  # ReLU
-        out = _avgpool_forward(z, ws)
-        caches.append((cols, mask))
-    h = out.mean(axis=(1, 2), dtype=np.float64)
-    return h, (caches, out.shape)
+        _, hh, ww, _ = inputs[-1].shape
+        f = tensors[f"conv{i}_w"].shape[0]
+        masks.append(ws.get(f"mask{i}", (n, hh, ww, f), bool))
+        inputs.append(ws.get(f"act{i + 1}", (n, hh // 2, ww // 2, f), x.dtype))
+    for start in range(0, n, _ENCODER_TILE):
+        tile = slice(start, start + _ENCODER_TILE)
+        for i in (1, 2, 3):
+            z, _ = _conv_forward(inputs[i - 1][tile], tensors[f"conv{i}_w"],
+                                 tensors[f"conv{i}_b"], ws)
+            mask = np.greater(z, 0, out=masks[i - 1][tile])
+            z *= mask  # ReLU
+            inputs[i][tile] = _avgpool_forward(z, ws)
+    h = inputs[3].mean(axis=(1, 2), dtype=np.float64)
+    return h, (inputs, masks)
 
 
 def _encoder_backward(dh, cache, tensors, grads, ws: _Workspace):
-    caches, out_shape = cache
-    b, hh, ww, f = out_shape
-    dtype = caches[0][0].dtype  # of the forward pass's columns
-    dout = np.divide(np.broadcast_to(dh[:, None, None, :], out_shape), hh * ww,
-                     out=ws.get("embed_grad", out_shape, dtype))
-    for i in (3, 2, 1):
-        cols, mask = caches[i - 1]
-        dz = _avgpool_backward(dout, mask, ws)
-        dout, dw, db = _conv_backward(dz, cols, tensors[f"conv{i}_w"], i > 1, ws)
-        grads[f"conv{i}_w"] += dw
-        grads[f"conv{i}_b"] += db
+    """Adds the conv gradients of ``dh`` into the float64 ``grads``, one
+    tile of the forward pass at a time: a tile's columns are rebuilt from
+    its stored layer input, and its ``dw`` and ``db`` are added in tile
+    order."""
+    inputs, masks = cache
+    n, hh, ww, f = inputs[3].shape  # of the pooled output
+    for start in range(0, n, _ENCODER_TILE):
+        tile = slice(start, start + _ENCODER_TILE)
+        dh_tile = dh[tile]
+        shape = (len(dh_tile), hh, ww, f)
+        dout = np.divide(np.broadcast_to(dh_tile[:, None, None, :], shape), hh * ww,
+                         out=ws.get("embed_grad", shape, inputs[0].dtype))
+        for i in (3, 2, 1):
+            dz = _avgpool_backward(dout, masks[i - 1][tile], ws)
+            cols = _im2col(inputs[i - 1][tile], ws, "cols")
+            dout, dw, db = _conv_backward(dz, cols, tensors[f"conv{i}_w"], i > 1, ws)
+            grads[f"conv{i}_w"] += dw
+            grads[f"conv{i}_b"] += db
 
 
 def _lstm_layer_forward(xs, wx, wh, b):
@@ -534,11 +560,13 @@ def _as_batch(sequences, cfg: ModelConfig, channels: int | None) -> np.ndarray:
     if c < 1 or min(h, w) < 8 or h % 8 or w % 8:
         raise ValueError(f"input shape {x.shape[1:]}: C must be >= 1, and H and W "
                          f"multiples of 8 (three 2x2 pools); got C={c}, H={h}, W={w}")
-    finite = np.isfinite(x).all(axis=(1, 2, 3, 4))
+    # NaN propagates through max, and +-inf shows in max or min
+    high, low = x.max(axis=(1, 2, 3, 4)), x.min(axis=(1, 2, 3, 4))
+    finite = np.isfinite(high) & np.isfinite(low)
     if not finite.all():
         raise ValueError(f"sequence {int(np.argmin(finite))} holds NaN or inf")
     top = np.finfo(_ENCODER_DTYPE).max
-    inside = (x.max(axis=(1, 2, 3, 4)) <= top) & (x.min(axis=(1, 2, 3, 4)) >= -top)
+    inside = (high <= top) & (low >= -top)
     if not inside.all():
         raise ValueError(f"sequence {int(np.argmin(inside))} holds a value outside "
                          f"float32 range")

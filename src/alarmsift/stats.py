@@ -328,8 +328,34 @@ def bootstrap_auc_diff(scores_a, scores_b, labels, n_iter: int = 1000,
         y = labels[idx]
         diffs[start:start + len(idx)] = (_auc(scores_a[idx], y)
                                          - _auc(scores_b[idx], y))
-    lo, hi = np.percentile(diffs, [2.5, 97.5])
-    return BootstrapCI(float(lo), float(hi), n_iter)
+    lo, hi = _percentiles(diffs, (2.5, 97.5))
+    return BootstrapCI(lo, hi, n_iter)
+
+
+def _percentiles(x: np.ndarray, percents) -> list[float]:
+    """``np.percentile(x, percents)`` bit for bit (its default "linear"
+    method) for finite 1-D ``x``, which is partitioned in place.
+
+    numpy's own call runs ``np.unique``, which imports ``numpy.ma``.  Each
+    percentile p sits at v = (n-1)*p/100, between the order statistics
+    a = x[floor(v)] and b = x[floor(v) + 1], and is a + (b-a)*t, or
+    b - (b-a)*(1-t) where t >= 0.5, with t = v - floor(v), as numpy's
+    ``_lerp`` computes it.  At v >= n-1 both neighbours are the maximum,
+    index -1, and t = v + 1.  ``x`` is partitioned at numpy's set of
+    indices, so tied values (-0.0 and 0.0) land where numpy puts them.
+    """
+    last = x.size - 1
+    points = []
+    for p in percents:
+        v = last * (p / 100)
+        lo = math.floor(v) if v < last else -1
+        points.append((v, lo, lo + 1 if lo >= 0 else -1))
+    x.partition(sorted({0, -1, *(i for _, lo, hi in points for i in (lo, hi))}))
+    out = []
+    for v, lo, hi in points:
+        a, b, t = float(x[lo]), float(x[hi]), v - lo
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,22 @@ labels = np.arange(20) % 2 == 0
 result = alarmsift.delong_test(labels + rng.standard_normal(20),
                                labels + rng.standard_normal(20), labels)
 coeffs = alarmsift.cwt(ecg[:600], SCALES)
+ci = alarmsift.bootstrap_auc_diff(labels + rng.standard_normal(20),
+                                  labels + rng.standard_normal(20), labels,
+                                  n_iter=50)
 assert beats.size > 0 and 0.0 < result.p <= 1.0 and coeffs.shape[1] == 600
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+assert ci.lower <= ci.upper
+for package in ("scipy", "numpy.ma"):
+    print(sorted(m for m in sys.modules
+                 if m == package or m.startswith(package + ".")))
 """
 
 
 def test_import_and_calls_load_no_scipy():
     """A fresh interpreter imports alarmsift, detects beats, runs a DeLong
-    test and a CWT, and has loaded no scipy module."""
+    test, a CWT and a bootstrap, and has loaded no scipy module and no
+    ``numpy.ma``, which ``np.percentile`` would import."""
     env = dict(os.environ, PYTHONPATH=str(Path(alarmsift.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _CODE], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]"], proc.stdout

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import asdict, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def _min_preactivation(sample, params):
     out = x
     for i in (1, 2, 3):
         z, _ = _conv_forward(out, params.tensors[f"conv{i}_w"],
-                             params.tensors[f"conv{i}_b"], ws, i)
+                             params.tensors[f"conv{i}_b"], ws)
         mins.append(np.abs(z).min())
         out = _avgpool_forward(z * (z > 0), ws)
     h = out.mean(axis=(1, 2))
@@ -147,7 +148,7 @@ def _check_primitives(ws, b, h, w, c, f, rng):
     assert np.array_equal(cols, _ref_im2col(x))
 
     wt = rng.standard_normal((f, c, 3, 3))
-    z, cols = _conv_forward(x, wt, rng.standard_normal(f), ws, 1)
+    z, cols = _conv_forward(x, wt, rng.standard_normal(f), ws)
     mask = z > 0
     relu = z * mask
     assert np.array_equal(_avgpool_forward(relu, ws), _ref_avgpool_forward(relu))
@@ -203,7 +204,7 @@ class TestPrimitivesMatchReference:
         x = rng.standard_normal((b, h, w, c))
         wt = rng.standard_normal((f, c, 3, 3))
         bias = rng.standard_normal(f)
-        out, _ = _conv_forward(x, wt, bias, _Workspace(), 1)
+        out, _ = _conv_forward(x, wt, bias, _Workspace())
         np.testing.assert_allclose(out, _direct_conv(x, wt, bias),
                                    rtol=1e-12, atol=1e-12)
 
@@ -221,7 +222,7 @@ class TestPrimitivesMatchReference:
         x = _wide_range(rng, (b, 2 * h, 2 * w, c)).astype(np.float32)
         assert _im2col(x, ws, "cols1").dtype == np.float32
         wt = rng.standard_normal((f, c, 3, 3))
-        z, cols = _conv_forward(x, wt, rng.standard_normal(f), ws, 1)
+        z, cols = _conv_forward(x, wt, rng.standard_normal(f), ws)
         assert z.dtype == cols.dtype == np.float32
         mask = z > 0
         assert _avgpool_forward(z * mask, ws).dtype == np.float32
@@ -374,6 +375,79 @@ class TestForward:
         params.tensors["head_b2"][:] = 0.0
         probs = _eval_probs(np.random.default_rng(0).random((3, 4, 8, 8)), params)
         assert probs.tolist() == [[0.5, 0.5]]
+
+
+def _encoder_pass(x, params, tile):
+    """Embeddings, conv gradients of a fixed ``dh`` and the workspace of one
+    ``_encoder_forward`` + ``_encoder_backward`` pass at ``_ENCODER_TILE``
+    = ``tile``."""
+    from alarmsift import net
+
+    ws = net._Workspace()
+    with mock.patch.object(net, "_ENCODER_TILE", tile):
+        emb, cache = net._encoder_forward(x, params.tensors, ws)
+        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()
+                 if k.startswith("conv")}
+        dh = np.random.default_rng(x.shape[0]).standard_normal(emb.shape)
+        net._encoder_backward(dh, cache, params.tensors, grads, ws)
+    return emb, grads, ws
+
+
+class TestEncoderTiles:
+    """The encoder runs ``_ENCODER_TILE`` images at a time; a whole-batch
+    run is the same code with the tile patched to the batch size."""
+
+    # (C, H, W, embed_dim).  OpenBLAS runs a GEMM of at most 1e6
+    # multiply-adds through another kernel, whose sums can round otherwise.
+    # Each shape keeps every layer's GEMM, for 1 image and for 17, on one
+    # side of that line: the small ones below it, and the bench's 64x64
+    # shape at embed_dim 32 above it.
+    SHAPES = ((1, 8, 8, 8), (4, 8, 16, 16), (3, 16, 16, 8), (4, 64, 64, 32))
+
+    @given(n=st.sampled_from((1, 7, 9, 17)), shape=st.sampled_from(SHAPES),
+           dtype=st.sampled_from((np.float32, np.float64)),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_embeddings_do_not_depend_on_the_tile(self, n, shape, dtype, seed):
+        from alarmsift.net import _ENCODER_TILE
+
+        c, h, w, embed_dim = shape
+        rng = np.random.default_rng(seed)
+        params = init_params(ModelConfig(embed_dim=embed_dim, n_chunks=1,
+                                         lstm_layers=0), c, rng)
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        tiled, *_ = _encoder_pass(x, params, _ENCODER_TILE)
+        whole, *_ = _encoder_pass(x, params, n)
+        assert tiled.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_gradients_match_a_whole_batch_run(self, dtype, tol):
+        """The tiled run sums per-tile ``dw``/``db`` partials, so it rounds
+        otherwise; each tensor's error is relative to its norm."""
+        from alarmsift.net import _ENCODER_TILE
+
+        params = reduced_params(5)
+        x = np.random.default_rng(6).random((17, 4, 16, 16)).astype(dtype)
+        _, tiled, _ = _encoder_pass(x, params, _ENCODER_TILE)
+        _, whole, _ = _encoder_pass(x, params, 17)
+        for name, g in whole.items():
+            err = np.linalg.norm(tiled[name] - g) / np.linalg.norm(g)
+            assert err <= tol, name
+
+    def test_only_activations_and_masks_grow_with_the_batch(self):
+        """After 96 images, the one column buffer holds one tile's layer-1
+        columns, and every other buffer is as large as after one tile."""
+        from alarmsift.net import _ENCODER_TILE
+
+        params = init_params(ModelConfig(embed_dim=32, n_chunks=1, lstm_layers=0),
+                             4, np.random.default_rng(0))
+        x = np.random.default_rng(1).random((96, 4, 64, 64)).astype(np.float32)
+        *_, ws = _encoder_pass(x, params, _ENCODER_TILE)
+        *_, one_tile = _encoder_pass(x[:_ENCODER_TILE], params, _ENCODER_TILE)
+        assert ws._flat["cols"].size == _ENCODER_TILE * 64 * 64 * 36
+        for name, flat in ws._flat.items():
+            if not name.startswith(("act", "mask")):
+                assert flat.size == one_tile._flat[name].size, name
 
 
 class TestWeightedLoss:
@@ -647,6 +721,16 @@ class TestOutsideFloat32Input:
         x[0, 0, 0, 0, 0] = np.finfo(np.float64).max
         x[2, 0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match=r"^sequence 2 holds NaN or inf$"):
+            predict(x, reduced_params())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_named_after_an_earlier_out_of_range(self, bad):
+        """The non-finite check reads each sequence's max and min; a NaN or
+        inf in sequence 1 still outranks 1e39 in sequence 0."""
+        x, _ = _toy_dataset(4)
+        x[0, 1, 2, 3, 4] = 1e39
+        x[1, 2, 3, 4, 5] = bad
+        with pytest.raises(ValueError, match=r"^sequence 1 holds NaN or inf$"):
             predict(x, reduced_params())
 
     def test_float32_limit_admitted(self):

@@ -370,6 +370,20 @@ class TestBootstrap:
         assert (ci.lower, ci.upper) == _ref_bootstrap(a, b, labels, n_iter, seed)
         assert ci.n_iter == n_iter
 
+    @given(x=st.lists(st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+                                st.floats(-1e300, 1e300)), min_size=1, max_size=60),
+           percents=st.just([2.5, 97.5]) | st.lists(st.floats(0.0, 100.0),
+                                                    min_size=1, max_size=3))
+    @example(x=[-0.0], percents=[2.5, 97.5])
+    @example(x=[0.0, -0.0, -0.0, 0.0, -0.0], percents=[2.5, 97.5])
+    @settings(max_examples=300, deadline=None)
+    def test_percentiles_equal_numpy_bit_for_bit(self, x, percents):
+        """The bounds' percentiles are ``np.percentile``'s bits, one value,
+        ties and the sign of a zero result included."""
+        x = np.array(x)
+        want = np.percentile(x, percents)
+        assert np.array(stats._percentiles(x.copy(), percents)).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n_iter", [0, -3, 2.5, True])
     def test_bad_n_iter_refused_by_name(self, n_iter):
         labels = np.arange(6) % 2 == 0
