@@ -184,8 +184,26 @@ def prepare_records(data_dir) -> list[Record]:
     return [tail_window(r) for r in records]
 
 
+@dataclass(frozen=True)
+class _LazySequences:
+    """The records' sequences, each built only as ``stack_sequences`` reads
+    it; sized, so the tensor is allocated before the first is built."""
+
+    records: list
+    n_chunks: int
+    channels: tuple
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __iter__(self):
+        return (build_sequence(r, self.n_chunks, self.channels) for r in self.records)
+
+
 def build_sequences(records, n_chunks, channels) -> np.ndarray:
-    return stack_sequences([build_sequence(r, n_chunks, channels) for r in records])
+    """The (N, n_chunks, C, 64, 64) float32 tensor of ``records``, filled in
+    place: one record's sequence is alive beside it at a time."""
+    return stack_sequences(_LazySequences(records, n_chunks, channels))
 
 
 def _beat_matrix(records) -> np.ndarray:

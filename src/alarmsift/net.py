@@ -13,6 +13,7 @@ Class convention: logit/probability column 1 is the true-alarm class.
 from __future__ import annotations
 
 import math
+from collections.abc import Sized
 from dataclasses import dataclass
 
 import numpy as np
@@ -546,9 +547,11 @@ def _as_batch(sequences, cfg: ModelConfig, channels: int | None) -> np.ndarray:
     any forward pass: an (N, T, C, H, W) batch of ``cfg.n_chunks`` chunks, C
     >= 1 (equal to a trained model's ``channels``; ``train`` passes None and
     builds ``conv1_w`` for C), and H, W multiples of 8 for the three 2x2
-    pools.  A sequence holding NaN or inf, or a value that float32 cannot
-    hold, is refused by its index; a single sequence is a batch of one."""
+    pools.  Input that is not real numbers (complex or object, say) is
+    refused by its dtype, and a sequence holding NaN or inf, or a value that
+    float32 cannot hold, by its index; a single sequence is a batch of one."""
     x = sequences if isinstance(sequences, np.ndarray) else stack_sequences(sequences)
+    _check_real(x.dtype, "input")
     if x.ndim != 5:
         raise ValueError(f"expected (N, n_chunks, C, H, W) input, got shape {x.shape}")
     t, c, h, w = x.shape[1:]
@@ -574,10 +577,49 @@ def _as_batch(sequences, cfg: ModelConfig, channels: int | None) -> np.ndarray:
 
 
 def stack_sequences(sequences) -> np.ndarray:
-    """List of (T, C, H, W) arrays -> one (N, T, C, H, W) array: float32 when
-    every sequence is float32, as ``build_sequence`` returns, else float64."""
-    x = np.stack([np.asarray(s) for s in sequences])
-    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+    """Sequences of one (T, C, H, W) shape -> one (N, T, C, H, W) array:
+    float32 when their common dtype is float32, as for ``build_sequence``'s
+    sequences, else float64, with the bits of ``np.stack`` cast to float64.
+
+    Each sequence is copied into one preallocated array as it arrives, so
+    a sized iterable that builds its sequences lazily, as
+    ``harness.build_sequences`` passes, holds only one beside the result.
+    Refuses an empty input, a sequence that is not real numbers (complex
+    or object, say) and one whose shape differs from sequence 0's, each
+    by its index.
+    """
+    if not isinstance(sequences, Sized):
+        sequences = list(sequences)
+    if len(sequences) == 0:
+        raise ValueError("no sequences to stack")
+    x, common, i = None, None, 0
+    for seq in sequences:  # not enumerate: its tuple would keep seq alive
+        seq = np.asarray(seq)
+        _check_real(seq.dtype, f"sequence {i}")
+        common = seq.dtype if common is None else np.result_type(common, seq.dtype)
+        dtype = np.float32 if common == np.float32 else np.float64
+        if x is None:
+            x = np.empty((len(sequences), *seq.shape), dtype)
+        elif seq.shape != x.shape[1:]:
+            raise ValueError(f"sequence {i} has shape {seq.shape}, but sequence 0 "
+                             f"has shape {x.shape[1:]}")
+        elif x.dtype != dtype:
+            # exact both ways: what promotes with float32 to float32 fits in it
+            recast = np.empty(x.shape, dtype)
+            recast[:i] = x[:i]
+            x = recast
+        x[i] = seq
+        i += 1
+        del seq  # or it stays alive while the next sequence is built
+    return x
+
+
+def _check_real(dtype: np.dtype, what: str) -> None:
+    """Refuse model input that is not bool, integer or float: a complex
+    input's imaginary part would be dropped, silently, by the float copy."""
+    if dtype.kind not in "biuf":
+        raise ValueError(f"{what} has dtype {dtype}; model input must be real "
+                         f"(bool, integer or float)")
 
 
 def predict(sequences, params: ModelParams) -> np.ndarray:
@@ -684,8 +726,8 @@ def finite_diff_check(params: ModelParams, sample, label: bool,
     sample is cast to float64, so the encoder runs the same code as in
     ``train`` but in double precision; use a reduced config.
     """
-    x = _as_batch(np.asarray(sample, float)[None], params.config,
-                  params.tensors["conv1_w"].shape[1])
+    x = _as_batch(np.asarray(sample)[None], params.config,
+                  params.tensors["conv1_w"].shape[1]).astype(np.float64, copy=False)
     labels = np.array([label])
     weights = ClassWeights(1.0, 1.0)
     ws = _Workspace()

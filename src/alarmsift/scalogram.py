@@ -41,6 +41,7 @@ import numpy as np
 KERNEL_SUPPORT_SCALES = 4.0  # kernel truncated at +/- 4a samples
 FLAT_EPS = 1e-12
 SCALOGRAM_COLS = 64  # time bins of a scalogram image
+POOL_BLOCK_ROWS = 8  # scale rows whose magnitudes ``to_scalogram`` holds at once
 
 # The one scale grid: 64 log-spaced scales from 1 to 128 samples,
 # SCALES[i] = 128 ** (i / 63), endpoints pinned exactly despite float
@@ -98,25 +99,31 @@ def _next_fast_len(target: int) -> int:
         n += 1
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _kernel_spectra(scale_bytes: bytes, omega0: float, nfft: int,
                     dtype: np.dtype) -> np.ndarray:
     """FFTs of the truncated kernels at the float64 scales in ``scale_bytes``,
     computed in complex128 and rounded once to the complex ``dtype``.
 
-    Every chunk of a run shares one scale grid and a few FFT lengths, so a
-    few entries are reused across all chunks, channels and records.  The
-    result is read-only: every caller shares it.
+    Each scale's kernel and its FFT are built as one complex128 row and
+    written into the result, so no (n_scales, L) complex128 matrix exists
+    beside it; numpy's FFT of a matrix transforms each row alone, so the
+    rows have the bits a whole-matrix FFT gives.  The cache keeps one
+    entry: a tensor's chunks all share one scale grid and one FFT length,
+    and a run builds one chunk count's tensor at a time.  The result is
+    read-only: every caller shares it.
     """
     params = MorletParams(omega0)
     offsets = np.arange(nfft)
     offsets = np.where(offsets > nfft // 2, offsets - nfft, offsets).astype(np.float64)
     scales = np.frombuffer(scale_bytes)
-    kernels = np.zeros((scales.size, nfft), dtype=np.complex128)
+    spectra = np.empty((scales.size, nfft), dtype=dtype)
+    kernel = np.empty(nfft, dtype=np.complex128)
     for i, a in enumerate(scales):
         support = np.abs(offsets) <= KERNEL_SUPPORT_SCALES * a
-        kernels[i, support] = morlet_wavelet(offsets[support], a, params)
-    spectra = np.fft.fft(kernels, axis=1).astype(dtype, copy=False)
+        kernel[:] = 0.0
+        kernel[support] = morlet_wavelet(offsets[support], a, params)
+        spectra[i] = np.fft.fft(kernel)
     spectra.setflags(write=False)
     return spectra
 
@@ -165,6 +172,12 @@ def cwt(signal: np.ndarray, scales: np.ndarray,
     return np.fft.ifft(out, axis=1, out=out)[:, :n]
 
 
+def _pool_bins(n: int, target_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left edges and widths (at least 1) of ``pool_columns``' bins."""
+    edges = (np.arange(target_cols + 1) * n) // target_cols
+    return edges[:-1], np.maximum(np.diff(edges), 1)
+
+
 def pool_columns(mag: np.ndarray, target_cols: int) -> np.ndarray:
     """Mean-pool columns into ``target_cols`` nearly-equal contiguous bins.
 
@@ -172,11 +185,8 @@ def pool_columns(mag: np.ndarray, target_cols: int) -> np.ndarray:
     (N < C) the single column at its left edge is used.  The sums and means
     are float64 whatever the dtype of ``mag``.
     """
-    n = mag.shape[1]
-    edges = (np.arange(target_cols + 1) * n) // target_cols
-    counts = np.diff(edges)
-    sums = np.add.reduceat(mag, edges[:-1], axis=1, dtype=np.float64)
-    return sums / np.maximum(counts, 1)
+    starts, widths = _pool_bins(mag.shape[1], target_cols)
+    return np.add.reduceat(mag, starts, axis=1, dtype=np.float64) / widths
 
 
 def to_scalogram(coeffs: np.ndarray) -> np.ndarray:
@@ -185,14 +195,35 @@ def to_scalogram(coeffs: np.ndarray) -> np.ndarray:
     Returns the float64 (n_scales, ``SCALOGRAM_COLS``) image, pooled and
     normalised in float64 whatever the precision of ``coeffs``: its values
     span [0, 1] exactly, except that a flat magnitude image (max - min
-    below 1e-12) maps to all zeros.
+    below 1e-12) maps to all zeros.  The magnitudes of ``POOL_BLOCK_ROWS``
+    scale rows at a time are written into one small float64 buffer and
+    summed into their bins, so no full-size magnitude matrix is made; the
+    absolute value still runs in the precision of ``coeffs`` and is widened
+    exactly, so the image has the bits of ``pool_columns(np.abs(coeffs),
+    64)`` normalised.  Coefficients that are not a non-empty 2-D (scales,
+    samples) matrix are refused, and so is a scale row whose pooled
+    magnitudes are not finite, by its index.
     """
     coeffs = np.asarray(coeffs)
+    if coeffs.ndim != 2:
+        raise ValueError(f"coefficients must be a 2-D (scales, samples) matrix, "
+                         f"got shape {coeffs.shape}")
     if coeffs.size == 0:
         raise ValueError("empty coefficient matrix")
-    pooled = pool_columns(np.abs(coeffs), SCALOGRAM_COLS)
+    rows, n = coeffs.shape
+    starts, widths = _pool_bins(n, SCALOGRAM_COLS)
+    pooled = np.empty((rows, SCALOGRAM_COLS))
+    mag = np.empty((min(rows, POOL_BLOCK_ROWS), n))
+    for start in range(0, rows, POOL_BLOCK_ROWS):
+        block = coeffs[start:start + POOL_BLOCK_ROWS]
+        np.add.reduceat(np.abs(block, out=mag[:len(block)]), starts, axis=1,
+                        out=pooled[start:start + len(block)])
+    pooled /= widths
+    finite = np.isfinite(pooled).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"scale row {int(np.argmin(finite))} has non-finite "
+                         f"pooled magnitudes")
     lo, hi = pooled.min(), pooled.max()
     if hi - lo < FLAT_EPS:
         return np.zeros_like(pooled)
     return (pooled - lo) / (hi - lo)
-

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,24 @@ def make_record(record_id="rec-0", n=1000, fs=250.0, channels=CHANNEL_ORDER,
         samples = rng.standard_normal((len(channels), n))
     return Record(record_id=record_id, alarm_type=alarm_type, label=label,
                   fs=fs, channels=channels, samples=samples)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by ``tracemalloc`` during one call ``fn()``, above
+    what was traced when it started.  numpy reports its array buffers to
+    ``tracemalloc``, so the peak counts every array the call holds at once,
+    whatever the allocator does with freed pages."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

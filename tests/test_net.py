@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alarmsift.net import (ModelConfig, finite_diff_check, init_params,
-                           predict, train)
+                           predict, stack_sequences, train)
 from alarmsift.records import ClassWeights
 
 REDUCED = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6, n_chunks=3,
@@ -737,6 +737,70 @@ class TestOutsideFloat32Input:
         x, _ = _toy_dataset(4)
         x[1, 0, 0, 0, 0] = -np.finfo(np.float32).max
         assert predict(x, reduced_params()).shape == (4,)
+
+
+class TestStackSequences:
+    """``stack_sequences`` fills one preallocated batch, and every entry
+    point refuses input that is not real numbers by name."""
+
+    DTYPES = (np.float32, np.float64, np.float16, np.int16, np.int64,
+              np.uint8, np.bool_)
+
+    @given(dtypes=st.lists(st.sampled_from(DTYPES), min_size=1, max_size=5),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_bits_of_np_stack(self, dtypes, seed):
+        """float32 when every sequence is float32, else float64 with the
+        bits of ``np.stack`` cast to float64, whatever the mix of dtypes."""
+        rng = np.random.default_rng(seed)
+        seqs = [(rng.standard_normal((2, 1, 3, 3)) * 500).astype(d) for d in dtypes]
+        expected = np.stack(seqs)
+        if expected.dtype != np.float32:
+            expected = expected.astype(np.float64)
+        for given_as in (seqs, iter(seqs)):
+            got = stack_sequences(given_as)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+    def test_refuses_empty_input(self):
+        with pytest.raises(ValueError, match="^no sequences to stack$"):
+            stack_sequences([])
+        with pytest.raises(ValueError, match="^no sequences to stack$"):
+            train([], [], [], [], REDUCED)
+
+    def test_refuses_a_shape_other_than_sequence_0s(self):
+        seqs = [np.zeros((3, 4, 8, 8), np.float32)] * 2 + [np.zeros((3, 4, 8, 16))]
+        message = (r"^sequence 2 has shape \(3, 4, 8, 16\), but sequence 0 has "
+                   r"shape \(3, 4, 8, 8\)$")
+        with pytest.raises(ValueError, match=message):
+            stack_sequences(seqs)
+        with pytest.raises(ValueError, match=message):
+            predict(seqs, reduced_params())
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128, object])
+    def test_train_and_predict_refuse_input_that_is_not_real(self, dtype):
+        """A complex batch would lose its imaginary part, silently, in the
+        float copy; it is refused by its dtype, as an array or as a list."""
+        x, labels = _toy_dataset(8, seed=1)
+        x = (x + 0.5j).astype(dtype)
+        idx = np.arange(8)
+        name = np.dtype(dtype)
+        with pytest.raises(ValueError, match=rf"^input has dtype {name}; model input "
+                                             rf"must be real"):
+            train(x, labels, idx[:6], idx[6:], REDUCED)
+        with pytest.raises(ValueError, match=rf"^sequence 0 has dtype {name}"):
+            train(list(x), labels, idx[:6], idx[6:], REDUCED)
+        with pytest.raises(ValueError, match=rf"^input has dtype {name}"):
+            predict(x, reduced_params())
+        for call in SINGLE_SEQUENCE_CALLS:
+            with pytest.raises(ValueError, match=rf"has dtype {name}"):
+                call(x[0], reduced_params())
+
+    def test_names_the_first_complex_sequence(self):
+        seqs = [np.zeros((3, 4, 8, 8))] * 3
+        seqs[1] = seqs[1].astype(np.complex128)
+        with pytest.raises(ValueError, match="^sequence 1 has dtype complex128"):
+            stack_sequences(seqs)
 
 
 class TestPrecision:

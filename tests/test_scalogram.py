@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from alarmsift.records import ANOMALY_FREQ_HZ, FS_DEFAULT
-from alarmsift.scalogram import (FLAT_EPS, MORLET, SCALES, SCALOGRAM_COLS,
-                                 MorletParams, _next_fast_len, cwt, fft_length,
+from alarmsift.scalogram import (FLAT_EPS, MORLET, POOL_BLOCK_ROWS, SCALES,
+                                 SCALOGRAM_COLS, MorletParams, _kernel_spectra,
+                                 _next_fast_len, cwt, fft_length, morlet_wavelet,
                                  pool_columns, to_scalogram)
+from conftest import traced_peak
 
 OMEGA0 = 6.0
 
@@ -182,8 +184,6 @@ class TestCwt:
         """Every transform at one (scales, omega0, FFT length, dtype) reads
         the same cached spectra, so a write to them would corrupt later
         transforms."""
-        from alarmsift.scalogram import _kernel_spectra
-
         key = (SCALES.tobytes(), 6.0, fft_length(100, 128.0))
         for dtype in (np.complex64, np.complex128):
             spectra = _kernel_spectra(*key, np.dtype(dtype))
@@ -209,6 +209,52 @@ class TestCwt:
         shifted = wy[:, margin:n - margin]
         err = np.max(np.abs(shifted - ref)) / np.max(np.abs(ref))
         assert err < 1e-6
+
+
+class TestKernelSpectra:
+    """``_kernel_spectra`` builds one scale's kernel and FFT at a time."""
+
+    @staticmethod
+    def whole_matrix(nfft, dtype):
+        """Every truncated kernel in one complex128 (64, L) matrix, then one
+        FFT along its rows, rounded once to ``dtype``."""
+        offsets = np.arange(nfft)
+        offsets = np.where(offsets > nfft // 2, offsets - nfft, offsets).astype(float)
+        kernels = np.zeros((SCALES.size, nfft), dtype=np.complex128)
+        for i, a in enumerate(SCALES):
+            support = np.abs(offsets) <= 4.0 * a
+            kernels[i, support] = morlet_wavelet(offsets[support], a, MORLET)
+        return np.fft.fft(kernels, axis=1).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("nfft", [777, 1000, 3024, 5544, 8019, 15552])
+    def test_rows_equal_a_whole_matrix_fft(self, nfft, dtype):
+        got = _kernel_spectra.__wrapped__(SCALES.tobytes(), MORLET.omega0, nfft,
+                                          np.dtype(dtype))
+        assert got.dtype == dtype
+        assert got.tobytes() == self.whole_matrix(nfft, dtype).tobytes()
+
+    def test_build_holds_little_beside_its_result(self):
+        """At a 60 s record's FFT length the build peaks below 1.2x its
+        complex64 result: no complex128 (64, L) matrix is made."""
+        result = []
+        peak = traced_peak(lambda: result.append(_kernel_spectra.__wrapped__(
+            SCALES.tobytes(), MORLET.omega0, 15552, np.dtype(np.complex64))))
+        assert result[0].nbytes == 64 * 15552 * 8
+        assert peak < 1.2 * result[0].nbytes, peak / result[0].nbytes
+
+    def test_cache_keeps_the_last_length_only(self):
+        """A run builds one chunk length's tensor at a time, so the spectra
+        of the length before are not kept."""
+        x = np.random.default_rng(0).standard_normal(3000).astype(np.float32)
+        assert fft_length(3000, SCALES[-1]) != fft_length(300, SCALES[-1])
+        _kernel_spectra.cache_clear()
+        cwt(x, SCALES)
+        cwt(x[:300], SCALES)
+        info = _kernel_spectra.cache_info()
+        assert (info.misses, info.currsize) == (2, 1)
+        cwt(x[:300], SCALES)
+        assert _kernel_spectra.cache_info().hits == info.hits + 1
 
 
 class TestFloat32Path:
@@ -307,3 +353,57 @@ class TestToScalogram:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             to_scalogram(np.empty((0, 0)))
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128,
+                                       np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 3, POOL_BLOCK_ROWS, POOL_BLOCK_ROWS + 1,
+                                      2 * POOL_BLOCK_ROWS + 3, 64])
+    @pytest.mark.parametrize("cols", [2, 63, 700, 2500])
+    def test_blocks_equal_whole_matrix_pooling(self, cols, rows, dtype):
+        """Block by block, the image has the bits of the whole magnitude
+        matrix pooled and normalised, for fewer rows than a block, one row
+        and row counts that are not a multiple of it."""
+        rng = np.random.default_rng(cols * 100 + rows)
+        coeffs = rng.standard_normal((rows, cols)) * 3.0
+        if np.dtype(dtype).kind == "c":
+            coeffs = coeffs + 1j * rng.standard_normal((rows, cols))
+        coeffs = coeffs.astype(dtype)
+        pooled = pool_columns(np.abs(coeffs), SCALOGRAM_COLS)
+        lo, hi = pooled.min(), pooled.max()
+        expected = np.zeros_like(pooled) if hi - lo < FLAT_EPS else (pooled - lo) / (hi - lo)
+        got = to_scalogram(coeffs)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+    def test_cwt_view_equals_whole_matrix_pooling(self):
+        """The (64, N) view ``cwt`` returns, rows strided by L, pools block
+        by block to the same bits."""
+        x = np.random.default_rng(8).standard_normal(2500).astype(np.float32)
+        coeffs = cwt(x, SCALES)
+        assert not coeffs.flags.c_contiguous
+        pooled = pool_columns(np.abs(coeffs), SCALOGRAM_COLS)
+        expected = (pooled - pooled.min()) / (pooled.max() - pooled.min())
+        assert to_scalogram(coeffs).tobytes() == expected.tobytes()
+
+    def test_allocates_less_than_one_magnitude_matrix(self):
+        """A 60 s chunk's (64, 15000) complex64 coefficients are pooled
+        holding less than their float32 magnitude matrix (3.7 MiB)."""
+        x = np.random.default_rng(3).standard_normal(15000).astype(np.float32)
+        coeffs = cwt(x, SCALES)
+        peak = traced_peak(lambda: to_scalogram(coeffs))
+        assert peak < 64 * 15000 * 4, peak
+
+    @pytest.mark.parametrize("shape", [(100,), (2, 8, 100), ()])
+    def test_rejects_coefficients_that_are_not_2d(self, shape):
+        with pytest.raises(ValueError, match=r"must be a 2-D \(scales, samples\) "
+                                             r"matrix, got shape"):
+            to_scalogram(np.ones(shape, dtype=np.complex64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("row", [0, 5, POOL_BLOCK_ROWS + 2, 63])
+    def test_rejects_non_finite_coefficients_by_row(self, bad, row):
+        coeffs = cwt(np.random.default_rng(1).standard_normal(500), SCALES).copy()
+        coeffs[row, 123] = bad
+        with pytest.raises(ValueError, match=f"scale row {row} has non-finite "
+                                             f"pooled magnitudes"):
+            to_scalogram(coeffs)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alarmsift.harness import build_sequences
 from alarmsift.records import CHANNEL_ORDER, Channel
 from alarmsift.scalogram import MORLET, SCALES, cwt, to_scalogram
 from alarmsift.temporal import build_sequence
-from conftest import make_record
+from conftest import make_record, traced_peak
 
 
 def chunk_scalogram(samples):
@@ -120,3 +121,29 @@ class TestBuildSequence:
     def test_empty_subset_errors(self, small_synth):
         with pytest.raises(ValueError, match="non-empty"):
             build_sequence(small_synth[0], 6, ())
+
+
+class TestBuildSequences:
+    """``harness.build_sequences`` fills the model's tensor in place."""
+
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3, 6])
+    def test_bits_of_np_stack(self, small_synth, n_chunks):
+        records = small_synth[:5]
+        subset = (Channel.PLETH, Channel.ECG_II)
+        got = build_sequences(records, n_chunks, subset)
+        expected = np.stack([build_sequence(r, n_chunks, subset) for r in records])
+        assert got.dtype == expected.dtype == np.float32
+        assert got.tobytes() == expected.tobytes()
+
+    def test_holds_one_record_beside_the_tensor(self):
+        """Over 8 records the build peaks below the tensor plus one
+        ``build_sequence`` call's own peak (its record's tensor and the
+        transform's scratch) plus half a record: the sequences are not all
+        held twice, and no finished one outlives its copy."""
+        rng = np.random.default_rng(4)
+        records = [make_record(f"rec-{i}", n=1200, rng=rng) for i in range(8)]
+        build_sequence(records[0], 6)  # the kernel spectra are cached
+        one = traced_peak(lambda: build_sequence(records[0], 6))
+        record_bytes = 6 * 4 * 64 * 64 * 4
+        peak = traced_peak(lambda: build_sequences(records, 6, CHANNEL_ORDER))
+        assert peak < 8 * record_bytes + one + record_bytes // 2, (peak, one)
