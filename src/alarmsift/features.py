@@ -14,7 +14,6 @@ each input, refusing it by name, where it reads it.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -514,14 +513,14 @@ def detect_beats(signal, fs: float = 250.0) -> np.ndarray:
 
     # refine each detection to the strongest bandpassed deflection in the
     # window + 1 samples up to its integration peak, one argmax over the
-    # windows of all beats; a beat fewer than ``window`` samples from the
-    # start searches from sample 0.  Then re-enforce the refractory gap.
-    abs_bp = np.abs(bp)
-    n_early = bisect.bisect_left(accepted, window)
-    strongest = [int(np.argmax(abs_bp[:idx + 1])) for idx in accepted[:n_early]]
-    starts = np.array(accepted[n_early:], dtype=np.int64) - window
-    windows = np.lib.stride_tricks.sliding_window_view(abs_bp, window + 1)
-    strongest += (starts + windows[starts].argmax(axis=1)).tolist()
+    # windows of all beats.  ``window`` leading -1s, below every magnitude,
+    # make a beat fewer than ``window`` samples from the start search from
+    # sample 0.  Then re-enforce the refractory gap.
+    padded = np.full(window + bp.size, -1.0)
+    np.abs(bp, out=padded[window:])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, window + 1)
+    starts = np.array(accepted, dtype=np.int64)
+    strongest = (starts - window + windows[starts].argmax(axis=1)).tolist()
     refined: list[int] = []
     for j in strongest:
         if not refined or j - refined[-1] > refractory:

@@ -201,8 +201,9 @@ class _LazySequences:
 
 
 def build_sequences(records, n_chunks, channels) -> np.ndarray:
-    """The (N, n_chunks, C, 64, 64) float32 tensor of ``records``, filled in
-    place: one record's sequence is alive beside it at a time."""
+    """The (N, n_chunks, C, 64, 64) float32 tensor of ``records``, the one
+    form of model input, filled in place by ``stack_sequences``: one
+    record's float32 sequence is alive beside it at a time."""
     return stack_sequences(_LazySequences(records, n_chunks, channels))
 
 

@@ -151,10 +151,11 @@ class _Workspace:
     A view holds whatever its last user left there, so a caller zeroes what
     it needs zeroed.  ``train``, ``predict`` and ``finite_diff_check`` each
     make their own: no buffer outlives the call, and no two threads share
-    one.  Only the input batch and the encoder's per-layer pooled outputs
-    (``act*``) and ReLU masks (``mask*``) hold a whole batch; every other
-    buffer, the one column matrix ``cols`` of all three conv layers
-    included, holds one tile of ``_ENCODER_TILE`` images.
+    one.  The input ``batch``, the encoder's pooled outputs ``act2``-``act4``
+    (the pool writes into them) and ReLU masks ``mask1``-``mask3`` hold a
+    whole batch; ``padded``, ``cols``, ``z``, ``embed_grad``, ``pool_grad``,
+    ``tap`` and ``dx``, each shared by all three conv layers, hold one tile
+    of ``_ENCODER_TILE`` images.
     """
 
     def __init__(self):
@@ -195,15 +196,15 @@ def _flat_weight(w: np.ndarray) -> np.ndarray:
 
 
 def _conv_forward(x, w, b, ws: _Workspace):
-    """NHWC convolution in the dtype of ``x``; returns the output and the
-    column matrix, both views of workspace buffers that every layer shares."""
+    """NHWC convolution in the dtype of ``x``; returns the output, a view of
+    the workspace buffer ``z`` that every layer shares (as is ``cols``)."""
     bb, h, ww, c = x.shape
     f = w.shape[0]
     cols = _im2col(x, ws, "cols")
     out = np.matmul(cols, _flat_weight(w).astype(x.dtype, copy=False),
                     out=ws.get("z", (bb * h * ww, f), x.dtype))
     out += b.astype(x.dtype, copy=False)
-    return out.reshape(bb, h, ww, f), cols
+    return out.reshape(bb, h, ww, f)
 
 
 def _conv_backward(dout, cols, w, need_dx: bool, ws: _Workspace):
@@ -244,9 +245,9 @@ def _conv_backward(dout, cols, w, need_dx: bool, ws: _Workspace):
     return dx, dw, db
 
 
-def _avgpool_forward(x, ws: _Workspace):
-    """2x2 mean pool of NHWC input, bit for bit ``mean(axis=(2, 4))`` of the
-    (B, H/2, 2, W/2, 2, F) reshape.
+def _avgpool_forward(x, out):
+    """2x2 mean pool of NHWC input into ``out``, bit for bit
+    ``mean(axis=(2, 4))`` of the (B, H/2, 2, W/2, 2, F) reshape.
 
     With two or more feature maps, as every layer has at ``embed_dim`` >= 8,
     that mean adds the taps in the order (0,0), (0,1), (1,0), (1,1) and
@@ -255,7 +256,6 @@ def _avgpool_forward(x, ws: _Workspace):
     """
     b, h, w, f = x.shape
     v = x.reshape(b, h // 2, 2, w // 2, 2, f)
-    out = ws.get("pool", (b, h // 2, w // 2, f), x.dtype)
     np.add(v[:, :, 0, :, 0], v[:, :, 0, :, 1], out=out)
     out += v[:, :, 1, :, 0]
     out += v[:, :, 1, :, 1]
@@ -317,11 +317,11 @@ def _encoder_forward(x, tensors, ws: _Workspace):
     for start in range(0, n, _ENCODER_TILE):
         tile = slice(start, start + _ENCODER_TILE)
         for i in (1, 2, 3):
-            z, _ = _conv_forward(inputs[i - 1][tile], tensors[f"conv{i}_w"],
-                                 tensors[f"conv{i}_b"], ws)
+            z = _conv_forward(inputs[i - 1][tile], tensors[f"conv{i}_w"],
+                              tensors[f"conv{i}_b"], ws)
             mask = np.greater(z, 0, out=masks[i - 1][tile])
             z *= mask  # ReLU
-            inputs[i][tile] = _avgpool_forward(z, ws)
+            _avgpool_forward(z, inputs[i][tile])
     h = inputs[3].mean(axis=(1, 2), dtype=np.float64)
     return h, (inputs, masks)
 
@@ -448,14 +448,14 @@ def _model_forward(x, params: ModelParams, train: bool, rng, ws: _Workspace):
     expz = np.exp(shifted)
     probs = expz / expz.sum(axis=1, keepdims=True)
     cache = (x.shape, enc_cache, lstm_caches, drop_masks, final, relu_mask,
-             head_mask, r, probs)
+             head_mask, r)
     return probs, cache
 
 
 def _model_backward(dlogits, cache, params: ModelParams, ws: _Workspace):
     cfg = params.config
     tensors = params.tensors
-    x_shape, enc_cache, lstm_caches, drop_masks, final, relu_mask, head_mask, r, _ = cache
+    x_shape, enc_cache, lstm_caches, drop_masks, final, relu_mask, head_mask, r = cache
     bsz, t_len = x_shape[:2]
     grads = {k: np.zeros_like(v) for k, v in tensors.items()}
 
@@ -542,16 +542,22 @@ class _Adam:
 # Public API
 # ---------------------------------------------------------------------------
 
-def _as_batch(sequences, cfg: ModelConfig, channels: int | None) -> np.ndarray:
+def _as_batch(x, cfg: ModelConfig, channels: int | None) -> np.ndarray:
     """The one check on model input, made by every public entry point before
-    any forward pass: an (N, T, C, H, W) batch of ``cfg.n_chunks`` chunks, C
-    >= 1 (equal to a trained model's ``channels``; ``train`` passes None and
-    builds ``conv1_w`` for C), and H, W multiples of 8 for the three 2x2
-    pools.  Input that is not real numbers (complex or object, say) is
-    refused by its dtype, and a sequence holding NaN or inf, or a value that
-    float32 cannot hold, by its index; a single sequence is a batch of one."""
-    x = sequences if isinstance(sequences, np.ndarray) else stack_sequences(sequences)
-    _check_real(x.dtype, "input")
+    any forward pass: an (N, T, C, H, W) ndarray of ``cfg.n_chunks`` chunks,
+    C >= 1 (equal to a trained model's ``channels``; ``train`` passes None
+    and builds ``conv1_w`` for C), and H, W multiples of 8 for the three 2x2
+    pools.  Anything else, a list of sequences say (``np.stack`` it), is
+    refused by its type; an array that is not real numbers (complex or
+    object, say) by its dtype, since the float copy would drop an imaginary
+    part; and a sequence holding NaN or inf, or a value that float32 cannot
+    hold, by its index."""
+    if not isinstance(x, np.ndarray):
+        raise TypeError(f"model input must be an (N, n_chunks, C, H, W) array, "
+                        f"got {type(x).__name__}")
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"input has dtype {x.dtype}; model input must be real "
+                         f"(bool, integer or float)")
     if x.ndim != 5:
         raise ValueError(f"expected (N, n_chunks, C, H, W) input, got shape {x.shape}")
     t, c, h, w = x.shape[1:]
@@ -577,53 +583,39 @@ def _as_batch(sequences, cfg: ModelConfig, channels: int | None) -> np.ndarray:
 
 
 def stack_sequences(sequences) -> np.ndarray:
-    """Sequences of one (T, C, H, W) shape -> one (N, T, C, H, W) array:
-    float32 when their common dtype is float32, as for ``build_sequence``'s
-    sequences, else float64, with the bits of ``np.stack`` cast to float64.
+    """float32 sequences of one (T, C, H, W) shape, as ``build_sequence``
+    returns them -> one float32 (N, T, C, H, W) array.
 
     Each sequence is copied into one preallocated array as it arrives, so
     a sized iterable that builds its sequences lazily, as
     ``harness.build_sequences`` passes, holds only one beside the result.
-    Refuses an empty input, a sequence that is not real numbers (complex
-    or object, say) and one whose shape differs from sequence 0's, each
-    by its index.
+    Refuses an empty input, and a sequence that is not float32 or whose
+    shape differs from sequence 0's, each by its index.
     """
     if not isinstance(sequences, Sized):
         sequences = list(sequences)
     if len(sequences) == 0:
         raise ValueError("no sequences to stack")
-    x, common, i = None, None, 0
+    x, i = None, 0
     for seq in sequences:  # not enumerate: its tuple would keep seq alive
         seq = np.asarray(seq)
-        _check_real(seq.dtype, f"sequence {i}")
-        common = seq.dtype if common is None else np.result_type(common, seq.dtype)
-        dtype = np.float32 if common == np.float32 else np.float64
+        if seq.dtype != np.float32:
+            raise ValueError(f"sequence {i} has dtype {seq.dtype}; stack_sequences "
+                             f"takes float32 sequences, as build_sequence returns")
         if x is None:
-            x = np.empty((len(sequences), *seq.shape), dtype)
+            x = np.empty((len(sequences), *seq.shape), np.float32)
         elif seq.shape != x.shape[1:]:
             raise ValueError(f"sequence {i} has shape {seq.shape}, but sequence 0 "
                              f"has shape {x.shape[1:]}")
-        elif x.dtype != dtype:
-            # exact both ways: what promotes with float32 to float32 fits in it
-            recast = np.empty(x.shape, dtype)
-            recast[:i] = x[:i]
-            x = recast
         x[i] = seq
         i += 1
         del seq  # or it stays alive while the next sequence is built
     return x
 
 
-def _check_real(dtype: np.dtype, what: str) -> None:
-    """Refuse model input that is not bool, integer or float: a complex
-    input's imaginary part would be dropped, silently, by the float copy."""
-    if dtype.kind not in "biuf":
-        raise ValueError(f"{what} has dtype {dtype}; model input must be real "
-                         f"(bool, integer or float)")
-
-
 def predict(sequences, params: ModelParams) -> np.ndarray:
-    """Eval-mode p_true per record; deterministic (dropout off)."""
+    """Eval-mode p_true of each sequence of the (N, T, C, H, W) array
+    ``sequences``; deterministic (dropout off)."""
     x = _as_batch(sequences, params.config, params.tensors["conv1_w"].shape[1])
     return _predict(x, np.arange(x.shape[0]), params, _Workspace())
 
@@ -650,7 +642,8 @@ def _predict(x, idx, params: ModelParams, ws: _Workspace):
 
 def train(sequences, labels, train_idx, val_idx,
           cfg: ModelConfig) -> tuple[ModelParams, TrainHistory]:
-    """Adam training with global-norm gradient clipping and early stopping.
+    """Adam training, on the (N, T, C, H, W) array ``sequences``, with
+    global-norm gradient clipping and early stopping.
 
     Stops once validation AUC has not improved for ``cfg.patience`` epochs
     (ties keep the earliest best epoch) and returns the best-epoch weights.
@@ -722,11 +715,13 @@ def finite_diff_check(params: ModelParams, sample, label: bool,
     per parameter group: ||g_analytic - g_numeric||_2 /
     max(||g_analytic||_2, ||g_numeric||_2, 1e-12).
 
-    The loss runs at unit class weights with dropout disabled, and the
-    sample is cast to float64, so the encoder runs the same code as in
-    ``train`` but in double precision; use a reduced config.
+    ``sample`` is one (T, C, H, W) array, checked as a batch of one.  The
+    loss runs at unit class weights with dropout disabled, and the sample
+    is cast to float64, so the encoder runs the same code as in ``train``
+    but in double precision; use a reduced config.
     """
-    x = _as_batch(np.asarray(sample)[None], params.config,
+    batch = sample[None] if isinstance(sample, np.ndarray) else sample
+    x = _as_batch(batch, params.config,
                   params.tensors["conv1_w"].shape[1]).astype(np.float64, copy=False)
     labels = np.array([label])
     weights = ClassWeights(1.0, 1.0)

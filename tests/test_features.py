@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.signal import butter, filtfilt, find_peaks, lfilter_zi
@@ -434,6 +434,22 @@ _EIGHT_RR_CASES = [(synthetic_ecg_train(bpm, duration=40.0, fs=fs, snr_db=snr,
                                               (40, 100.0, 3.0, 3))]
 
 
+# Rates from 34 to 46 Hz, within 15% of 40 Hz, where the 5-15 Hz band is
+# centred on or near fs / 4.  A held signal's beats may differ there from
+# those on scipy's filter (see ``test_band_centred_on_a_quarter_of_fs``).
+_QUARTER_FS_BAND = (34.0, 46.0)
+
+
+def _off_quarter_band(fs):
+    return not _QUARTER_FS_BAND[0] <= fs <= _QUARTER_FS_BAND[1]
+
+
+def _held(fs, n, step, seed):
+    """An integer-rounded signal of ``n`` samples, held for ``step``."""
+    levels = np.round(5 * np.random.default_rng(seed).standard_normal(n // step + 1))
+    return np.repeat(levels, step)[:n], fs
+
+
 class TestDetectBeats:
     @pytest.mark.parametrize("bpm", [60, 90, 120])
     def test_beat_count_within_two(self, bpm):
@@ -442,24 +458,25 @@ class TestDetectBeats:
         assert beats.dtype == np.int64
         assert abs(beats.size - truth) <= 2, (bpm, beats.size, truth)
 
-    @given(case=_beat_signals())
+    @given(case=_beat_signals(rates=st.floats(31.0, 1000.0).filter(_off_quarter_band)))
     @example(case=_EIGHT_RR_CASES[0])
     @example(case=_EIGHT_RR_CASES[1])
     @example(case=_EIGHT_RR_CASES[2])
     @settings(max_examples=150, deadline=None)
     def test_matches_the_per_candidate_reference(self, case):
         """Bit for bit with the reference on scipy's filtfilt, and with the
-        reference on detect_beats' own bandpassed signal.  40 Hz is left to
-        the next test."""
+        reference on detect_beats' own bandpassed signal.  Rates from 34 to
+        46 Hz are left to the next test."""
         x, fs = case
-        assume(fs != 40.0)
         beats = detect_beats(x, fs)
         assert beats.dtype == np.int64
         assert np.array_equal(beats, _ref_detect_beats(x, fs))
         bp = features._filtfilt(features._bandpass(fs), x)
         assert np.array_equal(beats, _ref_detect_beats(x, fs, bp=bp))
 
-    @given(case=_beat_signals(rates=st.just(40.0)))
+    @given(case=_beat_signals(rates=st.one_of(st.just(40.0),
+                                              st.floats(*_QUARTER_FS_BAND))))
+    @example(case=_held(39.99999999999999, 135, 4, 5))
     @settings(max_examples=100, deadline=None)
     def test_band_centred_on_a_quarter_of_fs(self, case):
         """At 40 Hz the 5-15 Hz band is centred on fs / 4: ``a`` holds only
@@ -469,10 +486,19 @@ class TestDetectBeats:
         then takes whichever sample each filter's last bit favours, so the
         beats of a held signal may differ from scipy's filter's.  They match
         the reference bit for bit on detect_beats' own bandpassed signal,
-        and on scipy's wherever no sample repeats the one before it."""
+        and on scipy's wherever no sample repeats the one before it.
+
+        Measured on integer-rounded held signals of 2-40 s: beats differed
+        from scipy's filter's for most signals held 2-6 samples at 1 ulp from
+        40 Hz (the example, 4 samples held at 40 Hz - 1 ulp), and still at
+        300 ulp (5e-14) above, none from 400 ulp (7e-14) up to 60 Hz.  Below
+        40 Hz, signals held close to one second, fs - 2 to fs samples, still
+        differed for 0.3-5% of them down to 35.5 Hz, none at 35 Hz or less.
+        The band, 34-46 Hz, leaves a margin on both sides."""
         x, fs = case
         f = features._bandpass(fs)
-        assert np.abs(f.a[1::2]).max() < 1e-15
+        if fs == 40.0:
+            assert np.abs(f.a[1::2]).max() < 1e-15
         beats = detect_beats(x, fs)
         bp = features._filtfilt(f, x)
         assert np.array_equal(beats, _ref_detect_beats(x, fs, bp=bp))
