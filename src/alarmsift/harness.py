@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import features as feats
-from .net import ModelConfig, predict, stack_sequences, train
+from .net import ModelConfig, _predict, _Workspace, stack_sequences, train
 from .records import (CHANNEL_ORDER, AlarmType, Channel, Record,
                       _checked_number, _checked_seed, _checked_sequence,
                       _store_number_fields, load_dataset, tail_window,
@@ -256,6 +256,15 @@ def _early_stopping_splits(cfg: ExperimentConfig, labels,
     return splits
 
 
+def predict(x, rows, params) -> np.ndarray:
+    """Eval-mode p_true of the sequences ``x[rows]`` of a model input that
+    ``train`` has checked: the bits of ``net.predict(x[rows], params)``,
+    read from ``x`` in place as ``train``'s validation pass reads them, so
+    scoring a fold copies none of the tensor.  The benchmark's tracer times
+    this step as ``net.predict``."""
+    return _predict(x, rows, params, _Workspace())
+
+
 def _cross_validate(cfg: ExperimentConfig, x, records, assignment: FoldAssignment,
                     splits) -> _CrossValidation:
     """k-fold CV of ``cfg.experiment`` on input ``x`` (row i is ``records[i]``).
@@ -287,7 +296,7 @@ def _cross_validate(cfg: ExperimentConfig, x, records, assignment: FoldAssignmen
         if sequence_model:
             params, history = train(x, labels, *splits[fold],
                                     replace(model_cfg, seed=model_cfg.seed + fold))
-            oof[te] = predict(x[te], params)
+            oof[te] = predict(x, te, params)
             histories.append(history)
             continue
         oof[te] = 0.5

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sized
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -146,16 +147,18 @@ class _Workspace:
 
     Each name maps to one flat array, which is replaced when a request does
     not fit or names another dtype; ``get`` returns a C-contiguous prefix
-    view of the requested shape.  Every request names its dtype, that of the
-    array the buffer is computed from, so no buffer promotes a float32 pass.
-    A view holds whatever its last user left there, so a caller zeroes what
-    it needs zeroed.  ``train``, ``predict`` and ``finite_diff_check`` each
-    make their own: no buffer outlives the call, and no two threads share
-    one.  The input ``batch``, the encoder's pooled outputs ``act2``-``act4``
-    (the pool writes into them) and ReLU masks ``mask1``-``mask3`` hold a
-    whole batch; ``padded``, ``cols``, ``z``, ``embed_grad``, ``pool_grad``,
-    ``tap`` and ``dx``, each shared by all three conv layers, hold one tile
-    of ``_ENCODER_TILE`` images.
+    view of the requested shape.  Every request names its dtype, the
+    entry point's encoder dtype or bool/uint8 for masks, so no buffer
+    promotes a float32 pass.  A view holds whatever its last user left
+    there, so a caller zeroes what it needs zeroed.  ``train``, ``predict``
+    and ``finite_diff_check`` each make their own: no buffer outlives the
+    call, and no two threads share one.  The pooled outputs ``act2`` and
+    ``act3`` (the layer inputs the backward pass reads back) and the ReLU
+    masks ``mask1``-``mask3``, one bit per activation, hold a whole batch;
+    ``padded``, ``cols``, ``z``, ``relu``, ``pooled``, ``embed_grad``,
+    ``pool_grad``, ``tap`` and ``dx``, each shared by all three conv layers,
+    hold one tile of ``_ENCODER_TILE`` images.  The input is never copied
+    whole: each tile's images are read from the caller's array.
     """
 
     def __init__(self):
@@ -169,23 +172,46 @@ class _Workspace:
         return flat[:size].reshape(shape)
 
 
-def _im2col(x: np.ndarray, ws: _Workspace, name: str) -> np.ndarray:
-    """3x3 same-padding patches of NHWC input: (B, H, W, C) -> (B*H*W, 9*C),
-    written into the workspace buffer ``name``.
+class _Batch(NamedTuple):
+    """The sequences ``x[rows]`` of an (N, T, C, H, W) array, encoded in
+    ``dtype``.  Image k of the batch is chunk ``k % T`` of sequence
+    ``rows[k // T]``; the encoder reads each tile's images from ``x`` in
+    place, so no batch is copied out of it."""
 
-    ``x`` may be any strided view (layer 1 passes its NCHW input transposed):
-    it is copied once, into the interior of a zero-bordered padded buffer.
-    Patch layout is (di, dj, c), matching ``_flat_weight``.
+    x: np.ndarray
+    rows: np.ndarray
+    dtype: type
+
+    @property
+    def n_images(self) -> int:
+        return len(self.rows) * self.x.shape[1]
+
+    def images(self, start: int) -> list[np.ndarray]:
+        """NHWC views of images ``start`` .. ``start + _ENCODER_TILE - 1``."""
+        t_len = self.x.shape[1]
+        return [self.x[self.rows[k // t_len], k % t_len].transpose(1, 2, 0)
+                for k in range(start, min(start + _ENCODER_TILE, self.n_images))]
+
+
+def _im2col(images, ws: _Workspace, name: str, dtype) -> np.ndarray:
+    """3x3 same-padding patches of B NHWC images -> (B*H*W, 9*C) in
+    ``dtype``, written into the workspace buffer ``name``.
+
+    ``images`` is an array or a list of (H, W, C) arrays, any strided views
+    (layer 1 passes the caller's NCHW chunks transposed): each is copied
+    once, cast to ``dtype``, into the interior of a zero-bordered padded
+    buffer.  Patch layout is (di, dj, c), matching ``_flat_weight``.
     """
-    b, h, w, c = x.shape
-    xp = ws.get("padded", (b, h + 2, w + 2, c), x.dtype)
+    b, (h, w, c) = len(images), images[0].shape
+    xp = ws.get("padded", (b, h + 2, w + 2, c), dtype)
     xp[:, 0] = 0.0
     xp[:, -1] = 0.0
     xp[:, 1:-1, 0] = 0.0
     xp[:, 1:-1, -1] = 0.0
-    xp[:, 1:-1, 1:-1] = x
+    for interior, image in zip(xp[:, 1:-1, 1:-1], images):
+        interior[...] = image
     windows = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B, H, W, C, 3, 3)
-    cols = ws.get(name, (b * h * w, 9 * c), x.dtype)
+    cols = ws.get(name, (b * h * w, 9 * c), dtype)
     cols.reshape(b, h, w, 3, 3, c)[...] = windows.transpose(0, 1, 2, 4, 5, 3)
     return cols
 
@@ -195,15 +221,16 @@ def _flat_weight(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0]))
 
 
-def _conv_forward(x, w, b, ws: _Workspace):
-    """NHWC convolution in the dtype of ``x``; returns the output, a view of
-    the workspace buffer ``z`` that every layer shares (as is ``cols``)."""
-    bb, h, ww, c = x.shape
+def _conv_forward(images, w, b, ws: _Workspace, dtype):
+    """Convolution of B NHWC ``images`` (as ``_im2col`` takes them) in
+    ``dtype``; returns the output, a view of the workspace buffer ``z`` that
+    every layer shares (as is ``cols``)."""
+    bb, (h, ww, _) = len(images), images[0].shape
     f = w.shape[0]
-    cols = _im2col(x, ws, "cols")
-    out = np.matmul(cols, _flat_weight(w).astype(x.dtype, copy=False),
-                    out=ws.get("z", (bb * h * ww, f), x.dtype))
-    out += b.astype(x.dtype, copy=False)
+    cols = _im2col(images, ws, "cols", dtype)
+    out = np.matmul(cols, _flat_weight(w).astype(dtype, copy=False),
+                    out=ws.get("z", (bb * h * ww, f), dtype))
+    out += b.astype(dtype, copy=False)
     return out.reshape(bb, h, ww, f)
 
 
@@ -291,58 +318,97 @@ def _dropout_mask(shape, rate, rng):
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def _encoder_forward(x, tensors, ws: _Workspace):
-    """Shared per-chunk encoder: (N, C, H, W) -> (N, D) float64 embeddings.
+def _pack_mask(mask):
+    """(B, H, W, F) bool ReLU mask -> B rows of ``_mask_bytes`` bytes, one
+    bit per activation.  Each image is packed into its own row of whole
+    bytes, so a tile's rows can be stored into a whole batch's."""
+    return np.packbits(mask.reshape(len(mask), -1), axis=1)
+
+
+def _mask_bytes(h: int, w: int, f: int) -> int:
+    """Bytes of one image's packed (H, W, F) mask; the last byte is padded
+    when H*W*F is not a multiple of 8 (an odd ``embed_dim`` can make it so
+    at layer 3)."""
+    return (h * w * f + 7) // 8
+
+
+def _unpack_mask(packed, shape):
+    """The (B, H, W, F) bool mask of ``shape`` whose B rows ``_pack_mask``
+    packed."""
+    return (np.unpackbits(packed, axis=1, count=math.prod(shape[1:]))
+            .view(bool).reshape(shape))
+
+
+def _encoder_forward(batch: _Batch, tensors, ws: _Workspace):
+    """Shared per-chunk encoder: the batch's images -> (B*T, D) float64
+    embeddings, in image order.
 
     It takes the images through all three conv layers ``_ENCODER_TILE`` at a
     time, so the column matrices, 9x the size of a layer's input, are one
-    tile's.  A tile is a row split of the whole batch's GEMMs: the
+    tile's.  Layer 1 reads each tile straight from the caller's array (see
+    ``_Batch``), casting it to ``batch.dtype`` as it fills the im2col pad
+    buffer.  A tile is a row split of the whole batch's GEMMs: the
     embeddings do not depend on the tile size, unless OpenBLAS sends one of
     the two GEMMs, but not the other, to its kernel for at most 1e6
-    multiply-adds, whose sums can round otherwise.  The cache keeps each
-    layer's input and ReLU mask, and the pooled output, for the whole
-    batch; the backward pass rebuilds a tile's columns from that input.  It
-    computes in the dtype of ``x``, and so does its backward pass.  The
-    cache holds ``x`` and views into ``ws``; they stay valid until the next
-    forward pass through the same workspace.
+    multiply-adds, whose sums can round otherwise.  The pooled outputs of
+    layers 1 and 2, the inputs of layers 2 and 3, are kept for the whole
+    batch, as is each layer's ReLU mask packed to bits (``_pack_mask``);
+    layer 3's pooled output is a tile buffer, whose per-image mean is the
+    embedding.  The backward pass rebuilds a tile's columns from those
+    inputs, and from ``batch`` for layer 1.  It computes in
+    ``batch.dtype``, and so does its backward pass.  The cache holds
+    ``batch`` and views into ``ws``; they stay valid until the next forward
+    pass through the same workspace.
     """
-    n = x.shape[0]
-    inputs = [np.transpose(x, (0, 2, 3, 1))]  # NHWC internally; im2col copies it
-    masks = []
+    n, dtype = batch.n_images, batch.dtype
+    hh, ww = batch.x.shape[3:]
+    acts, masks = [], []
     for i in (1, 2, 3):
-        _, hh, ww, _ = inputs[-1].shape
         f = tensors[f"conv{i}_w"].shape[0]
-        masks.append(ws.get(f"mask{i}", (n, hh, ww, f), bool))
-        inputs.append(ws.get(f"act{i + 1}", (n, hh // 2, ww // 2, f), x.dtype))
+        masks.append(ws.get(f"mask{i}", (n, _mask_bytes(hh, ww, f)), np.uint8))
+        hh, ww = hh // 2, ww // 2
+        if i < 3:
+            acts.append(ws.get(f"act{i + 1}", (n, hh, ww, f), dtype))
+    h = np.empty((n, f))  # hh, ww and f are now layer 3's pooled output's
     for start in range(0, n, _ENCODER_TILE):
         tile = slice(start, start + _ENCODER_TILE)
+        layer_in = batch.images(start)
+        b = len(layer_in)
         for i in (1, 2, 3):
-            z = _conv_forward(inputs[i - 1][tile], tensors[f"conv{i}_w"],
-                              tensors[f"conv{i}_b"], ws)
-            mask = np.greater(z, 0, out=masks[i - 1][tile])
+            z = _conv_forward(layer_in, tensors[f"conv{i}_w"],
+                              tensors[f"conv{i}_b"], ws, dtype)
+            mask = np.greater(z, 0, out=ws.get("relu", z.shape, bool))
             z *= mask  # ReLU
-            _avgpool_forward(z, inputs[i][tile])
-    h = inputs[3].mean(axis=(1, 2), dtype=np.float64)
-    return h, (inputs, masks)
+            masks[i - 1][tile] = _pack_mask(mask)
+            out = acts[i - 1][tile] if i < 3 else ws.get("pooled", (b, hh, ww, f), dtype)
+            layer_in = _avgpool_forward(z, out)
+        h[tile] = layer_in.mean(axis=(1, 2), dtype=np.float64)
+    return h, (batch, acts, masks)
 
 
 def _encoder_backward(dh, cache, tensors, grads, ws: _Workspace):
     """Adds the conv gradients of ``dh`` into the float64 ``grads``, one
     tile of the forward pass at a time: a tile's columns are rebuilt from
-    its stored layer input, and its ``dw`` and ``db`` are added in tile
-    order."""
-    inputs, masks = cache
-    n, hh, ww, f = inputs[3].shape  # of the pooled output
+    its layer inputs, read again from the caller's array for layer 1, its
+    ReLU masks are unpacked from their bits, and its ``dw`` and ``db`` are
+    added in tile order."""
+    batch, acts, masks = cache
+    n, f = dh.shape
+    hh, ww = acts[-1].shape[1] // 2, acts[-1].shape[2] // 2  # of the pooled output
     for start in range(0, n, _ENCODER_TILE):
         tile = slice(start, start + _ENCODER_TILE)
         dh_tile = dh[tile]
         shape = (len(dh_tile), hh, ww, f)
         dout = np.divide(np.broadcast_to(dh_tile[:, None, None, :], shape), hh * ww,
-                         out=ws.get("embed_grad", shape, inputs[0].dtype))
+                         out=ws.get("embed_grad", shape, batch.dtype))
         for i in (3, 2, 1):
-            dz = _avgpool_backward(dout, masks[i - 1][tile], ws)
-            cols = _im2col(inputs[i - 1][tile], ws, "cols")
-            dout, dw, db = _conv_backward(dz, cols, tensors[f"conv{i}_w"], i > 1, ws)
+            layer_in = acts[i - 2][tile] if i > 1 else batch.images(start)
+            w = tensors[f"conv{i}_w"]
+            mask = _unpack_mask(masks[i - 1][tile],
+                                (len(dh_tile), *layer_in[0].shape[:2], w.shape[0]))
+            dz = _avgpool_backward(dout, mask, ws)
+            cols = _im2col(layer_in, ws, "cols", batch.dtype)
+            dout, dw, db = _conv_backward(dz, cols, w, i > 1, ws)
             grads[f"conv{i}_w"] += dw
             grads[f"conv{i}_b"] += db
 
@@ -410,13 +476,13 @@ def _lstm_layer_backward(dhs, cache, wx, wh):
 # Full model
 # ---------------------------------------------------------------------------
 
-def _model_forward(x, params: ModelParams, train: bool, rng, ws: _Workspace):
-    """x: (B, T, C, H, W) -> softmax probabilities (B, 2) and a cache."""
+def _model_forward(batch: _Batch, params: ModelParams, train: bool, rng,
+                   ws: _Workspace):
+    """The batch's B sequences -> softmax probabilities (B, 2) and a cache."""
     cfg = params.config
     tensors = params.tensors
-    bsz, t_len = x.shape[:2]
-    flat = x.reshape(bsz * t_len, *x.shape[2:])
-    h, enc_cache = _encoder_forward(flat, tensors, ws)
+    bsz, t_len = len(batch.rows), batch.x.shape[1]
+    h, enc_cache = _encoder_forward(batch, tensors, ws)
     seq = h.reshape(bsz, t_len, cfg.embed_dim)
 
     lstm_caches = []
@@ -447,7 +513,7 @@ def _model_forward(x, params: ModelParams, train: bool, rng, ws: _Workspace):
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     probs = expz / expz.sum(axis=1, keepdims=True)
-    cache = (x.shape, enc_cache, lstm_caches, drop_masks, final, relu_mask,
+    cache = ((bsz, t_len), enc_cache, lstm_caches, drop_masks, final, relu_mask,
              head_mask, r)
     return probs, cache
 
@@ -455,8 +521,7 @@ def _model_forward(x, params: ModelParams, train: bool, rng, ws: _Workspace):
 def _model_backward(dlogits, cache, params: ModelParams, ws: _Workspace):
     cfg = params.config
     tensors = params.tensors
-    x_shape, enc_cache, lstm_caches, drop_masks, final, relu_mask, head_mask, r = cache
-    bsz, t_len = x_shape[:2]
+    (bsz, t_len), enc_cache, lstm_caches, drop_masks, final, relu_mask, head_mask, r = cache
     grads = {k: np.zeros_like(v) for k, v in tensors.items()}
 
     grads["head_w2"] += dlogits.T @ r
@@ -589,55 +654,71 @@ def stack_sequences(sequences) -> np.ndarray:
     Each sequence is copied into one preallocated array as it arrives, so
     a sized iterable that builds its sequences lazily, as
     ``harness.build_sequences`` passes, holds only one beside the result.
-    Refuses an empty input, and a sequence that is not float32 or whose
-    shape differs from sequence 0's, each by its index.
+    Refuses an empty input, a sequence that is not float32 or whose shape
+    differs from sequence 0's, each by its index, and a sized iterable that
+    yields fewer or more sequences than its ``len()``, naming both counts.
     """
     if not isinstance(sequences, Sized):
         sequences = list(sequences)
-    if len(sequences) == 0:
+    n = len(sequences)
+    if n == 0:
         raise ValueError("no sequences to stack")
     x, i = None, 0
     for seq in sequences:  # not enumerate: its tuple would keep seq alive
+        if i == n:
+            raise ValueError(f"sequences has len() {n} but yielded more than {n}")
         seq = np.asarray(seq)
         if seq.dtype != np.float32:
             raise ValueError(f"sequence {i} has dtype {seq.dtype}; stack_sequences "
                              f"takes float32 sequences, as build_sequence returns")
         if x is None:
-            x = np.empty((len(sequences), *seq.shape), np.float32)
+            x = np.empty((n, *seq.shape), np.float32)
         elif seq.shape != x.shape[1:]:
             raise ValueError(f"sequence {i} has shape {seq.shape}, but sequence 0 "
                              f"has shape {x.shape[1:]}")
         x[i] = seq
         i += 1
         del seq  # or it stays alive while the next sequence is built
+    if i != n:
+        raise ValueError(f"sequences has len() {n} but yielded {i}")
     return x
 
 
 def predict(sequences, params: ModelParams) -> np.ndarray:
     """Eval-mode p_true of each sequence of the (N, T, C, H, W) array
-    ``sequences``; deterministic (dropout off)."""
+    ``sequences``; deterministic (dropout off).  The encoder reads the
+    array in place, casting each tile of images to float32 as it goes, so
+    no copy of the input is made."""
     x = _as_batch(sequences, params.config, params.tensors["conv1_w"].shape[1])
     return _predict(x, np.arange(x.shape[0]), params, _Workspace())
 
 
-def _load_batch(x, idx, ws: _Workspace) -> np.ndarray:
-    """Copy the sequences ``x[idx]`` into the workspace's encoder-dtype batch
-    buffer, one sequence at a time; float32 input, as ``build_sequence``
-    returns, is copied as is, and any other input is cast in the copy."""
-    xb = ws.get("batch", (len(idx), *x.shape[1:]), _ENCODER_DTYPE)
-    for row, i in zip(xb, idx):
-        row[...] = x[i]
-    return xb
-
-
 def _predict(x, idx, params: ModelParams, ws: _Workspace):
-    """Eval-mode p_true of the sequences ``x[idx]``."""
+    """Eval-mode p_true of the sequences ``x[idx]`` of a checked input,
+    ``_EVAL_BATCH`` at a time, read from ``x`` in place."""
     out = np.empty(len(idx))
     for start in range(0, len(idx), _EVAL_BATCH):
-        xb = _load_batch(x, idx[start:start + _EVAL_BATCH], ws)
-        probs, _ = _model_forward(xb, params, False, None, ws)
+        batch = _Batch(x, idx[start:start + _EVAL_BATCH], _ENCODER_DTYPE)
+        probs, _ = _model_forward(batch, params, False, None, ws)
         out[start:start + _EVAL_BATCH] = probs[:, 1]
     return out
+
+
+def _split_rows(idx, n: int, name: str) -> np.ndarray:
+    """``idx`` as int64 rows of an N-row input; refuses, naming the split
+    and the first bad entry, one that is not an integer in [0, N)."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1:
+        raise ValueError(f"{name}_idx must be 1-D, got shape {idx.shape}")
+    if idx.dtype.kind in "iuf":
+        good = (idx >= 0) & (idx < n) & (np.floor(idx) == idx)
+    else:  # bool, str, object, ...
+        good = np.zeros(idx.shape, bool)
+    if not good.all():
+        k = int(np.argmin(good))
+        raise ValueError(f"{name}_idx[{k}] is {idx[k].item()!r}; split indices "
+                         f"must be integers in [0, {n})")
+    return idx.astype(np.int64)
 
 
 def train(sequences, labels, train_idx, val_idx,
@@ -648,16 +729,19 @@ def train(sequences, labels, train_idx, val_idx,
     Stops once validation AUC has not improved for ``cfg.patience`` epochs
     (ties keep the earliest best epoch) and returns the best-epoch weights.
     Bitwise deterministic under ``cfg.seed``.  Labels must be one per
-    sequence.  A batch whose loss or pre-clip gradient norm is not finite
-    raises ValueError naming the epoch and the batch.
+    sequence, and every ``train_idx`` and ``val_idx`` entry an integer in
+    [0, N).  Each batch is read from ``sequences`` in place, tile by tile,
+    and cast to float32 as the encoder copies it; no batch or split is
+    copied out of the input.  A batch whose loss or pre-clip gradient norm
+    is not finite raises ValueError naming the epoch and the batch.
     """
     x = _as_batch(sequences, cfg, None)
     labels = np.asarray(labels, dtype=bool)
     if labels.shape != x.shape[:1]:
         raise ValueError(f"train requires one label per sequence; got {labels.size} "
                          f"labels for {x.shape[0]} sequences")
-    train_idx = np.asarray(train_idx, dtype=np.int64)
-    val_idx = np.asarray(val_idx, dtype=np.int64)
+    train_idx = _split_rows(train_idx, x.shape[0], "train")
+    val_idx = _split_rows(val_idx, x.shape[0], "val")
     for name, idx in (("train", train_idx), ("val", val_idx)):
         part = labels[idx]
         if part.size == 0 or part.all() or not part.any():
@@ -677,10 +761,10 @@ def train(sequences, labels, train_idx, val_idx,
         epoch_losses = []
         epoch_max_norm = 0.0
         for n_batch, start in enumerate(range(0, order.size, cfg.batch_size), 1):
-            batch = order[start:start + cfg.batch_size]
-            xb = _load_batch(x, batch, ws)
-            probs, cache = _model_forward(xb, params, True, rng, ws)
-            loss, dlogits = _batch_loss_and_grad(probs, labels[batch], weights)
+            rows = order[start:start + cfg.batch_size]
+            probs, cache = _model_forward(_Batch(x, rows, _ENCODER_DTYPE), params,
+                                          True, rng, ws)
+            loss, dlogits = _batch_loss_and_grad(probs, labels[rows], weights)
             grads = _model_backward(dlogits, cache, params, ws)
             norm = _global_norm(grads)
             if not np.isfinite(loss + norm):
@@ -716,23 +800,23 @@ def finite_diff_check(params: ModelParams, sample, label: bool,
     max(||g_analytic||_2, ||g_numeric||_2, 1e-12).
 
     ``sample`` is one (T, C, H, W) array, checked as a batch of one.  The
-    loss runs at unit class weights with dropout disabled, and the sample
-    is cast to float64, so the encoder runs the same code as in ``train``
-    but in double precision; use a reduced config.
+    loss runs at unit class weights with dropout disabled, and the encoder
+    casts the sample to float64 as it reads it, so it runs the same code as
+    in ``train`` but in double precision; use a reduced config.
     """
-    batch = sample[None] if isinstance(sample, np.ndarray) else sample
-    x = _as_batch(batch, params.config,
-                  params.tensors["conv1_w"].shape[1]).astype(np.float64, copy=False)
+    x = _as_batch(sample[None] if isinstance(sample, np.ndarray) else sample,
+                  params.config, params.tensors["conv1_w"].shape[1])
+    batch = _Batch(x, np.zeros(1, np.int64), np.float64)
     labels = np.array([label])
     weights = ClassWeights(1.0, 1.0)
     ws = _Workspace()
 
     def loss_at() -> float:
-        probs, _ = _model_forward(x, params, False, None, ws)
+        probs, _ = _model_forward(batch, params, False, None, ws)
         loss, _ = _batch_loss_and_grad(probs, labels, weights)
         return loss
 
-    probs, cache = _model_forward(x, params, False, None, ws)
+    probs, cache = _model_forward(batch, params, False, None, ws)
     _, dlogits = _batch_loss_and_grad(probs, labels, weights)
     analytic = _model_backward(dlogits, cache, params, ws)
 

@@ -9,6 +9,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 from scipy.stats import norm
 
 import alarmsift as asift
@@ -136,6 +137,7 @@ def test_criterion_07_gradient_correctness():
             assert err < 1e-4, f"{name}: {err}"
 
 
+@pytest.mark.slow
 def test_criterion_08_end_to_end_desk_scale():
     with _budget(8, "temporal model AUC >= 0.90 on the onset-coded family; "
                     "shuffled control near chance", 900.0):

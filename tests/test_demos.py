@@ -17,6 +17,8 @@ QUICK_DEMOS = ("01_synthetic_dataset.py", "02_scalograms.py",
                "03_handcrafted_features.py", "04_beat_detection.py",
                "06_stats_toolkit.py")
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.mark.parametrize("demo", QUICK_DEMOS)
 def test_demo_runs(demo, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from alarmsift.net import (ModelConfig, finite_diff_check, init_params,
                            predict, stack_sequences, train)
 from alarmsift.records import ClassWeights
+from conftest import make_record, traced_peak
 
 REDUCED = ModelConfig(embed_dim=8, lstm_hidden=4, head_hidden=6, n_chunks=3,
                       dropout=0.0, max_epochs=5, batch_size=4)
@@ -57,11 +58,25 @@ def _top_lstm_states(emb, params):
     return seq[0]
 
 
+def _whole(x):
+    """All of the (B, T, C, H, W) sequences ``x`` as one encoder batch, read
+    in place and encoded in ``x``'s own dtype."""
+    from alarmsift.net import _Batch
+
+    return _Batch(x, np.arange(len(x)), x.dtype)
+
+
+def _images(x):
+    """The (N, C, H, W) images ``x`` as one encoder batch of N one-chunk
+    sequences, image k being ``x[k]``."""
+    return _whole(x[:, None])
+
+
 def _eval_probs(seq, params):
     """Eval-mode softmax rows (1, 2) of one sequence from ``_model_forward``."""
     from alarmsift.net import _Workspace, _model_forward
 
-    probs, _ = _model_forward(seq[None], params, False, None, _Workspace())
+    probs, _ = _model_forward(_whole(seq[None]), params, False, None, _Workspace())
     return probs
 
 
@@ -82,7 +97,7 @@ def _min_preactivation(sample, params):
     out = x
     for i in (1, 2, 3):
         z = _conv_forward(out, params.tensors[f"conv{i}_w"],
-                          params.tensors[f"conv{i}_b"], ws)
+                          params.tensors[f"conv{i}_b"], ws, out.dtype)
         mins.append(np.abs(z).min())
         out = _pool(z * (z > 0))
     h = out.mean(axis=(1, 2))
@@ -152,11 +167,11 @@ def _check_primitives(ws, b, h, w, c, f, rng):
                                _im2col)
 
     x = _wide_range(rng, (b, h, w, c))
-    cols = _im2col(x, ws, "cols1")
+    cols = _im2col(x, ws, "cols1", x.dtype)
     assert np.array_equal(cols, _ref_im2col(x))
 
     wt = rng.standard_normal((f, c, 3, 3))
-    z = _conv_forward(x, wt, rng.standard_normal(f), ws)
+    z = _conv_forward(x, wt, rng.standard_normal(f), ws, x.dtype)
     mask = z > 0
     relu = z * mask
     assert np.array_equal(_pool(relu), _ref_avgpool_forward(relu))
@@ -212,7 +227,7 @@ class TestPrimitivesMatchReference:
         x = rng.standard_normal((b, h, w, c))
         wt = rng.standard_normal((f, c, 3, 3))
         bias = rng.standard_normal(f)
-        out = _conv_forward(x, wt, bias, _Workspace())
+        out = _conv_forward(x, wt, bias, _Workspace(), x.dtype)
         np.testing.assert_allclose(out, _direct_conv(x, wt, bias),
                                    rtol=1e-12, atol=1e-12)
 
@@ -228,10 +243,10 @@ class TestPrimitivesMatchReference:
         rng = np.random.default_rng(seed)
         ws = _Workspace()
         x = _wide_range(rng, (b, 2 * h, 2 * w, c)).astype(np.float32)
-        cols = _im2col(x, ws, "cols1")
+        cols = _im2col(x, ws, "cols1", x.dtype)
         assert cols.dtype == np.float32
         wt = rng.standard_normal((f, c, 3, 3))
-        z = _conv_forward(x, wt, rng.standard_normal(f), ws)
+        z = _conv_forward(x, wt, rng.standard_normal(f), ws, x.dtype)
         assert z.dtype == np.float32
         mask = z > 0
         assert _pool(z * mask).dtype == np.float32
@@ -340,7 +355,7 @@ class TestForward:
         cfg = ModelConfig(embed_dim=128, lstm_hidden=64, n_chunks=6)
         params = init_params(cfg, 4, np.random.default_rng(0))
         seq = np.random.default_rng(2).random((6, 4, 64, 64))
-        emb, _ = _encoder_forward(seq, params.tensors, _Workspace())
+        emb, _ = _encoder_forward(_images(seq), params.tensors, _Workspace())
         assert emb.shape == (6, 128)
         hidden = _top_lstm_states(emb, params)
         assert hidden.shape == (6, 64)
@@ -374,8 +389,8 @@ class TestForward:
         params = reduced_params(7)
         seq = np.random.default_rng(8).random((3, 4, 8, 8))
         perm = np.array([2, 0, 1])
-        emb, _ = _encoder_forward(seq, params.tensors, _Workspace())
-        emb_perm, _ = _encoder_forward(seq[perm], params.tensors, _Workspace())
+        emb, _ = _encoder_forward(_images(seq), params.tensors, _Workspace())
+        emb_perm, _ = _encoder_forward(_images(seq[perm]), params.tensors, _Workspace())
         np.testing.assert_array_equal(emb_perm, emb[perm])
 
     def test_symmetric_head_gives_half(self):
@@ -394,7 +409,7 @@ def _encoder_pass(x, params, tile):
 
     ws = net._Workspace()
     with mock.patch.object(net, "_ENCODER_TILE", tile):
-        emb, cache = net._encoder_forward(x, params.tensors, ws)
+        emb, cache = net._encoder_forward(_images(x), params.tensors, ws)
         grads = {k: np.zeros_like(v) for k, v in params.tensors.items()
                  if k.startswith("conv")}
         dh = np.random.default_rng(x.shape[0]).standard_normal(emb.shape)
@@ -457,6 +472,139 @@ class TestEncoderTiles:
         for name, flat in ws._flat.items():
             if not name.startswith(("act", "mask")):
                 assert flat.size == one_tile._flat[name].size, name
+
+
+class TestInPlaceInput:
+    """``train`` and ``predict`` read each tile's images from the caller's
+    array, cast to float32 as they are copied into the im2col buffer, and
+    keep each ReLU mask as bits."""
+
+    @given(n=st.integers(17, 21), batch_size=st.sampled_from((3, 5, 7)),
+           c=st.integers(1, 3), embed_dim=st.sampled_from((8, 9)),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_same_bits_from_any_layout_or_dtype(self, n, batch_size, c, embed_dim,
+                                                seed):
+        """The contiguous float32 array, a channel-prefix view of a wider one
+        and a float64 copy give the same parameters, history and scores.
+        ``batch_size`` x 3 chunks is never a multiple of 8 images, so a
+        batch ends in a partial tile, and 17-21 sequences end ``predict`` in
+        a partial eval batch; ``embed_dim`` 9 pads layer 3's mask rows."""
+        rng = np.random.default_rng(seed)
+        wide = rng.standard_normal((n, REDUCED.n_chunks, c + 1, 8, 8)).astype(np.float32)
+        labels = np.arange(n) % 2 == 0
+        cfg = replace(REDUCED, batch_size=batch_size, max_epochs=2, dropout=0.3,
+                      embed_dim=embed_dim)
+        results = []
+        for x in (np.ascontiguousarray(wide[:, :, :c]), wide[:, :, :c],
+                  wide[:, :, :c].astype(np.float64)):
+            params, history = train(x, labels, np.arange(n - 6), np.arange(n - 6, n), cfg)
+            results.append(([params.tensors[k].tobytes() for k in sorted(params.tensors)],
+                            history, predict(x, params).tobytes()))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    # (H, W, embed_dim): the layers' (H, W, F) follow from _encoder_widths.
+    # At 8 x 8 and embed_dim 9, layer 3's 2 x 2 x 9 mask is 36 bits, so
+    # each image's row ends in a padded byte.
+    LAYER_SHAPES = ((8, 8, 8), (8, 8, 9), (8, 16, 16), (16, 16, 8), (64, 64, 32),
+                    (64, 64, 128))
+
+    @given(n=st.sampled_from((1, 7, 9, 17)), shape=st.sampled_from(LAYER_SHAPES),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_masks_round_trip_through_bits(self, n, shape, seed):
+        """Packed tile by tile into one batch's rows and unpacked tile by
+        tile, as the encoder does, every layer's mask comes back whole."""
+        from alarmsift.net import (_ENCODER_TILE, _encoder_widths, _mask_bytes,
+                                   _pack_mask, _unpack_mask)
+
+        h, w, embed_dim = shape
+        rng = np.random.default_rng(seed)
+        for i, f in enumerate(_encoder_widths(embed_dim)):
+            layer = (n, h >> i, w >> i, f)
+            mask = rng.random(layer) < rng.random()
+            rows = np.empty((n, _mask_bytes(*layer[1:])), np.uint8)
+            for start in range(0, n, _ENCODER_TILE):
+                tile = slice(start, start + _ENCODER_TILE)
+                rows[tile] = _pack_mask(mask[tile])
+            for start in range(0, n, _ENCODER_TILE):
+                tile = slice(start, start + _ENCODER_TILE)
+                got = _unpack_mask(rows[tile], mask[tile].shape)
+                assert got.dtype == bool
+                assert np.array_equal(got, mask[tile])
+
+    def test_stored_masks_are_the_relu_signs(self):
+        """Unpacked, each layer's stored mask is ``z > 0`` of that layer's
+        conv output over the whole batch."""
+        from alarmsift.net import _Workspace, _conv_forward, _encoder_forward, _unpack_mask
+
+        params = reduced_params(2)
+        x = np.random.default_rng(3).standard_normal((9, 4, 16, 16))
+        _, (_, _, masks) = _encoder_forward(_images(x), params.tensors, _Workspace())
+        out = np.ascontiguousarray(np.transpose(x, (0, 2, 3, 1)))
+        for i in (1, 2, 3):
+            z = _conv_forward(out, params.tensors[f"conv{i}_w"],
+                              params.tensors[f"conv{i}_b"], _Workspace(), out.dtype)
+            assert np.array_equal(_unpack_mask(masks[i - 1], z.shape), z > 0), i
+            out = _pool(z * (z > 0))
+
+    def test_train_epoch_holds_no_batch_copy_or_byte_masks(self):
+        """One epoch of one 16-sequence batch at ``embed_dim`` 32 (8, 16 and
+        32 maps), 6 chunks of 4 x 64 x 64: the traced peak stays within the
+        buffers the encoder needs, five float64 copies of the parameters
+        (the weights, their gradients, Adam's two moments and the best
+        epoch's) and 2 MiB of temporaries.  A whole-batch float32 copy of the
+        input (6 MiB) or bool masks in place of bits (+4.6 MiB) break it."""
+        n_seq, t, c, hw = 16, 6, 4, 64
+        x = np.random.default_rng(0).random((n_seq + 4, t, c, hw, hw)).astype(np.float32)
+        labels = np.arange(n_seq + 4) % 2 == 0
+        cfg = ModelConfig(embed_dim=32, n_chunks=t, max_epochs=1, batch_size=n_seq)
+        images, tile, f32 = n_seq * t, 8, 4
+        whole_batch = images * (f32 * (32 * 32 * 8 + 16 * 16 * 16)  # act2, act3
+                                + (64 * 64 * 8 + 32 * 32 * 16 + 16 * 16 * 32) // 8)  # bits
+        one_tile = tile * (f32 * 66 * 66 * c            # padded
+                           + f32 * 64 * 64 * 36         # layer-1 columns
+                           + f32 * 64 * 64 * 8          # z
+                           + 2 * 64 * 64 * 8            # bool mask, forward and unpacked
+                           + 3 * f32 * 32 * 32 * 8)     # pool_grad, tap, dx
+        n_params = sum(v.size for v in init_params(cfg, c, np.random.default_rng(0))
+                       .tensors.values())
+        peak = traced_peak(lambda: train(x, labels, np.arange(n_seq),
+                                         np.arange(n_seq, n_seq + 4), cfg))
+        budget = whole_batch + one_tile + 5 * 8 * n_params + 2 * 2 ** 20
+        assert peak <= budget, (peak / 2 ** 20, budget / 2 ** 20)
+
+    def test_cross_validation_scores_folds_without_a_copy(self):
+        """No fold's sequences are gathered out of the input: every index
+        that would copy is counted; the scores are ``predict``'s on each
+        fold's own array."""
+        from alarmsift import harness
+        from alarmsift.stats import stratified_kfold
+
+        class Watched(np.ndarray):
+            copies = []
+
+            def __getitem__(self, key):
+                out = super().__getitem__(key)
+                if isinstance(out, np.ndarray) and out.size and not np.may_share_memory(out, self):
+                    Watched.copies.append(key)
+                return out
+
+        x, labels = _toy_dataset(18, seed=9)
+        records = [make_record(f"rec-{i}", n=10, label=bool(label))
+                   for i, label in enumerate(labels)]
+        cfg = harness.ExperimentConfig("temporal", "unused", folds=3,
+                                       model=replace(REDUCED, max_epochs=1))
+        assignment = stratified_kfold(labels, 3, seed=1)
+        splits = harness._early_stopping_splits(cfg, labels, assignment)
+        cv = harness._cross_validate(cfg, x.view(Watched), records, assignment, splits)
+        assert Watched.copies == []
+        for fold in range(3):
+            te = assignment.test_indices(fold)
+            params, _ = train(x, labels, *splits[fold],
+                              replace(REDUCED, max_epochs=1, seed=REDUCED.seed + fold))
+            assert cv.oof[te].tobytes() == predict(x[te], params).tobytes()
 
 
 class TestWeightedLoss:
@@ -607,6 +755,37 @@ class TestTrain:
                                              rf"sequence; got {n_labels} labels "
                                              rf"for 12 sequences$"):
             train(x[:12], labels[:n_labels], idx[:6], idx[6:], REDUCED)
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize("bad, shown", [(-1, "-1"), (1.5, "1.5"), (12, "12"),
+                                            (np.nan, "nan"), (True, "True")])
+    def test_refuses_a_split_index_that_is_not_a_row(self, split, bad, shown):
+        """A negative index would pick a sequence from the end, a fractional
+        one would be truncated, and one past the end fail inside numpy."""
+        x, labels = _toy_dataset(12, seed=7)
+        splits = {"train": [0, 1, 2, 3, 4, 5, 6], "val": [8, 9, 10, 11]}
+        entry = 2 if split == "train" else 3
+        splits[split][entry] = bad
+        if isinstance(bad, bool):  # a mask, not indices, in a bool array
+            splits[split] = np.ones(len(splits[split]), bool)
+            entry = 0
+        with pytest.raises(ValueError, match=rf"^{split}_idx\[{entry}\] is {shown}; "
+                                             rf"split indices must be integers in "
+                                             rf"\[0, 12\)$"):
+            train(x, labels, splits["train"], splits["val"], REDUCED)
+
+    def test_refuses_a_split_index_array_that_is_not_1d(self):
+        x, labels = _toy_dataset(12, seed=7)
+        with pytest.raises(ValueError, match=r"^train_idx must be 1-D, got shape \(2, 4\)$"):
+            train(x, labels, np.arange(8).reshape(2, 4), np.arange(8, 12), REDUCED)
+
+    def test_integral_float_split_indices_are_rows(self):
+        x, labels = _toy_dataset(12, seed=7)
+        cfg = replace(REDUCED, max_epochs=1)
+        as_int = train(x, labels, np.arange(8), np.arange(8, 12), cfg)[0]
+        as_float = train(x, labels, np.arange(8.0), np.arange(8.0, 12.0), cfg)[0]
+        for name, tensor in as_int.tensors.items():
+            assert tensor.tobytes() == as_float.tensors[name].tobytes(), name
 
     def test_non_finite_loss_names_epoch_and_batch(self):
         """An input at the float32 limit is finite, so it is admitted, but it
@@ -770,6 +949,25 @@ class TestStackSequences:
         with pytest.raises(ValueError, match="^no sequences to stack$"):
             stack_sequences(iter([]))
 
+    @pytest.mark.parametrize("length, yielded, message", [
+        (3, 1, r"^sequences has len\(\) 3 but yielded 1$"),
+        (3, 0, r"^sequences has len\(\) 3 but yielded 0$"),
+        (2, 3, r"^sequences has len\(\) 2 but yielded more than 2$"),
+    ])
+    def test_refuses_a_sized_iterable_whose_len_is_wrong(self, length, yielded,
+                                                          message):
+        """A short one would return unwritten rows, a long one fail inside
+        numpy."""
+        class Misreported:
+            def __len__(self):
+                return length
+
+            def __iter__(self):
+                return (np.zeros((1, 1, 8, 8), np.float32) for _ in range(yielded))
+
+        with pytest.raises(ValueError, match=message):
+            stack_sequences(Misreported())
+
     def test_refuses_a_shape_other_than_sequence_0s(self):
         seqs = [np.zeros((3, 4, 8, 8), np.float32)] * 2 + [
             np.zeros((3, 4, 8, 16), np.float32)]
@@ -859,7 +1057,7 @@ class TestPrecision:
 
         params = reduced_params(4)
         x = np.random.default_rng(9).random((20, 3, 4, 8, 8))
-        probs, _ = _model_forward(x, params, False, None, _Workspace())
+        probs, _ = _model_forward(_whole(x), params, False, None, _Workspace())
         np.testing.assert_allclose(predict(x, params), probs[:, 1], rtol=0, atol=1e-6)
 
     def test_parameters_and_adam_moments_stay_float64(self, monkeypatch):
@@ -935,7 +1133,7 @@ class TestPredict:
         params = init_params(cfg, 4, np.random.default_rng(1))
         x = np.random.default_rng(2).random((3, 4, 8, 8))[None]
         eval_pt = predict(x, params)[0]
-        diffs = [abs(_model_forward(x, params, True, np.random.default_rng(k),
+        diffs = [abs(_model_forward(_whole(x), params, True, np.random.default_rng(k),
                                     _Workspace())[0][0, 1] - eval_pt)
                  for k in range(10)]
         assert max(diffs) > 0
@@ -1001,7 +1199,7 @@ class TestGradients:
         params.tensors["head_w2"][:] = 0.0
         params.tensors["head_b2"][:] = np.array([-20.0, 20.0])  # p_true ~ 1
         ws = _Workspace()
-        probs, cache = _model_forward(sample[None], params, False, None, ws)
+        probs, cache = _model_forward(_whole(sample[None]), params, False, None, ws)
         loss, dlogits = _batch_loss_and_grad(
             probs, np.array([True]), ClassWeights(1.0, 1.0))
         grads = _model_backward(dlogits, cache, params, ws)
