@@ -20,7 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import features as feats
-from .net import ModelConfig, _predict, _Workspace, stack_sequences, train
+from .net import ModelConfig, stack_sequences, train
+from .net import _predict as predict  # scores x[rows] in place, no copy
 from .records import (CHANNEL_ORDER, AlarmType, Channel, Record,
                       _checked_number, _checked_seed, _checked_sequence,
                       _store_number_fields, load_dataset, tail_window,
@@ -254,15 +255,6 @@ def _early_stopping_splits(cfg: ExperimentConfig, labels,
             f"the early-stopping split at val_fraction {cfg.val_fraction}")
         splits.append((fit, stop))
     return splits
-
-
-def predict(x, rows, params) -> np.ndarray:
-    """Eval-mode p_true of the sequences ``x[rows]`` of a model input that
-    ``train`` has checked: the bits of ``net.predict(x[rows], params)``,
-    read from ``x`` in place as ``train``'s validation pass reads them, so
-    scoring a fold copies none of the tensor.  The benchmark's tracer times
-    this step as ``net.predict``."""
-    return _predict(x, rows, params, _Workspace())
 
 
 def _cross_validate(cfg: ExperimentConfig, x, records, assignment: FoldAssignment,

@@ -690,12 +690,14 @@ def predict(sequences, params: ModelParams) -> np.ndarray:
     array in place, casting each tile of images to float32 as it goes, so
     no copy of the input is made."""
     x = _as_batch(sequences, params.config, params.tensors["conv1_w"].shape[1])
-    return _predict(x, np.arange(x.shape[0]), params, _Workspace())
+    return _predict(x, np.arange(x.shape[0]), params)
 
 
-def _predict(x, idx, params: ModelParams, ws: _Workspace):
+def _predict(x, idx, params: ModelParams, ws: _Workspace | None = None):
     """Eval-mode p_true of the sequences ``x[idx]`` of a checked input,
-    ``_EVAL_BATCH`` at a time, read from ``x`` in place."""
+    ``_EVAL_BATCH`` at a time, read from ``x`` in place: the bits of
+    ``predict(x[idx], params)`` without the copy ``x[idx]`` makes."""
+    ws = _Workspace() if ws is None else ws
     out = np.empty(len(idx))
     for start in range(0, len(idx), _EVAL_BATCH):
         batch = _Batch(x, idx[start:start + _EVAL_BATCH], _ENCODER_DTYPE)
