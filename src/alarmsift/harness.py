@@ -29,6 +29,7 @@ from .records import (CHANNEL_ORDER, AlarmType, Channel, Record,
 from .stats import (Confusion, FoldAssignment, auc, confusion_metrics,
                     bootstrap_auc_diff, delong_test, error_report,
                     fold_summary, per_alarm_report, stratified_kfold)
+from .scalogram import _kernel_spectra
 from .temporal import build_sequence, check_chunk_count
 
 EXPERIMENTS = ("temporal", "static", "features", "per_alarm")
@@ -168,10 +169,14 @@ def _assert_no_leakage(train_idx, eval_idx, ids):
 def prepare_records(data_dir) -> list[Record]:
     """Every record under ``data_dir``, cut to its final ``WINDOW_SECONDS``.
 
-    A record shorter than the window is refused by name.  A dataset has one
-    sampling rate: CWT scales are in samples, so records at other rates
-    would give scalograms of other time scales.  The first record whose
-    ``fs`` differs from the first record's is refused, with both rates.
+    A record shorter than the window is refused by name, and so are two
+    record directories that share a header ``record_id`` (by
+    ``load_dataset``, naming both).  A dataset has one sampling rate: CWT
+    scales are in samples, so records at other rates would give scalograms
+    of other time scales.  The first record whose ``fs`` differs from the
+    first record's is refused, with both rates.  Each returned record holds
+    only its window's samples: a longer record's window is a copy
+    (``tail_window``), so the rest of its file is freed on return.
     """
     records = load_dataset(data_dir)
     if not records:
@@ -204,8 +209,12 @@ class _LazySequences:
 def build_sequences(records, n_chunks, channels) -> np.ndarray:
     """The (N, n_chunks, C, 64, 64) float32 tensor of ``records``, the one
     form of model input, filled in place by ``stack_sequences``: one
-    record's float32 sequence is alive beside it at a time."""
-    return stack_sequences(_LazySequences(records, n_chunks, channels))
+    record's float32 sequence is alive beside it at a time.  The cached
+    kernel spectra of its chunk length are dropped once it is filled: the
+    next tensor of a run has another chunk length, so another FFT length."""
+    x = stack_sequences(_LazySequences(records, n_chunks, channels))
+    _kernel_spectra.cache_clear()
+    return x
 
 
 def _beat_matrix(records) -> np.ndarray:
@@ -222,6 +231,15 @@ class _CrossValidation(NamedTuple):
     oof: np.ndarray        # out-of-fold score of every record
     fold_aucs: list        # held-out AUC of each fold
     histories: list        # TrainHistory of each fold; empty for linear models
+
+
+class _RecordInfo(NamedTuple):
+    """What a run keeps of a record once its inputs are built: the fields
+    its fold loop and reports read, without the samples."""
+
+    record_id: str
+    alarm_type: AlarmType
+    label: bool
 
 
 def _check_both_classes(labels, parts: dict, what: str) -> None:
@@ -257,9 +275,11 @@ def _early_stopping_splits(cfg: ExperimentConfig, labels,
     return splits
 
 
-def _cross_validate(cfg: ExperimentConfig, x, records, assignment: FoldAssignment,
+def _cross_validate(cfg: ExperimentConfig, x, infos, assignment: FoldAssignment,
                     splits) -> _CrossValidation:
-    """k-fold CV of ``cfg.experiment`` on input ``x`` (row i is ``records[i]``).
+    """k-fold CV of ``cfg.experiment`` on input ``x``; row i is the record
+    whose ``record_id``, ``alarm_type`` and ``label`` are ``infos[i]``'s (a
+    ``_RecordInfo`` or a ``Record``).
 
     temporal / static: the sequence model, trained on each fold's
     ``splits`` entry from ``_early_stopping_splits``, fitting on the first
@@ -269,12 +289,12 @@ def _cross_validate(cfg: ExperimentConfig, x, records, assignment: FoldAssignmen
     a class scores 0.5.  The logistic models of all folds are fitted in one
     ``linear_classifier_fit`` call.
     """
-    labels = np.array([r.label for r in records], dtype=bool)
-    ids = [r.record_id for r in records]
+    labels = np.array([r.label for r in infos], dtype=bool)
+    ids = [r.record_id for r in infos]
     model_cfg = cfg.resolved_model()
     sequence_model = cfg.experiment in _SEQUENCE_EXPERIMENTS
     per_type = cfg.experiment == "per_alarm"  # else one group of every record
-    groups = np.array([r.alarm_type if per_type else None for r in records],
+    groups = np.array([r.alarm_type if per_type else None for r in infos],
                       dtype=object)
     # AlarmType order: a set of members would follow their name hashes,
     # which change with PYTHONHASHSEED
@@ -305,10 +325,13 @@ def _cross_validate(cfg: ExperimentConfig, x, records, assignment: FoldAssignmen
     return _CrossValidation(oof, fold_aucs, histories)
 
 
-def _cross_validate_each(cfgs, records,
-                         assignment: FoldAssignment) -> list[_CrossValidation]:
-    """``_cross_validate`` of every config in ``cfgs``, in order, on one
-    ``assignment``: the one place a model input is built.
+def _cross_validate_each(cfgs) -> tuple[list[_RecordInfo], FoldAssignment,
+                                         list[_CrossValidation]]:
+    """``_cross_validate`` of every config in ``cfgs``, in order, on the
+    records under their ``data_dir``, split into their ``folds`` at their
+    ``seed`` (the configs share all three): the one place a model input is
+    built, and the one holder of the records' samples.  Returns each
+    record's ``_RecordInfo``, the fold assignment and the configs' results.
 
     Configs that name the same model (experiment, resolved model and
     channels) are cross-validated once.  Before any input is built, every
@@ -316,16 +339,22 @@ def _cross_validate_each(cfgs, records,
     gives every record the same length, so the first record stands for
     all), and every sequence model's early-stopping splits are drawn and
     checked.
-    Inputs are built in the order their first config comes, one at a time:
-    each chunk count's tensor is built once, over the widest channel tuple
-    of its configs, and freed before the next input is built.  The configs
-    that share a chunk count name prefixes of one channel tuple (a run's
-    two models name the same one, and ablation cells name prefixes of
-    ``base.channels``), and each takes its prefix of the tensor; every
-    (chunk, channel) scalogram is normalised on its own, so the slice
-    equals a tensor built narrower.  Each record's features are extracted
-    at most once; per_alarm adds the beat columns.
+    Feature inputs are built first, each record's features extracted at
+    most once (per_alarm adds the beat columns); then each chunk count's
+    tensor, one at a time, in the order its first config comes.  A tensor
+    is built once, over the widest channel tuple of its configs, and freed
+    before the next is built.  The configs that share a chunk count name
+    prefixes of one channel tuple (a run's two models name the same one,
+    and ablation cells name prefixes of ``base.channels``), and each takes
+    its prefix of the tensor; every (chunk, channel) scalogram is
+    normalised on its own, so the slice equals a tensor built narrower.
+    Once the last input is built, the records are dropped: their samples
+    are freed before the models that read it are fitted.
     """
+    records = prepare_records(cfgs[0].data_dir)
+    infos = [_RecordInfo(r.record_id, r.alarm_type, r.label) for r in records]
+    labels = np.array([r.label for r in infos], dtype=bool)
+    assignment = stratified_kfold(labels, cfgs[0].folds, cfgs[0].seed)
     models = [(cfg.experiment, cfg.resolved_model(), cfg.channels) for cfg in cfgs]
     inputs = {}  # chunk count or feature experiment -> {model: its first config}
     for model, cfg in zip(models, cfgs):
@@ -335,28 +364,30 @@ def _cross_validate_each(cfgs, records,
     for key in inputs:
         if not isinstance(key, str):
             check_chunk_count(records[0], key)
-    labels = np.array([r.label for r in records], dtype=bool)
     splits = {model: _early_stopping_splits(cfg, labels, assignment)
               for readers in inputs.values() for model, cfg in readers.items()
               if cfg.experiment in _SEQUENCE_EXPERIMENTS}
 
+    order = sorted(inputs, key=lambda key: not isinstance(key, str))  # features first
     results, record_features = {}, None
-    for key, readers in inputs.items():
+    for key in order:
+        readers = inputs[key]
         if isinstance(key, str):  # features or per_alarm
             if record_features is None:
                 record_features = np.stack([feats.extract_features(r) for r in records])
             x = record_features if key == "features" else np.hstack(
                 [record_features, _beat_matrix(records)])
-            for model, cfg in readers.items():
-                results[model] = _cross_validate(cfg, x, records, assignment, None)
-            continue
-        widest = max((cfg.channels for cfg in readers.values()), key=len)
-        x = build_sequences(records, key, widest)
+        else:
+            widest = max((cfg.channels for cfg in readers.values()), key=len)
+            x = build_sequences(records, key, widest)
+        if key == order[-1]:
+            del records  # the last input is built: free every record's samples
         for model, cfg in readers.items():
-            results[model] = _cross_validate(cfg, x[:, :, :len(cfg.channels)],
-                                             records, assignment, splits[model])
-        del x  # nothing else holds the tensor, so this frees it
-    return [results[model] for model in models]
+            cfg_x = x if isinstance(key, str) else x[:, :, :len(cfg.channels)]
+            results[model] = _cross_validate(cfg, cfg_x, infos, assignment,
+                                             splits.get(model))
+        del x  # nothing else holds a tensor: freed before the next is built
+    return infos, assignment, [results[model] for model in models]
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +401,12 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     split for the sequence models), score the held-out fold.  Emits
     report.json, predictions.csv, and training_curves.csv.
     """
-    records = prepare_records(cfg.data_dir)
-    labels = np.array([r.label for r in records], dtype=bool)
-    assignment = stratified_kfold(labels, cfg.folds, cfg.seed)
-
     cfgs = [cfg]
     if cfg.compare_with is not None:
         cfgs.append(replace(cfg, experiment=cfg.compare_with, compare_with=None))
-    (oof, fold_aucs, histories), *baseline = _cross_validate_each(
-        cfgs, records, assignment)
+    infos, assignment, results = _cross_validate_each(cfgs)
+    (oof, fold_aucs, histories), *baseline = results
+    labels = np.array([r.label for r in infos], dtype=bool)
     delong_blob = bootstrap_blob = None
     if baseline:
         base_oof = baseline[0].oof
@@ -395,8 +423,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     confusion = Confusion.from_predictions(oof, labels)
     metrics = confusion_metrics(confusion)
     pooled = auc(oof, labels)
-    per_alarm = per_alarm_report(oof, records)
-    errors = error_report(oof, labels, [r.record_id for r in records])
+    per_alarm = per_alarm_report(oof, infos)
+    errors = error_report(oof, labels, [r.record_id for r in infos])
 
     report = {
         "run_id": run_id_for(cfg),
@@ -431,7 +459,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
               ["record_id", "alarm_type", "label", "fold", "p_true"],
               ([r.record_id, r.alarm_type.value, int(r.label),
                 int(assignment.fold_of[i]), oof[i]]
-               for i, r in enumerate(records)))
+               for i, r in enumerate(infos)))
     write_csv(run_dir / "training_curves.csv", _FIGURE_COLUMNS["training_curve"],
               (row.values() for row in _training_curve(report["training"])))
     return run_dir
@@ -505,7 +533,8 @@ def sweep(spec: SweepSpec, base: ExperimentConfig) -> SweepResult:
     built, and so checked, before the first record is read; the split is
     drawn and checked before any input is built: a train or validation
     part that lacks a class is refused, naming the fractions and both
-    parts' class counts."""
+    parts' class counts.  The records are dropped once the one tensor that
+    every run trains on is built."""
     model_base = base.resolved_model()
     configs = {axis: [[replace(model_base, **{axis: value}, seed=model_base.seed + r)
                        for r in range(spec.repeats)] for value in values]
@@ -517,6 +546,7 @@ def sweep(spec: SweepSpec, base: ExperimentConfig) -> SweepResult:
                         f"the sweep split of {labels.size} records at fractions "
                         f"{_SWEEP_FRACTIONS}")
     x = build_sequences(records, model_base.n_chunks, base.channels)
+    del records  # every run trains on x: free the records' samples
 
     runs, rows = [], []
     for axis, values in spec.axes.items():
@@ -588,9 +618,10 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
 
     Every channel count is checked against ``base.channels`` before the
     first record is read.  Each condition is one config of
-    ``_cross_validate_each``, so every chunk count is checked before the
-    first transform, conditions naming the same model are trained once, and
-    each chunk count's tensor is built once.
+    ``_cross_validate_each`` at ``spec.folds`` folds, so every chunk count
+    is checked before the first transform, conditions naming the same model
+    are trained once, each chunk count's tensor is built once, and the
+    records' samples are freed once the last tensor is built.
     """
     too_wide = [c for c in spec.channel_grid if c > len(base.channels)]
     if too_wide:
@@ -601,14 +632,13 @@ def ablate(spec: AblationSpec, base: ExperimentConfig) -> AblationResult:
                      for c in spec.channel_grid])
     cfgs = [replace(base, experiment="static" if n_chunks == 1 else "temporal",
                     model=replace(base.model, n_chunks=n_chunks),
-                    channels=base.channels[:n_channels], compare_with=None)
+                    channels=base.channels[:n_channels], folds=spec.folds,
+                    compare_with=None)
             for _, n_chunks, n_channels in conditions]
-    records = prepare_records(base.data_dir)
-    assignment = stratified_kfold([r.label for r in records], spec.folds, base.seed)
+    _, _, results = _cross_validate_each(cfgs)
 
     rows = []
-    for (name, _, _), cv in zip(conditions,
-                                _cross_validate_each(cfgs, records, assignment)):
+    for (name, _, _), cv in zip(conditions, results):
         s = fold_summary(cv.fold_aucs)
         rows.append({"condition": name, "mean_auc": s.mean, "std_auc": s.std,
                      "fold_aucs": list(map(float, cv.fold_aucs))})

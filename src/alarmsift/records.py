@@ -252,10 +252,23 @@ def load_record(path: Path | str) -> Record:
 
 
 def load_dataset(root: Path | str) -> list[Record]:
-    """Load every record directory under ``root``, sorted by record id."""
+    """Load every record directory under ``root``, sorted by directory name.
+
+    Two directories whose headers name the same ``record_id`` (a copied
+    record directory) are refused with RecordError, naming the id and both
+    directories: a run reports each record under its id.
+    """
     root = Path(root)
     dirs = sorted(p for p in root.iterdir() if (p / "header.json").is_file())
-    return [load_record(p) for p in dirs]
+    records, dir_of = [], {}
+    for rec_dir in dirs:
+        record = load_record(rec_dir)
+        if record.record_id in dir_of:
+            raise RecordError(f"record id {record.record_id!r} is in both "
+                              f"{dir_of[record.record_id]} and {rec_dir}")
+        dir_of[record.record_id] = rec_dir
+        records.append(record)
+    return records
 
 
 def write_dataset(records: list[Record], root: Path | str) -> None:
@@ -284,25 +297,30 @@ def write_csv(path: Path | str, header, rows) -> None:
 def tail_window(record: Record) -> Record:
     """Return the final ``WINDOW_SECONDS`` of the record; metadata unchanged.
 
-    A record shorter than the window, or sampled too slowly for the window
-    to hold one sample, is refused by name.
+    A window shorter than the record is a copy that owns its samples, so
+    the record's buffer (a loaded record's whole signal file) is freed with
+    the record; a window equal to the record shares its samples.  A record
+    shorter than the window, or sampled too slowly for the window to hold
+    one sample, is refused by name.
     """
     n = int(round(WINDOW_SECONDS * record.fs))
     if n < 1:
         raise ValueError(f"record {record.record_id} at {record.fs} Hz has no "
                          f"sample in the {WINDOW_SECONDS} s window")
-    if record.n_samples < n:
+    start = record.n_samples - n
+    if start < 0:
         raise ValueError(
             f"record {record.record_id} has {record.n_samples} samples, "
             f"shorter than the {n}-sample window"
         )
+    window = record.samples[:, start:]
     return Record(
         record.record_id,
         record.alarm_type,
         record.label,
         record.fs,
         record.channels,
-        record.samples[:, record.n_samples - n:],
+        window.copy() if start else window,
     )
 
 

@@ -110,8 +110,11 @@ def _kernel_spectra(scale_bytes: bytes, omega0: float, nfft: int,
     beside it; numpy's FFT of a matrix transforms each row alone, so the
     rows have the bits a whole-matrix FFT gives.  The cache keeps one
     entry: a tensor's chunks all share one scale grid and one FFT length,
-    and a run builds one chunk count's tensor at a time.  The result is
-    read-only: every caller shares it.
+    and a run builds one chunk count's tensor at a time.  The entry lives
+    for one tensor build: ``harness.build_sequences`` empties the cache
+    once its tensor is filled, since the run's next tensor has another
+    chunk length and so another FFT length.  The result is read-only:
+    every caller shares it.
     """
     params = MorletParams(omega0)
     offsets = np.arange(nfft)

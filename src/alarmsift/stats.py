@@ -381,6 +381,8 @@ class ErrorReport:
 def per_alarm_report(p_true, records: list[Record]) -> list[PerAlarmRow]:
     """Per-alarm-type sample count, AUC, and accuracy at ``DECISION_THRESHOLD``.
 
+    Each of ``records`` is read by its ``label`` and ``alarm_type`` only, so
+    a run passes the sample-free infos it keeps (``harness._RecordInfo``).
     Types where every record shares one label report accuracy only; their
     AUC is None and the row is flagged single_class.  Anything but one
     finite score per record raises ValueError.

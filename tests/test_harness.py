@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import re
+import shutil
+import weakref
 from dataclasses import replace
 
 import jsonschema
@@ -14,11 +16,13 @@ import alarmsift.harness
 import alarmsift.temporal
 from alarmsift.harness import (AblationSpec, ExperimentConfig, SweepSpec,
                                ablate, emit_comparison, emit_report,
-                               run_experiment, run_id_for, stratified_split,
-                               sweep, write_ablation, write_sweep)
+                               prepare_records, run_experiment, run_id_for,
+                               stratified_split, sweep, write_ablation,
+                               write_sweep)
 from alarmsift.net import ModelConfig
 from alarmsift.records import (CHANNEL_ORDER, Channel, SynthSpec,
                                synth_dataset, write_dataset)
+from alarmsift.scalogram import _kernel_spectra
 from alarmsift.stats import REPORT_SCHEMA
 
 TINY_MODEL = dict(embed_dim=8, lstm_hidden=4, head_hidden=6, dropout=0.0,
@@ -282,6 +286,27 @@ class TestRunExperiment:
                                              r"but r0 at 250.0 Hz"):
             run_experiment(cfg)
 
+    def test_record_id_in_two_directories_refused_before_any_input(
+            self, tmp_path, monkeypatch):
+        """A copied record directory is refused with its id and both
+        directories before any feature or scalogram is computed, so no
+        report lists that id twice."""
+        data = tmp_path / "data"
+        write_dataset(synth_dataset(SynthSpec(n=6), seed=1), data)
+        shutil.copytree(data / "synth-0000", data / "synth-0000-copy")
+        calls = []
+        monkeypatch.setattr(alarmsift.harness, "build_sequence",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(alarmsift.harness.feats, "extract_features",
+                            lambda *args: calls.append(args))
+        message = re.escape(f"record id 'synth-0000' is in both "
+                            f"{data / 'synth-0000'} and {data / 'synth-0000-copy'}")
+        with pytest.raises(ValueError, match=message):
+            prepare_records(data)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(tiny_config(data, tmp_path / "out", compare_with="features"))
+        assert calls == []
+
     def test_invalid_experiment_rejected(self, data_dir):
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="er-visit", data_dir=str(data_dir))
@@ -336,6 +361,73 @@ class TestRunExperiment:
 ANY_VALUE = st.one_of(st.booleans(), st.integers(-3, 8), st.integers(),
                       st.floats(allow_nan=True, allow_infinity=True),
                       st.text(max_size=2), st.none())
+
+
+class TestSamplesFreed:
+    """A run holds the records' samples until its last input is built, and
+    the kernel spectra while a tensor is built: from the first training on
+    the last-built tensor, no loaded record's samples and no cached
+    spectra are alive."""
+
+    @staticmethod
+    def watch(monkeypatch, n_tensors) -> tuple[list, list]:
+        """Spy on loading, tensor builds and training.  Returns a weakref to
+        every loaded record's and every window's samples, and the list of
+        (live sample arrays, cached spectra) seen at each ``train`` call
+        after the ``n_tensors``-th tensor is built."""
+        harness = alarmsift.harness
+        real = {name: getattr(harness, name)
+                for name in ("load_dataset", "prepare_records", "stack_sequences",
+                             "train")}
+        refs, built, seen = [], [], []
+
+        def loader(name):
+            def spy(*args):
+                records = real[name](*args)
+                refs.extend(weakref.ref(r.samples) for r in records)
+                return records
+            return spy
+
+        def spy_stack(sequences):
+            built.append(len(sequences))
+            return real["stack_sequences"](sequences)
+
+        def spy_train(*args, **kwargs):
+            if len(built) == n_tensors:
+                seen.append((sum(ref() is not None for ref in refs),
+                             _kernel_spectra.cache_info().currsize))
+            return real["train"](*args, **kwargs)
+
+        for name in ("load_dataset", "prepare_records"):
+            monkeypatch.setattr(harness, name, loader(name))
+        monkeypatch.setattr(harness, "stack_sequences", spy_stack)
+        monkeypatch.setattr(harness, "train", spy_train)
+        return refs, seen
+
+    def test_run_experiment_frees_samples_before_training(self, data_dir, tmp_path,
+                                                          monkeypatch):
+        refs, seen = self.watch(monkeypatch, n_tensors=1)
+        cfg = tiny_config(data_dir, tmp_path, compare_with="features",
+                          model={"max_epochs": 1})
+        run_experiment(cfg)
+        assert len(refs) == 2 * 20
+        assert seen == [(0, 0)] * 2  # one training per fold
+
+    def test_ablate_frees_samples_once_the_last_tensor_is_built(
+            self, data_dir, tmp_path, monkeypatch):
+        refs, seen = self.watch(monkeypatch, n_tensors=2)
+        spec = AblationSpec(chunk_grid=(1, 6), channel_grid=(1,), folds=2)
+        ablate(spec, tiny_config(data_dir, tmp_path, model={"max_epochs": 1}))
+        assert len(refs) == 2 * 20
+        assert seen == [(0, 0)] * 4  # chunks=6 and channels=1, 2 folds each
+
+    def test_sweep_frees_samples_before_training(self, data_dir, tmp_path,
+                                                 monkeypatch):
+        refs, seen = self.watch(monkeypatch, n_tensors=1)
+        spec = SweepSpec(axes={"dropout": (0.0, 0.2)}, repeats=1)
+        sweep(spec, tiny_config(data_dir, tmp_path, model={"max_epochs": 1}))
+        assert len(refs) == 2 * 20
+        assert seen == [(0, 0)] * 2
 
 
 def is_int(value) -> bool:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from alarmsift.records import (ANOMALY_ENERGY, ANOMALY_FREQ_HZ, N_CODING_CHUNKS,
                                NOISE_STD, AlarmType, CHANNEL_ORDER, WINDOW_SECONDS,
                                Channel, RecordError, SynthSpec, class_weights,
-                               filter_four_channel, load_record, synth_dataset,
-                               synthetic_ecg, tail_window, write_record)
+                               filter_four_channel, load_dataset, load_record,
+                               synth_dataset, synthetic_ecg, tail_window,
+                               write_record)
 from conftest import make_record
 
 
@@ -107,6 +109,20 @@ class TestRecordIO:
         with pytest.raises(RecordError, match="missing header"):
             load_record(tmp_path / "nope")
 
+    def test_dataset_refuses_a_record_id_in_two_directories(self, tmp_path):
+        """A copied record directory is refused with the id and both
+        directories, not loaded as a second record of that id."""
+        for i in range(3):
+            write_record(make_record(f"rec-{i}", n=100), tmp_path)
+        shutil.copytree(tmp_path / "rec-1", tmp_path / "rec-1-copy")
+        with pytest.raises(RecordError, match=re.escape(
+                f"record id 'rec-1' is in both {tmp_path / 'rec-1'} and "
+                f"{tmp_path / 'rec-1-copy'}")):
+            load_dataset(tmp_path)
+        shutil.rmtree(tmp_path / "rec-1-copy")
+        assert [r.record_id for r in load_dataset(tmp_path)] == [
+            "rec-0", "rec-1", "rec-2"]
+
 
 class TestTailWindow:
     def test_five_minutes_to_final_minute(self):
@@ -119,6 +135,18 @@ class TestTailWindow:
     def test_exact_window_is_identity(self):
         r = make_record(n=15000)
         np.testing.assert_array_equal(tail_window(r).samples, r.samples)
+        assert np.shares_memory(tail_window(r).samples, r.samples)  # no copy
+
+    @pytest.mark.parametrize("n_channels", [1, 4])
+    def test_shorter_window_owns_its_samples(self, n_channels):
+        """A 300 s record's window is a copy, so the record's whole buffer
+        is freed with the record instead of living on behind its last
+        minute; a one-row window would otherwise be a contiguous view."""
+        r = make_record(n=75000, channels=CHANNEL_ORDER[:n_channels])
+        tail = tail_window(r)
+        assert tail.samples.flags.owndata
+        assert not np.shares_memory(tail.samples, r.samples)
+        assert tail.samples.tobytes() == r.samples[:, -15000:].tobytes()
 
     def test_short_record_errors(self):
         with pytest.raises(ValueError, match="shorter"):
