@@ -99,9 +99,9 @@ def cmd_ablate(args) -> None:
 def cmd_report(args) -> None:
     target = Path(args.out)
     if (target / "report.json").is_file():
-        paths = emit_report(target, args.format)
+        paths = emit_report(target)
     else:
-        paths = [emit_comparison(target, args.format)]
+        paths = [emit_comparison(target)]
     print(json.dumps({"written": [str(p) for p in paths]}))
 
 
@@ -132,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="emit per-figure plot data from a run")
     p.add_argument("--out", required=True,
                    help="run directory (or a parent of several runs)")
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=cmd_report)
     return parser
 

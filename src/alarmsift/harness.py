@@ -35,15 +35,6 @@ from .temporal import build_sequence, check_chunk_count
 EXPERIMENTS = ("temporal", "static", "features", "per_alarm")
 _SEQUENCE_EXPERIMENTS = ("temporal", "static")  # the rest read a feature matrix
 
-# Columns of each plot-data block, so a CSV carries its header even when the
-# block has no rows (features and per_alarm runs have no training curve).
-_FIGURE_COLUMNS = {
-    "per_fold": ("fold", "auc"),
-    "per_alarm": ("type", "n", "auc", "accuracy"),
-    "error_breakdown": ("category", "count"),
-    "training_curve": ("fold", "epoch", "train_loss", "val_auc"),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -80,6 +71,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown channel names {unknown}; known: {known}")
         object.__setattr__(self, "channels", tuple(map(Channel, channels)))
         names = [c.value for c in self.channels]
+        if not self.channels:
+            raise ValueError("channels must name at least one channel")
         if len(set(self.channels)) != len(self.channels):
             raise ValueError(f"channels {names} name a channel twice")
         feature_runs = {"features", "per_alarm"} & {self.experiment, self.compare_with}
@@ -398,8 +391,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     """Execute one experiment config; returns the run directory.
 
     Per fold: train on the other k-1 folds (with an inner early-stopping
-    split for the sequence models), score the held-out fold.  Emits
-    report.json, predictions.csv, and training_curves.csv.
+    split for the sequence models), score the held-out fold.  Writes
+    report.json and predictions.csv; ``emit_report`` writes the plot data.
     """
     cfgs = [cfg]
     if cfg.compare_with is not None:
@@ -460,16 +453,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
               ([r.record_id, r.alarm_type.value, int(r.label),
                 int(assignment.fold_of[i]), oof[i]]
                for i, r in enumerate(infos)))
-    write_csv(run_dir / "training_curves.csv", _FIGURE_COLUMNS["training_curve"],
-              (row.values() for row in _training_curve(report["training"])))
     return run_dir
-
-
-def _training_curve(training) -> list[dict]:
-    """One row per (fold, epoch) of a report's ``training`` block."""
-    return [dict(zip(_FIGURE_COLUMNS["training_curve"], (blob["fold"], e, tl, va)))
-            for blob in training
-            for e, (tl, va) in enumerate(zip(blob["train_loss"], blob["val_auc"]), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -664,20 +648,12 @@ def write_ablation(result: AblationResult, out_dir) -> Path:
 # Plot-data emission
 # ---------------------------------------------------------------------------
 
-def _check_format(fmt: str) -> None:
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
-
-
-def emit_report(run_dir, fmt: str = "csv") -> list[Path]:
-    """Emit per-figure plot data from a completed run directory.
-
-    csv: one file per figure (fold bars, per-alarm bars, error breakdown,
-    training curve).  json: a single figures.json with the same blocks.
-    Emission is deterministic and byte-identical across calls.  Any other
-    format raises ValueError before anything is written.
+def emit_report(run_dir) -> list[Path]:
+    """Write the plot data of a completed run directory, one CSV per figure
+    in its ``figures/``: fold bars, per-alarm bars, error breakdown and
+    training curve (one row per fold and epoch).  Every CSV has its header,
+    even with no rows, and re-emission is byte-identical.
     """
-    _check_format(fmt)
     run_dir = Path(run_dir)
     report_path = run_dir / "report.json"
     if not report_path.is_file():
@@ -685,51 +661,40 @@ def emit_report(run_dir, fmt: str = "csv") -> list[Path]:
     report = json.loads(report_path.read_text())
     out = run_dir / "figures"
     out.mkdir(exist_ok=True)
-    written: list[Path] = []
-
-    blocks = {
-        "per_fold": [{"fold": f["fold"], "auc": f["auc"]} for f in report["folds"]],
-        "per_alarm": report["per_alarm"],
-        "error_breakdown": [
-            {"category": "false_negative", "count": len(report["errors"]["fn"])},
-            {"category": "false_positive", "count": len(report["errors"]["fp"])},
-            {"category": "high_confidence", "count": len(report["errors"]["high_confidence"])},
-        ],
-        "training_curve": _training_curve(report.get("training", [])),
+    errors = report["errors"]
+    figures = {
+        "per_fold": (("fold", "auc"), ([f["fold"], f["auc"]] for f in report["folds"])),
+        "per_alarm": (("type", "n", "auc", "accuracy"),
+                      ([row["type"], row["n"], row["auc"], row["accuracy"]]
+                       for row in report["per_alarm"])),
+        "error_breakdown": (("category", "count"), [
+            ["false_negative", len(errors["fn"])],
+            ["false_positive", len(errors["fp"])],
+            ["high_confidence", len(errors["high_confidence"])]]),
+        "training_curve": (("fold", "epoch", "train_loss", "val_auc"), (
+            [blob["fold"], epoch, loss, val_auc]
+            for blob in report["training"]
+            for epoch, (loss, val_auc) in enumerate(
+                zip(blob["train_loss"], blob["val_auc"]), 1))),
     }
-
-    if fmt == "json":
-        path = out / "figures.json"
-        write_json(path, blocks)
-        return [path]
-    for name, rows in blocks.items():
-        path = out / f"{name}.csv"
-        columns = _FIGURE_COLUMNS[name]
-        write_csv(path, columns, ([row[k] for k in columns] for row in rows))
-        written.append(path)
+    written = []
+    for name, (columns, rows) in figures.items():
+        written.append(out / f"{name}.csv")
+        write_csv(written[-1], columns, rows)
     return written
 
 
-def emit_comparison(parent_dir, fmt: str = "csv") -> Path:
-    """Experiment-comparison table over every run directory under
-    ``parent_dir``, as comparison.csv or comparison.json.  Any other format
-    raises ValueError before anything is written."""
-    _check_format(fmt)
+def emit_comparison(parent_dir) -> Path:
+    """comparison.csv, the experiment-comparison table over every run
+    directory under ``parent_dir``: one row per run."""
     parent = Path(parent_dir)
     rows = []
     for report_path in sorted(parent.glob("*/report.json")):
         report = json.loads(report_path.read_text())
-        rows.append({"experiment": report["config"]["experiment"],
-                     "run_id": report["run_id"],
-                     "mean_auc": report["mean_auc"],
-                     "std_auc": report["std_auc"]})
+        rows.append([report["config"]["experiment"], report["run_id"],
+                     report["mean_auc"], report["std_auc"]])
     if not rows:
         raise FileNotFoundError(f"no completed runs under {parent}")
-    if fmt == "json":
-        path = parent / "comparison.json"
-        write_json(path, rows)
-        return path
     path = parent / "comparison.csv"
-    write_csv(path, ["experiment", "run_id", "mean_auc", "std_auc"],
-              (row.values() for row in rows))
+    write_csv(path, ["experiment", "run_id", "mean_auc", "std_auc"], rows)
     return path

@@ -106,9 +106,10 @@ class Record:
     """Immutable multi-channel waveform with alarm metadata.
 
     ``samples`` is a channels x N float32 matrix; rows follow ``channels``
-    order.  ``fs`` must be finite and positive, all samples finite, and
-    every channel row has the same length.  Instances are safe to share
-    across parallel workers.
+    order.  ``record_id`` names one directory: a non-empty string without
+    ``/`` or ``\\``, and not ``.`` or ``..``.  ``fs`` must be finite and
+    positive, all samples finite, and every channel row has the same length.
+    Instances are safe to share across parallel workers.
     """
 
     record_id: str
@@ -119,6 +120,12 @@ class Record:
     samples: np.ndarray
 
     def __post_init__(self):
+        rid = self.record_id
+        if (not isinstance(rid, str) or rid in ("", ".", "..")
+                or "/" in rid or "\\" in rid):
+            raise RecordError(f"record_id must be a non-empty string naming one "
+                              f"directory (no '/' or '\\', not '.' or '..'), "
+                              f"got {rid!r}")
         if not (math.isfinite(self.fs) and self.fs > 0):
             raise RecordError(f"record {self.record_id}: fs must be finite and "
                               f"positive, got {self.fs}")
@@ -215,7 +222,10 @@ def load_record(path: Path | str) -> Record:
 
     Raises RecordError for a missing/corrupt header, a sample-count or
     channel-count mismatch between header and signal file, or non-finite
-    sample values.
+    sample values.  A header field of the wrong JSON type is refused, naming
+    the header and the field: a ``label`` that is not a boolean, an ``fs``
+    that is not a number and an ``n_samples`` that is not an integer (a
+    boolean is neither), so ``"false"`` is never read as a true alarm.
     """
     rec_dir = Path(path)
     header_path = rec_dir / "header.json"
@@ -225,10 +235,18 @@ def load_record(path: Path | str) -> Record:
         header = json.loads(header_path.read_text())
         record_id = header["record_id"]
         alarm_type = AlarmType(header["alarm_type"])
-        label = bool(header["label"])
-        fs = float(header["fs"])
+        label, fs = header["label"], header["fs"]
+        if not isinstance(label, bool):
+            raise ValueError(f"label must be a JSON boolean, got {label!r}")
+        try:
+            if isinstance(fs, bool) or not isinstance(fs, (int, float)):
+                raise TypeError
+            fs = float(fs)
+        except (TypeError, OverflowError):
+            raise ValueError(f"fs must be a JSON number in float range, "
+                             f"got {fs!r}") from None
         channels = tuple(Channel(c) for c in header["channels"])
-        n_samples = int(header["n_samples"])
+        n_samples = _checked_number("n_samples", header["n_samples"], "int")
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise RecordError(f"corrupt header {header_path}: {exc}") from exc
 

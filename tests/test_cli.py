@@ -60,7 +60,7 @@ class TestRunAndReport:
         rc = main(["run", "--config", str(cfg)])
         assert rc == 0
         run_dir = json.loads(capsys.readouterr().out)["run_dir"]
-        rc = main(["report", "--out", run_dir, "--format", "csv"])
+        rc = main(["report", "--out", run_dir])
         assert rc == 0
         written = json.loads(capsys.readouterr().out)["written"]
         assert any(p.endswith("per_fold.csv") for p in written)
@@ -148,6 +148,24 @@ class TestErrorContract:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "usage"
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_format_option_is_gone(self, tmp_path, capsys, fmt):
+        """Plot data has one format, CSV: ``report`` takes no ``--format``,
+        refuses it as a usage error and writes nothing."""
+        run_dir = tmp_path / "features-0"
+        run_dir.mkdir()
+        (run_dir / "report.json").write_text(json.dumps(
+            {"config": {"experiment": "features"}, "run_id": "0",
+             "mean_auc": 0.5, "std_auc": 0.0}))
+        for target in (tmp_path, run_dir):
+            rc = main(["report", "--out", str(target), "--format", fmt])
+            assert rc == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "usage" and "--format" in err["message"]
+        assert sorted(p.relative_to(tmp_path).as_posix()
+                      for p in tmp_path.rglob("*")) == ["features-0",
+                                                        "features-0/report.json"]
 
     def test_bare_model_config_refused(self, cli_data, tmp_path, capsys):
         """``run`` takes an experiment config, not the ``model`` block on

@@ -1,10 +1,14 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -96,8 +100,9 @@ class TestRunExperiment:
         jsonschema.validate(report, REPORT_SCHEMA)
         assert len(report["folds"]) == 2
         assert report["confusion"]["tp"] + report["confusion"]["fn"] == 10
-        assert (run_dir / "predictions.csv").is_file()
-        assert (run_dir / "training_curves.csv").is_file()
+        # the training curve is plot data, which ``emit_report`` writes
+        assert sorted(p.name for p in run_dir.iterdir()) == ["predictions.csv",
+                                                              "report.json"]
 
     def test_deterministic_report(self, data_dir, tmp_path):
         cfg1 = tiny_config(data_dir, tmp_path / "a")
@@ -322,11 +327,12 @@ class TestRunExperiment:
     @pytest.mark.parametrize("overrides, message", [
         ({"channels": ("ECG_II", "ECG_II")},
          r"channels \['ECG_II', 'ECG_II'\] name a channel twice"),
+        ({"channels": ()}, r"^channels must name at least one channel$"),
         ({"channels": ("ECG_II", "FOO")}, r"unknown channel names \['FOO'\]"),
         ({"channels": (Channel.ECG_II, 1)}, r"^unknown channel names \[1\]; known: "),
         ({"val_fraction": 0.0}, r"val_fraction must lie in \(0, 1\), got 0.0"),
         ({"val_fraction": 1.5}, r"val_fraction must lie in \(0, 1\), got 1.5"),
-    ], ids=["duplicate-channel", "unknown-channel", "member-and-unknown",
+    ], ids=["duplicate-channel", "no-channel", "unknown-channel", "member-and-unknown",
             "val-fraction-0", "val-fraction-1.5"])
     def test_malformed_config_refused_by_name(self, data_dir, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -861,7 +867,7 @@ class TestAblate:
 class TestEmitReport:
     def test_csv_per_figure(self, data_dir, tmp_path):
         run_dir = run_experiment(tiny_config(data_dir, tmp_path))
-        paths = emit_report(run_dir, "csv")
+        paths = emit_report(run_dir)
         names = {p.name for p in paths}
         assert names == {"per_fold.csv", "per_alarm.csv",
                          "error_breakdown.csv", "training_curve.csv"}
@@ -872,24 +878,17 @@ class TestEmitReport:
 
     def test_empty_training_curve_keeps_header(self, data_dir, tmp_path):
         """A features run trains no network, yet its training-curve CSV still
-        names the columns, as training_curves.csv does."""
+        names the columns; the run directory has no second copy of it."""
         run_dir = run_experiment(tiny_config(data_dir, tmp_path, experiment="features"))
-        emit_report(run_dir, "csv")
+        emit_report(run_dir)
         header = b"fold,epoch,train_loss,val_auc\r\n"
         assert (run_dir / "figures" / "training_curve.csv").read_bytes() == header
-        assert (run_dir / "training_curves.csv").read_bytes() == header
-
-    def test_json_format(self, data_dir, tmp_path):
-        run_dir = run_experiment(tiny_config(data_dir, tmp_path))
-        (path,) = emit_report(run_dir, "json")
-        blocks = json.loads(path.read_text())
-        assert set(blocks) == {"per_fold", "per_alarm", "error_breakdown",
-                               "training_curve"}
+        assert not (run_dir / "training_curves.csv").exists()
 
     def test_reemission_byte_identical(self, data_dir, tmp_path):
         run_dir = run_experiment(tiny_config(data_dir, tmp_path))
-        first = {p.name: p.read_bytes() for p in emit_report(run_dir, "csv")}
-        second = {p.name: p.read_bytes() for p in emit_report(run_dir, "csv")}
+        first = {p.name: p.read_bytes() for p in emit_report(run_dir)}
+        second = {p.name: p.read_bytes() for p in emit_report(run_dir)}
         assert first == second
 
     def test_incomplete_run_errors(self, tmp_path):
@@ -904,13 +903,43 @@ class TestEmitReport:
         assert lines[0] == "experiment,run_id,mean_auc,std_auc"
         assert len(lines) == 3
 
-    def test_comparison_refuses_unknown_format(self, tmp_path):
-        run_dir = tmp_path / "features-0"
-        run_dir.mkdir()
-        (run_dir / "report.json").write_text(json.dumps(
-            {"config": {"experiment": "features"}, "run_id": "0",
-             "mean_auc": 0.5, "std_auc": 0.0}))
-        with pytest.raises(ValueError, match="format must be 'json' or 'csv', "
-                                             "got 'xml'"):
-            emit_comparison(tmp_path, "xml")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["features-0"]
+
+@pytest.mark.slow
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 usable CPUs for a 2-thread BLAS pool")
+def test_run_bytes_follow_neither_blas_threads_nor_hash_seed(tmp_path):
+    """A temporal run against the feature baseline at the benchmark's
+    ``cv_temporal`` model sizes, and a features run, each followed by
+    ``emit_report``, write the same bytes in every file, ``figures/``
+    included, at 1 and 2 BLAS threads and under two ``PYTHONHASHSEED``s.
+    The baseline's scores reach the first run's files only through their
+    ranks, so the features run is the one whose ``predictions.csv`` holds
+    the feature model's scores.  Each process has its own working
+    directory and the same relative data and out dirs, so the run ids match."""
+    records = synth_dataset(SynthSpec(n=24), seed=5)
+    code = ("from alarmsift.harness import ExperimentConfig, emit_report, run_experiment; "
+            "from alarmsift.net import ModelConfig; "
+            "model = ModelConfig(embed_dim=32, lstm_hidden=32, head_hidden=32, "
+            "max_epochs=6, patience=6); "
+            "emit_report(run_experiment(ExperimentConfig('temporal', 'data', model, "
+            "folds=3, out_dir='runs', compare_with='features'))); "
+            "emit_report(run_experiment(ExperimentConfig('features', 'data', folds=3, "
+            "out_dir='runs')))")
+    outputs = []
+    for threads, hash_seed in (("1", "1"), ("2", "2")):
+        cwd = tmp_path / f"threads-{threads}"
+        write_dataset(records, cwd / "data")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(Path(alarmsift.harness.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, check=True,
+                       capture_output=True, timeout=600)
+        outputs.append({p.relative_to(cwd).as_posix(): p.read_bytes()
+                        for p in (cwd / "runs").rglob("*") if p.is_file()})
+    assert outputs[0] == outputs[1]
+    runs = {name.split("/")[1].split("-")[0] for name in outputs[0]}
+    files = {name.split("/", 2)[2] for name in outputs[0]}
+    assert runs == {"temporal", "features"} and len(outputs[0]) == 12
+    assert files == {"report.json", "predictions.csv", "figures/per_fold.csv",
+                     "figures/per_alarm.csv", "figures/error_breakdown.csv",
+                     "figures/training_curve.csv"}

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 import shutil
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from alarmsift.records import (ANOMALY_ENERGY, ANOMALY_FREQ_HZ, N_CODING_CHUNKS,
                                NOISE_STD, AlarmType, CHANNEL_ORDER, WINDOW_SECONDS,
-                               Channel, RecordError, SynthSpec, class_weights,
+                               Channel, Record, RecordError, SynthSpec, class_weights,
                                filter_four_channel, load_dataset, load_record,
                                synth_dataset, synthetic_ecg, tail_window,
                                write_record)
@@ -43,10 +44,34 @@ class TestRecordInvariants:
         with pytest.raises(RecordError):
             make_record(channels=(Channel.ECG_II,), samples=np.zeros((2, 10)))
 
+    @pytest.mark.parametrize("record_id", ["../outside", "a/b", "a\\b", "/abs",
+                                           ".", "..", "", 5, None])
+    def test_rejects_a_record_id_that_is_not_one_directory(self, record_id):
+        with pytest.raises(RecordError, match=re.escape(
+                f"record_id must be a non-empty string naming one directory "
+                f"(no '/' or '\\', not '.' or '..'), got {record_id!r}")):
+            make_record(record_id)
+
     def test_samples_immutable(self):
         r = make_record()
         with pytest.raises(ValueError):
             r.samples[0, 0] = 1.0
+
+
+# Header values of every JSON type, and the valid ones of the test record
+HEADER_VALUE = st.one_of(st.booleans(), st.integers(-3, 300), st.integers(),
+                         st.floats(allow_nan=True, allow_infinity=True),
+                         st.text(max_size=2), st.none(), st.just(100),
+                         st.just(250.0))
+
+
+@pytest.fixture(scope="module")
+def typed_record(tmp_path_factory):
+    """A 100-sample record's directory and header, which a property test
+    rewrites one field at a time."""
+    rec_dir = write_record(make_record("typed", n=100),
+                           tmp_path_factory.mktemp("header"))
+    return rec_dir, json.loads((rec_dir / "header.json").read_text())
 
 
 class TestRecordIO:
@@ -104,6 +129,84 @@ class TestRecordIO:
         with pytest.raises(RecordError, match=re.escape(
                 f"record bad4: fs must be finite and positive, got {fs}")):
             load_record(rec_dir)
+
+    def test_write_record_refuses_an_id_outside_its_root(self, tmp_path):
+        root = tmp_path / "root"
+        with pytest.raises(RecordError, match=r"^record_id must be .*'\.\./outside'$"):
+            write_record(Record("../outside", AlarmType.ASYSTOLE, False, 250.0,
+                                CHANNEL_ORDER, np.zeros((4, 10))), root)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("record_id", ["../outside", "a/b", "..", ""])
+    def test_load_record_refuses_an_id_that_is_not_one_directory(self, tmp_path,
+                                                                 record_id):
+        rec_dir = write_record(make_record("good", n=100), tmp_path)
+        header = json.loads((rec_dir / "header.json").read_text())
+        (rec_dir / "header.json").write_text(json.dumps({**header,
+                                                         "record_id": record_id}))
+        with pytest.raises(RecordError, match=re.escape(
+                f"record_id must be a non-empty string naming one directory "
+                f"(no '/' or '\\', not '.' or '..'), got {record_id!r}")):
+            load_record(rec_dir)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("label", "false", "label must be a JSON boolean, got 'false'"),
+        ("label", "0", "label must be a JSON boolean, got '0'"),
+        ("label", 0, "label must be a JSON boolean, got 0"),
+        ("label", None, "label must be a JSON boolean, got None"),
+        ("fs", True, "fs must be a JSON number in float range, got True"),
+        ("fs", "250", "fs must be a JSON number in float range, got '250'"),
+        ("fs", 10 ** 400, f"fs must be a JSON number in float range, got {10 ** 400}"),
+        ("n_samples", True, "n_samples must be an integer, got True"),
+        ("n_samples", 100.0, "n_samples must be an integer, got 100.0"),
+        ("n_samples", "100", "n_samples must be an integer, got '100'"),
+    ], ids=["label-string-false", "label-string-0", "label-int-0", "label-null",
+            "fs-bool", "fs-string", "fs-beyond-float", "n_samples-bool",
+            "n_samples-float", "n_samples-string"])
+    def test_header_field_of_the_wrong_type_refused_by_name(self, tmp_path, field,
+                                                            value, message):
+        """A string label would load as a true alarm and a boolean fs as
+        1 Hz; each is refused, naming the header and the field."""
+        rec_dir = write_record(make_record("bad5", n=100), tmp_path)
+        header_path = rec_dir / "header.json"
+        header = json.loads(header_path.read_text())
+        header_path.write_text(json.dumps({**header, field: value}))
+        with pytest.raises(RecordError, match=re.escape(
+                f"corrupt header {header_path}: {message}")):
+            load_record(rec_dir)
+
+    @given(field=st.sampled_from(["label", "fs", "n_samples"]), value=HEADER_VALUE)
+    @settings(max_examples=300, deadline=None)
+    def test_header_values_typed_or_refused(self, typed_record, field, value):
+        """Every header value of a JSON type is loaded as that value or
+        refused: a wrong type names the header and the field, a wrong
+        value of the right type is refused as before."""
+        header_dir, header = typed_record
+        header_path = header_dir / "header.json"
+        header_path.write_text(json.dumps({**header, field: value}))
+        number = None  # the value as a float, if it is a number in float range
+        if not isinstance(value, bool) and isinstance(value, (int, float)):
+            try:
+                number = float(value)
+            except OverflowError:
+                pass
+        typed = {"label": isinstance(value, bool), "fs": number is not None,
+                 "n_samples": type(value) is int}[field]
+        try:
+            record = load_record(header_dir)
+        except RecordError as err:
+            if typed:
+                assert not str(err).startswith("corrupt header"), str(err)
+                assert {"fs": "fs must be finite and positive",
+                        "n_samples": "count mismatch"}[field] in str(err)
+            else:
+                assert str(err).startswith(
+                    f"corrupt header {header_path}: {field} must be "), str(err)
+        else:
+            assert typed
+            loaded = {"label": record.label, "fs": record.fs,
+                      "n_samples": record.n_samples}[field]
+            assert loaded == (number if field == "fs" else value)
 
     def test_missing_header(self, tmp_path):
         with pytest.raises(RecordError, match="missing header"):
